@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .events import SwitchEvent
+from .events import KIND_SWITCH_FAILURE, SwitchEvent
 
 
 class CoordError(Exception):
@@ -112,6 +112,7 @@ class CoordService:
         self._leader_subs: list[LeaderCallback] = []
         # cheap counters for quiescence checks
         self.n_events = 0
+        self.n_switch_events = 0  # events that came off a switch, not synthesized switch failures
         self.n_processed = 0
 
     # -- sessions ----------------------------------------------------------
@@ -214,6 +215,8 @@ class CoordService:
             if isinstance(body, EventBody):
                 self.n_events += 1
                 ev = body.event
+                if ev.kind != KIND_SWITCH_FAILURE:
+                    self.n_switch_events += 1
                 self._trace(
                     "log-append",
                     epoch=self.epoch,

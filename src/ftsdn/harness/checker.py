@@ -331,7 +331,7 @@ def _group_bundles(switch_id: str, recs: list[tuple[int, dict]], t3: PropertyRes
             current["closed"] = True
         else:
             if current["closed"]:
-                t3.fail(f"bundle {bid} on {switch_id} has commands after its marker", [idx])
+                t3.fail(f"bundle {current['bundle_id']} on {switch_id} has commands after its marker", [idx])
             current["commands"].append(cmd)
     if current is not None:
         _finish_bundle(switch_id, current, bundles, t3)

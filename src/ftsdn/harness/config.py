@@ -68,7 +68,6 @@ class ScenarioConfig:
     hosts_per_switch: int = 4
     workload_start_ms: float = 20.0
     fault_plan: list[FaultInjection] = field(default_factory=list)
-    mutation: str | None = None
     # test-only knob: pin latency of specific channels, keyed "src->dst"
     latency_overrides: dict = field(default_factory=dict)
 
@@ -108,7 +107,6 @@ class ScenarioConfig:
             "inter_arrival_ms": self.inter_arrival_ms,
             "hosts_per_switch": self.hosts_per_switch,
             "fault_plan": [f.to_json() for f in self.fault_plan],
-            "mutation": self.mutation,
         }
         return d
 
@@ -121,7 +119,7 @@ _FLOAT_KEYS = {
     "inter_arrival_ms",
     "workload_start_ms",
 }
-_STR_KEYS = {"transport", "app", "mutation"}
+_STR_KEYS = {"transport", "app"}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:

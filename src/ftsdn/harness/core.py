@@ -1,0 +1,209 @@
+"""The protocol wiring both transports share.
+
+A transport supplies executors and links: the deterministic one a scheduler
+with in-memory channels, the socket one threads with TCP connections. Both
+give an executor ``now()``, ``call_later(delay_ms, fn, maintenance)`` and
+``cancel(handle)``; maintenance timers keep nothing alive in the
+deterministic scheduler. Messages on the coordination link are dicts that
+carry log entries and bodies as objects; a transport that needs bytes
+converts them at its edge.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable
+
+from .. import apps as apps_mod
+from ..coord import CoordError, CoordService, EmptyAppend, NotLeader, SessionExpired
+from ..ctrl import FatalProtocolError, Replica, ReplicaConfig
+from .config import ScenarioConfig
+
+# how long after a session's deadline the expiry check runs, in ms
+EXPIRY_SLACK_MS = 0.01
+
+
+class CoordHost:
+    """The coordination service behind one executor: sessions, the pushes
+    to each session's controller, its requests, and the expiry timer."""
+
+    def __init__(self, executor, trace) -> None:
+        self.exec = executor
+        self.service = CoordService(trace=trace.emitter("coord"))
+        self._expiry_timer = None
+
+    def open_session(self, controller_id: str, timeout_ms: float, push: Callable[[dict], None]):
+        """Open, subscribe and enroll a controller's session; returns the
+        handler for the requests it sends."""
+        now = self.exec.now()
+        sid = self.service.open_session(controller_id, timeout_ms, now)
+        self.service.subscribe(1, lambda entry: push({"op": "entry", "entry": entry}))
+        self.service.watch_leadership(
+            lambda leader, epoch, log_len: push({"op": "leader", "leader": leader, "epoch": epoch, "log_len": log_len})
+        )
+        self.service.enroll(sid, controller_id, now)
+        self.arm_expiry()
+        return lambda msg: self._on_request(sid, push, msg)
+
+    def _on_request(self, sid: int, push: Callable[[dict], None], msg: dict) -> None:
+        op = msg["op"]
+        now = self.exec.now()
+        if op == "append":
+            error = None
+            try:
+                self.service.append(sid, msg["epoch"], msg["bodies"], now)
+            except SessionExpired:
+                error = "session-expired"
+            except NotLeader:
+                error = "not-leader"
+            except EmptyAppend:
+                error = "rejected-empty"
+            push({"op": "append-reply", "req": msg["req"], "error": error})
+        elif op == "heartbeat":
+            try:
+                self.service.heartbeat(sid, now)
+            except CoordError:
+                pass  # dead session; the client learns through leadership changes
+        self.arm_expiry()
+
+    def arm_expiry(self) -> None:
+        if self._expiry_timer is not None:
+            self.exec.cancel(self._expiry_timer)
+            self._expiry_timer = None
+        deadline = self.service.next_deadline()
+        if deadline is None:
+            return
+        delay = max(0.0, deadline - self.exec.now()) + EXPIRY_SLACK_MS
+        self._expiry_timer = self.exec.call_later(delay, self._check_expiry, True)
+
+    def _check_expiry(self) -> None:
+        self._expiry_timer = None
+        self.service.check_expiry(self.exec.now())
+        self.arm_expiry()
+
+
+class Controller:
+    """One replica and its coordination client; implements ReplicaEnv.
+
+    The transport sets ``send_coord`` and fills ``switch_links`` with a send
+    function per switch, and defines ``fail()``, which crashes the node."""
+
+    send_coord: Callable[[dict], None]
+
+    def __init__(
+        self,
+        cid: str,
+        executor,
+        cfg: ScenarioConfig,
+        replica_cfg: ReplicaConfig | None,
+        trace,
+        fault_hook: Callable[..., None] | None,
+    ) -> None:
+        self.cid = cid
+        self.exec = executor
+        self.trace = trace
+        self.heartbeat_interval_ms = cfg.heartbeat_interval_ms
+        rcfg = replica_cfg or ReplicaConfig(batch_size=cfg.batch_size, batch_time_ms=cfg.batch_time_ms)
+        self.replica = Replica(
+            cid,
+            rcfg,
+            [apps_mod.make_app(cfg.app, cfg.app_params)],
+            env=self,
+            trace=trace.emitter(cid),
+            fault_hook=fault_hook,
+        )
+        self.switch_links: dict[str, Callable] = {}
+        self._append_cbs: dict[int, Callable[[str | None], None]] = {}
+        self._next_req = itertools.count(1)
+
+    def fail(self) -> None:
+        raise NotImplementedError
+
+    def guard(self, fn: Callable[..., None]) -> Callable[..., None]:
+        """Wrap a handler: a broken protocol invariant is recorded and
+        crashes this node instead of escaping into the transport."""
+
+        def run(*args) -> None:
+            try:
+                fn(*args)
+            except FatalProtocolError as exc:
+                self.trace.emit("replica-fatal", self.cid, detail={"error": str(exc)})
+                self.fail()
+
+        return run
+
+    # -- ReplicaEnv ---------------------------------------------------------
+
+    def now(self) -> float:
+        return self.exec.now()
+
+    def call_later(self, delay_ms: float, fn: Callable[[], None]):
+        return self.exec.call_later(delay_ms, self.guard(fn), False)
+
+    def cancel(self, handle) -> None:
+        self.exec.cancel(handle)
+
+    def send_switch(self, switch_id: str, msg) -> None:
+        send = self.switch_links.get(switch_id)
+        if send is not None:
+            send(msg)
+
+    def coord_append(self, epoch: int, bodies: list, callback: Callable[[str | None], None]) -> None:
+        req = next(self._next_req)
+        self._append_cbs[req] = callback
+        self.send_coord({"op": "append", "req": req, "epoch": epoch, "bodies": bodies})
+
+    # -- coordination link --------------------------------------------------
+
+    def on_coord_msg(self, msg: dict) -> None:
+        op = msg["op"]
+        if op == "entry":
+            self.replica.on_log_entry(msg["entry"])
+        elif op == "leader":
+            self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
+        elif op == "append-reply":
+            cb = self._append_cbs.pop(msg["req"], None)
+            if cb is not None:
+                cb(msg["error"])
+
+    def start_heartbeat(self) -> None:
+        self.exec.call_later(self.heartbeat_interval_ms, self._heartbeat, True)
+
+    def _heartbeat(self) -> None:
+        self.send_coord({"op": "heartbeat"})
+        self.start_heartbeat()
+
+
+class World:
+    """What both worlds share: ``coord`` (a CoordHost), ``switches`` (nodes
+    with a ``switch``) and ``ctrls`` (Controllers)."""
+
+    coord: CoordHost
+    switches: dict
+    ctrls: dict
+
+    def quiescent(self) -> bool:
+        """Every switch event is logged and finished, and every live replica
+        has delivered all of them with nothing left in flight."""
+        service = self.coord.service
+        if service.n_events != service.n_processed:
+            return False
+        if service.n_switch_events != sum(node.switch.events_emitted for node in self.switches.values()):
+            return False
+        max_id = service.max_event_id
+        return all(
+            c.replica.is_quiescent() and c.replica.delivered_upto == max_id
+            for c in self.ctrls.values()
+            if c.exec.alive
+        )
+
+
+class SwitchConn:
+    """A controller's connection as a switch sees it."""
+
+    _uids = itertools.count(1)
+
+    def __init__(self, controller_id: str, send: Callable) -> None:
+        self.controller_id = controller_id
+        self.uid = next(SwitchConn._uids)
+        self.send = send

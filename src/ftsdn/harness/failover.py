@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass, field
 
 from .. import ofwire
-from ..trace import TraceLog
 from .config import FaultInjection, ScenarioConfig
 
 _MARKER_HEX = ofwire.MARKER_MAGIC.hex()
@@ -81,12 +80,8 @@ def failover_gap_socket(
     kill_after_ms: float = 600.0,
     seed: int = 0,
 ) -> float:
-    from ..apps import ForwardingApp
-    from .runtime_socket import CoordServer, SocketController, SwitchServer
+    from .runtime_socket import SocketWorld
 
-    trace = TraceLog(clock=time.time_ns)
-    coord = CoordServer(trace)
-    switch = SwitchServer("s0", trace)
     cfg = ScenarioConfig(
         n_switches=1,
         n_controllers=2,
@@ -96,16 +91,9 @@ def failover_gap_socket(
         batch_time_ms=5.0,
         seed=seed,
     )
-    ctrls = []
+    world = SocketWorld(cfg)
+    master = world.ctrls["c0"]
     try:
-        for cid in ("c0", "c1"):
-            ctrls.append(
-                SocketController(cid, cfg, [ForwardingApp()], coord.port, {"s0": switch.port}, trace)
-            )
-            if cid == "c0":
-                deadline = time.monotonic() + 5.0
-                while ctrls[0].replica.role != "master" and time.monotonic() < deadline:
-                    time.sleep(0.002)
         payload = ofwire.ether_payload("02:00:00:00:00:01", "02:00:00:00:00:02", b"stream")
         start = time.monotonic()
         stream_s = (kill_after_ms + session_timeout_ms + 800.0) / 1000.0
@@ -113,9 +101,9 @@ def failover_gap_socket(
         i = 0
         while time.monotonic() - start < stream_s:
             if not killed and (time.monotonic() - start) * 1000.0 >= kill_after_ms:
-                ctrls[0].crash()
+                master.crash()
                 killed = True
-            switch.inject(payload, in_port=2)
+            world.switches["s0"].inject(payload, in_port=2)
             i += 1
             target = start + i * inter_arrival_ms / 1000.0
             delay = target - time.monotonic()
@@ -124,26 +112,21 @@ def failover_gap_socket(
         # wait for the new master to push packet-outs through the switch;
         # in-flight commits from the dead one land within a few ms of the
         # kill, so recovery means traffic well past the detection window
-        crash_ms = ctrls[0].crash_time_ms or 0.0
-        recovered_after = crash_ms + session_timeout_ms / 2.0
+        recovered_after = (master.crash_time_ms or 0.0) + session_timeout_ms / 2.0
         deadline = time.monotonic() + 10.0 * session_timeout_ms / 1000.0
         recovered = False
         while time.monotonic() < deadline:
-            times = data_packet_out_times(trace.as_dicts(), "s0", scale=1e-6)
+            times = data_packet_out_times(world.trace.as_dicts(), "s0", scale=1e-6)
             if times and times[-1] > recovered_after:
                 recovered = True
                 break
             time.sleep(0.05)
         time.sleep(0.3)
     finally:
-        for c in ctrls:
-            if not c.dead:
-                c.exec.stop()
-        switch.stop()
-        coord.stop()
+        world.stop()
     if not recovered:
         raise RuntimeError("no recovery within 10x the session timeout")
-    times = data_packet_out_times(trace.as_dicts(), "s0", scale=1e-6)
+    times = data_packet_out_times(world.trace.as_dicts(), "s0", scale=1e-6)
     return largest_gap(times)
 
 

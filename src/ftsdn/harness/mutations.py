@@ -74,6 +74,27 @@ def _skipped_marker(world: DetWorld) -> None:
         replica._send_bundle = no_marker
 
 
+def _marker_not_last(world: DetWorld) -> None:
+    # the commit marker goes into each bundle ahead of the commands
+    from ..ofwire import BundleAdd, BundleCommit, BundleOpen, make_commit_marker
+
+    for node in world.ctrls.values():
+        replica = node.replica
+
+        def marker_first(eid, switch_id, cmds, replica=replica):
+            bid = replica._next_bundle_id
+            replica._next_bundle_id += 1
+            replica._bundle_owner[bid] = (eid, switch_id)
+            replica.env.send_switch(switch_id, BundleOpen(bid))
+            replica.env.send_switch(switch_id, BundleAdd(bid, make_commit_marker(replica.epoch, [eid])))
+            for cmd in cmds:
+                replica.env.send_switch(switch_id, BundleAdd(bid, cmd))
+            replica.env.send_switch(switch_id, BundleCommit(bid))
+            replica.pending_replies.setdefault(eid, set()).add(switch_id)
+
+        replica._send_bundle = marker_first
+
+
 def _lost_buffered_event(world: DetWorld) -> None:
     # the slave silently drops one buffered occurrence
     node = world.ctrls["c1"]
@@ -175,6 +196,13 @@ def catalog() -> list[Mutation]:
             ),
             ("T2",),
             _stale_epoch_append,
+        ),
+        Mutation(
+            "marker-not-last",
+            "master puts the commit marker before the bundle's commands",
+            _base_cfg(),
+            ("T3",),
+            _marker_not_last,
         ),
     ]
 

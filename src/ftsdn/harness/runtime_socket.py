@@ -20,21 +20,14 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 
 from .. import ofwire
-from ..coord import (
-    CoordError,
-    CoordService,
-    EmptyAppend,
-    LogEntry,
-    NotLeader,
-    SessionExpired,
-    body_from_json,
-)
-from ..ctrl import FatalProtocolError, Replica, ReplicaConfig
+from ..coord import LogEntry, body_from_json
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
+from .core import Controller, CoordHost, SwitchConn, World
 
 
 def _now_ms() -> float:
@@ -44,8 +37,6 @@ def _now_ms() -> float:
 class SocketExecutor:
     """Serial executor with millisecond timers, one thread per node."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, name: str) -> None:
         self.name = name
         self._q: queue.Queue = queue.Queue()
@@ -53,8 +44,7 @@ class SocketExecutor:
         self._lock = threading.Lock()
         self._seq = itertools.count()
         self.alive = True
-        self._thread = threading.Thread(target=self._run, name=f"exec-{name}", daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._run, name=f"exec-{name}", daemon=True).start()
 
     def now(self) -> float:
         return _now_ms()
@@ -62,7 +52,9 @@ class SocketExecutor:
     def post(self, fn) -> None:
         self._q.put(fn)
 
-    def call_later(self, delay_ms: float, fn) -> list:
+    def call_later(self, delay_ms: float, fn, maintenance: bool) -> list:
+        """``maintenance`` is part of the shared executor interface; a thread
+        needs no idle test, so it is not used here."""
         handle = [fn]
         with self._lock:
             heapq.heappush(self._timers, (_now_ms() + max(0.0, delay_ms), next(self._seq), handle))
@@ -74,9 +66,6 @@ class SocketExecutor:
     def stop(self) -> None:
         self.alive = False
         self._q.put(None)
-
-    def join(self, timeout: float = 2.0) -> None:
-        self._thread.join(timeout)
 
     def _due(self) -> list:
         out = []
@@ -110,19 +99,80 @@ class SocketExecutor:
             return
         try:
             fn()
-        except FatalProtocolError:
-            self.alive = False
-            raise
         except Exception:
             import traceback
 
             traceback.print_exc()
 
 
-def _send_json(sock: socket.socket, lock: threading.Lock, obj: dict) -> None:
-    raw = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    with lock:
-        sock.sendall(struct.pack(">I", len(raw)) + raw)
+def _connect(port: int) -> socket.socket:
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _listen() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(16)
+    return sock
+
+
+def _serve(listener: socket.socket, conn_loop) -> None:
+    """Accept connections until the listener is shut down, one reader
+    thread per connection."""
+
+    def accept_loop() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            threading.Thread(target=conn_loop, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=accept_loop, daemon=True).start()
+
+
+def _close(sock: socket.socket) -> None:
+    """Shut down, then close: closing alone wakes no thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
+def _encode_frame(msg: ofwire.OfMessage) -> bytes:
+    return ofwire.encode(msg)  # looked up per call, so a wrapper installed later sees every frame
+
+
+def _sender(sock: socket.socket, encode):
+    """A thread-safe send of encoded messages; a peer that has gone away is
+    noticed by its reader, not by the sender."""
+    lock = threading.Lock()
+
+    def send(msg) -> None:
+        try:
+            with lock:
+                sock.sendall(encode(msg))
+        except OSError:
+            pass
+
+    return send
+
+
+def _encode_json(msg: dict) -> bytes:
+    """Coordination messages travel as length-prefixed JSON; log entries and
+    bodies become their JSON form."""
+    op = msg["op"]
+    if op == "entry":
+        msg = {"op": "entry", "entry": msg["entry"].to_json()}
+    elif op == "append":
+        msg = {**msg, "bodies": [b.to_json() for b in msg["bodies"]]}
+    raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
+    return struct.pack(">I", len(raw)) + raw
 
 
 def _read_json(sock: socket.socket) -> dict | None:
@@ -133,7 +183,13 @@ def _read_json(sock: socket.socket) -> dict | None:
     raw = _read_exact(sock, length)
     if raw is None:
         return None
-    return json.loads(raw.decode("utf-8"))
+    msg = json.loads(raw.decode("utf-8"))
+    op = msg["op"]
+    if op == "entry":
+        msg["entry"] = LogEntry.from_json(msg["entry"])
+    elif op == "append":
+        msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
+    return msg
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -149,337 +205,141 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     return buf
 
 
-class CoordServer:
-    def __init__(self, trace: TraceLog) -> None:
-        self.exec = SocketExecutor("coord")
-        self.service = CoordService(trace=trace.emitter("coord"))
-        self._expiry_timer = None
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(16)
-        self.port = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+def _read_frames(sock: socket.socket):
+    """Yield the OpenFlow messages arriving on ``sock`` until it closes."""
+    buf = ofwire.FrameBuffer()
+    while True:
+        try:
+            data = sock.recv(65536)
+        except OSError:
+            return
+        if not data:
+            return
+        yield from buf.feed(data)
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._client_loop, args=(conn,), daemon=True).start()
+
+class CoordServer(CoordHost):
+    def __init__(self, trace: TraceLog) -> None:
+        super().__init__(SocketExecutor("coord"), trace)
+        self._listener = _listen()
+        self.port = self._listener.getsockname()[1]
+        _serve(self._listener, self._client_loop)
 
     def _client_loop(self, conn: socket.socket) -> None:
-        lock = threading.Lock()
         hello = _read_json(conn)
         if hello is None or hello.get("op") != "hello":
             conn.close()
             return
-        ready = threading.Event()
-        state: dict = {}
-
-        def push(obj: dict) -> None:
-            # peers may die at any moment; a failed push must not poison the
-            # service's notification fan-out to the other subscribers
-            try:
-                _send_json(conn, lock, obj)
-            except OSError:
-                pass
-
-        def setup() -> None:
-            now = self.exec.now()
-            sid = self.service.open_session(hello["controller_id"], hello["timeout_ms"], now)
-            state["sid"] = sid
-            self.service.subscribe(1, lambda entry: push({"op": "entry", "entry": entry.to_json()}))
-            self.service.watch_leadership(
-                lambda leader, epoch, log_len: push(
-                    {"op": "leader", "leader": leader, "epoch": epoch, "log_len": log_len}
-                )
-            )
-            self.service.enroll(sid, hello["controller_id"], now)
-            self._arm_expiry()
-            ready.set()
-
-        self.exec.post(setup)
-        ready.wait(5.0)
+        # runs on the executor before any request this loop posts after it
+        handler: list = []
+        push = _sender(conn, _encode_json)
+        self.exec.post(lambda: handler.append(self.open_session(hello["controller_id"], hello["timeout_ms"], push)))
         while True:
             msg = _read_json(conn)
             if msg is None:
+                conn.close()
                 return  # connection gone; the session dies by timeout, not by EOF
-            self.exec.post(lambda m=msg: self._handle(conn, lock, state.get("sid"), m))
-
-    def _handle(self, conn: socket.socket, lock: threading.Lock, sid: int | None, msg: dict) -> None:
-        now = self.exec.now()
-        op = msg.get("op")
-        try:
-            if op == "heartbeat":
-                self.service.heartbeat(sid, now)
-            elif op == "append":
-                bodies = [body_from_json(b) for b in msg["bodies"]]
-                error = None
-                try:
-                    self.service.append(sid, msg["epoch"], bodies, now)
-                except SessionExpired:
-                    error = "session-expired"
-                except NotLeader:
-                    error = "not-leader"
-                except EmptyAppend:
-                    error = "rejected-empty"
-                try:
-                    _send_json(conn, lock, {"op": "append-reply", "req": msg["req"], "error": error})
-                except OSError:
-                    pass
-        except CoordError:
-            pass
-        self._arm_expiry()
-
-    def _arm_expiry(self) -> None:
-        if self._expiry_timer is not None:
-            self.exec.cancel(self._expiry_timer)
-            self._expiry_timer = None
-        deadline = self.service.next_deadline()
-        if deadline is None:
-            return
-        delay = max(0.0, deadline - self.exec.now()) + 1.0
-
-        def check() -> None:
-            self._expiry_timer = None
-            self.service.check_expiry(self.exec.now())
-            self._arm_expiry()
-
-        self._expiry_timer = self.exec.call_later(delay, check)
+            self.exec.post(lambda m=msg: handler[0](m))
 
     def stop(self) -> None:
         try:
-            self._listener.close()
+            _close(self._listener)
         finally:
             self.exec.stop()
-
-
-class _SocketConn:
-    """Controller connection as seen by a switch."""
-
-    _uids = itertools.count(1)
-
-    def __init__(self, controller_id: str, sock: socket.socket) -> None:
-        self.controller_id = controller_id
-        self.uid = next(_SocketConn._uids)
-        self._sock = sock
-        self._lock = threading.Lock()
-
-    def send(self, msg: ofwire.OfMessage) -> None:
-        try:
-            with self._lock:
-                self._sock.sendall(ofwire.encode(msg))
-        except OSError:
-            pass
 
 
 class SwitchServer:
     def __init__(self, switch_id: str, trace: TraceLog) -> None:
         self.exec = SocketExecutor(switch_id)
         self.switch = Switch(switch_id, trace=trace.emitter(switch_id))
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(16)
+        self._listener = _listen()
         self.port = self._listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._conn_loop, args=(sock,), daemon=True).start()
+        _serve(self._listener, self._conn_loop)
 
     def _conn_loop(self, sock: socket.socket) -> None:
-        buf = ofwire.FrameBuffer()
-        conn: _SocketConn | None = None
-        while True:
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                data = b""
-            if not data:
-                if conn is not None:
-                    self.exec.post(lambda c=conn: self.switch.on_conn_closed(c.uid))
-                return
-            for msg in buf.feed(data):
-                if conn is None:
-                    # the first frame is the peer announcing its identity
-                    if not isinstance(msg, ofwire.RoleAnnounce):
-                        sock.close()
-                        return
-                    conn = _SocketConn(msg.controller_id, sock)
-                    self.exec.post(lambda c=conn: self.switch.attach(c))
-                    continue
-                self.exec.post(lambda m=msg, c=conn: self.switch.on_message(c, m))
+        conn: SwitchConn | None = None
+        for msg in _read_frames(sock):
+            if conn is None:
+                # the first frame is the peer announcing its identity
+                if not isinstance(msg, ofwire.RoleAnnounce):
+                    sock.close()
+                    return
+                conn = SwitchConn(msg.controller_id, _sender(sock, _encode_frame))
+                self.exec.post(lambda c=conn: self.switch.attach(c))
+                continue
+            self.exec.post(lambda m=msg, c=conn: self.switch.on_message(c, m))
+        sock.close()
+        if conn is not None:
+            self.exec.post(lambda c=conn: self.switch.on_conn_closed(c.uid))
 
     def inject(self, payload: bytes, in_port: int) -> None:
         self.exec.post(lambda: self.switch.inject_packet(payload, in_port))
 
     def stop(self) -> None:
         try:
-            self._listener.close()
+            _close(self._listener)
         finally:
             self.exec.stop()
 
 
-class SocketController:
+class SocketController(Controller):
     """A replica wired to the coordination server and every switch over TCP."""
 
-    def __init__(
-        self,
-        cid: str,
-        cfg: ScenarioConfig,
-        apps: list,
-        coord_port: int,
-        switch_ports: dict[str, int],
-        trace: TraceLog,
-        replica_cfg: ReplicaConfig | None = None,
-    ) -> None:
-        self.cid = cid
-        self.cfg = cfg
-        self.exec = SocketExecutor(cid)
-        rcfg = replica_cfg or ReplicaConfig(batch_size=cfg.batch_size, batch_time_ms=cfg.batch_time_ms)
-        self.replica = Replica(cid, rcfg, apps, env=self, trace=trace.emitter(cid))
-        self.trace = trace
+    def __init__(self, cid: str, cfg: ScenarioConfig, coord_port: int, switch_ports: dict[str, int],
+                 trace: TraceLog) -> None:
+        super().__init__(cid, SocketExecutor(cid), cfg, None, trace, None)
         self.dead = False
         self.crash_time_ms: float | None = None
-        self._append_cbs: dict[int, object] = {}
-        self._next_req = itertools.count(1)
-        self._switch_socks: dict[str, socket.socket] = {}
-        self._switch_locks: dict[str, threading.Lock] = {}
-        self._reader_threads: list[threading.Thread] = []
-
+        self._socks: list[socket.socket] = []
         for sid, port in switch_ports.items():
-            sock = socket.create_connection(("127.0.0.1", port))
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._switch_socks[sid] = sock
-            self._switch_locks[sid] = threading.Lock()
-            sock.sendall(ofwire.encode(ofwire.RoleAnnounce(cid, 0)))
+            sock = self._open(port)
+            self.switch_links[sid] = _sender(sock, _encode_frame)
+            self.switch_links[sid](ofwire.RoleAnnounce(cid, 0))
             self.exec.post(lambda s=sid: self.replica.attach_switch(s))
-            t = threading.Thread(target=self._switch_reader, args=(sid, sock), daemon=True)
-            t.start()
-            self._reader_threads.append(t)
+            threading.Thread(target=self._switch_reader, args=(sid, sock), daemon=True).start()
+        sock = self._open(coord_port)
+        self.send_coord = _sender(sock, _encode_json)
+        self.send_coord({"op": "hello", "controller_id": cid, "timeout_ms": cfg.session_timeout_ms})
+        threading.Thread(target=self._coord_reader, args=(sock,), daemon=True).start()
+        self.start_heartbeat()
 
-        self._coord_sock = socket.create_connection(("127.0.0.1", coord_port))
-        self._coord_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._coord_lock = threading.Lock()
-        _send_json(
-            self._coord_sock,
-            self._coord_lock,
-            {"op": "hello", "controller_id": cid, "timeout_ms": cfg.session_timeout_ms},
-        )
-        t = threading.Thread(target=self._coord_reader, daemon=True)
-        t.start()
-        self._reader_threads.append(t)
-        self._heartbeat()
-
-    # -- ReplicaEnv ----------------------------------------------------------
-
-    def now(self) -> float:
-        return _now_ms()
-
-    def call_later(self, delay_ms: float, fn):
-        return self.exec.call_later(delay_ms, fn)
-
-    def cancel(self, handle) -> None:
-        self.exec.cancel(handle)
-
-    def send_switch(self, switch_id: str, msg: ofwire.OfMessage) -> None:
-        sock = self._switch_socks.get(switch_id)
-        if sock is None or self.dead:
-            return
-        try:
-            with self._switch_locks[switch_id]:
-                sock.sendall(ofwire.encode(msg))
-        except OSError:
-            pass
-
-    def coord_append(self, epoch: int, bodies: list, callback) -> None:
-        req = next(self._next_req)
-        self._append_cbs[req] = callback
-        try:
-            _send_json(
-                self._coord_sock,
-                self._coord_lock,
-                {"op": "append", "req": req, "epoch": epoch, "bodies": [b.to_json() for b in bodies]},
-            )
-        except OSError:
-            pass
-
-    # -- wiring ---------------------------------------------------------------
-
-    def _heartbeat(self) -> None:
-        if self.dead:
-            return
-        try:
-            _send_json(self._coord_sock, self._coord_lock, {"op": "heartbeat"})
-        except OSError:
-            pass
-        self.exec.call_later(self.cfg.heartbeat_interval_ms, self._heartbeat)
+    def _open(self, port: int) -> socket.socket:
+        sock = _connect(port)
+        self._socks.append(sock)
+        return sock
 
     def _switch_reader(self, sid: str, sock: socket.socket) -> None:
-        buf = ofwire.FrameBuffer()
-        while True:
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                data = b""
-            if not data:
-                if not self.dead:
-                    self.exec.post(lambda s=sid: self.replica.on_switch_disconnect(s))
-                return
-            for msg in buf.feed(data):
-                self.exec.post(lambda m=msg, s=sid: self.replica.on_switch_message(s, m))
+        on_message = self.guard(lambda msg: self.replica.on_switch_message(sid, msg))
+        for msg in _read_frames(sock):
+            self.exec.post(partial(on_message, msg))
+        if not self.dead:
+            self.exec.post(self.guard(lambda: self.replica.on_switch_disconnect(sid)))
 
-    def _coord_reader(self) -> None:
-        while True:
-            msg = _read_json(self._coord_sock)
-            if msg is None:
-                return
-            self.exec.post(lambda m=msg: self._on_coord(m))
+    def _coord_reader(self, sock: socket.socket) -> None:
+        on_message = self.guard(self.on_coord_msg)
+        while (msg := _read_json(sock)) is not None:
+            self.exec.post(partial(on_message, msg))
 
-    def _on_coord(self, msg: dict) -> None:
-        op = msg.get("op")
-        if op == "entry":
-            self.replica.on_log_entry(LogEntry.from_json(msg["entry"]))
-        elif op == "leader":
-            self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
-        elif op == "append-reply":
-            cb = self._append_cbs.pop(msg["req"], None)
-            if cb is not None:
-                cb(msg["error"])
+    def close(self) -> None:
+        for sock in self._socks:
+            _close(sock)
 
     def crash(self) -> None:
         """Kill the process model: sockets flush and close, timers stop."""
         self.dead = True
         self.crash_time_ms = time.time_ns() * 1e-6
         self.exec.stop()
-        for sock in list(self._switch_socks.values()) + [self._coord_sock]:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self.close()
         self.trace.emit("controller-crashed", self.cid, detail={"reason": "killed"})
 
+    def fail(self) -> None:
+        self.crash()
 
-class SocketWorld:
+
+class SocketWorld(World):
     """One coordination server, the switches, and the controller replicas."""
 
-    def __init__(self, cfg: ScenarioConfig, replica_cfg: ReplicaConfig | None = None) -> None:
-        from .. import apps as apps_mod
-
+    def __init__(self, cfg: ScenarioConfig) -> None:
         cfg.validate()
         self.cfg = cfg
         self.trace = TraceLog(clock=time.time_ns)
@@ -491,10 +351,7 @@ class SocketWorld:
         self.ctrls: dict[str, SocketController] = {}
         for i in range(cfg.n_controllers):
             cid = f"c{i}"
-            self.ctrls[cid] = SocketController(
-                cid, cfg, [apps_mod.make_app(cfg.app, cfg.app_params)], self.coord.port, ports, self.trace,
-                replica_cfg=replica_cfg,
-            )
+            self.ctrls[cid] = SocketController(cid, cfg, self.coord.port, ports, self.trace)
             if i == 0:
                 self._await_master(cid)
 
@@ -508,28 +365,6 @@ class SocketWorld:
 
     def master_id(self) -> str | None:
         return self.coord.service.leader
-
-    def quiescent(self) -> bool:
-        from ..coord import EventBody
-
-        service = self.coord.service
-        if service.n_events != service.n_processed:
-            return False
-        emitted = sum(node.switch.events_emitted for node in self.switches.values())
-        logged = sum(
-            1
-            for entry in service.log
-            if isinstance(entry.body, EventBody) and entry.body.event.kind != "switch-failure"
-        )
-        if logged != emitted:
-            return False
-        max_id = service.max_event_id
-        for ctrl in self.ctrls.values():
-            if ctrl.dead:
-                continue
-            if not ctrl.replica.is_quiescent() or ctrl.replica.delivered_upto != max_id:
-                return False
-        return True
 
     def wait_quiescent(self, timeout_s: float) -> bool:
         deadline = time.monotonic() + timeout_s
@@ -545,12 +380,15 @@ class SocketWorld:
         return False
 
     def stop(self) -> None:
+        """Stop every node, then close the controllers' sockets, so every
+        thread the world started ends without adding to the trace."""
         for ctrl in self.ctrls.values():
-            if not ctrl.dead:
-                ctrl.exec.stop()
+            ctrl.exec.stop()
         for node in self.switches.values():
             node.stop()
         self.coord.stop()
+        for ctrl in self.ctrls.values():
+            ctrl.close()
 
 
 def run_socket_scenario(cfg: ScenarioConfig):

@@ -5,109 +5,23 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .. import apps as apps_mod
-from ..coord import CoordError, CoordService, EmptyAppend, EventBody, NotLeader, SessionExpired
-from ..ctrl import FatalProtocolError, Replica, ReplicaConfig
+from ..coord import EventBody
+from ..ctrl import ReplicaConfig
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import AT_TIME, ZOMBIE, FaultInjection, ScenarioConfig
+from .core import Controller, CoordHost, SwitchConn, World
 from .runtime_det import Channel, CostModel, Crashed, Executor, Scheduler, default_latency, fixed_latency
 
 
-class _ConnAdapter:
-    """Controller connection as seen by a switch."""
-
-    _uids = iter(range(1, 1 << 30))
-
-    def __init__(self, controller_id: str, endpoint) -> None:
-        self.controller_id = controller_id
-        self.uid = next(_ConnAdapter._uids)
-        self._endpoint = endpoint
-
-    def send(self, msg) -> None:
-        self._endpoint.send(msg)
-
-
-class CtrlNode:
-    """Glue between one replica and its channels; implements ReplicaEnv."""
-
-    def __init__(self, world: "DetWorld", cid: str, rcfg: ReplicaConfig, app_list) -> None:
+class CtrlNode(Controller):
+    def __init__(self, world: "DetWorld", cid: str, rcfg: ReplicaConfig | None) -> None:
+        super().__init__(cid, Executor(world.sched, cid), world.cfg, rcfg, world.trace, world.hook_for(cid))
         self.world = world
-        self.cid = cid
-        self.exec = Executor(world.sched, cid)
-        self.replica = Replica(
-            cid,
-            rcfg,
-            app_list,
-            env=self,
-            trace=world.trace.emitter(cid),
-            fault_hook=world.hook_for(cid),
-        )
-        self.coord_ep = None
-        self.switch_eps: dict[str, object] = {}
-        self.session_id: int | None = None
-        self._append_cbs: dict[int, Callable[[str | None], None]] = {}
-        self._next_req = 0
         self.endpoints: list = []
 
-    # -- ReplicaEnv ---------------------------------------------------------
-
-    def now(self) -> float:
-        return self.exec.now()
-
-    def call_later(self, delay_ms: float, fn: Callable[[], None]):
-        return self.exec.call_later(delay_ms, self.guard(fn))
-
-    def cancel(self, handle) -> None:
-        self.exec.cancel(handle)
-
-    def send_switch(self, switch_id: str, msg) -> None:
-        ep = self.switch_eps.get(switch_id)
-        if ep is not None:
-            ep.send(msg)
-
-    def coord_append(self, epoch: int, bodies: list, callback: Callable[[str | None], None]) -> None:
-        self._next_req += 1
-        self._append_cbs[self._next_req] = callback
-        self.coord_ep.send({"op": "append", "req": self._next_req, "sid": self.session_id, "epoch": epoch, "bodies": bodies})
-
-    # -- channel plumbing ----------------------------------------------------
-
-    def guard(self, fn: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            try:
-                fn()
-            except FatalProtocolError as exc:
-                self.world.trace.emit("replica-fatal", self.cid, detail={"error": str(exc)})
-                self.world.crash_controller(self.cid, reason="fatal")
-
-        return run
-
-    def guard_msg(self, fn: Callable[[object], None]) -> Callable[[object], None]:
-        def run(msg) -> None:
-            try:
-                fn(msg)
-            except FatalProtocolError as exc:
-                self.world.trace.emit("replica-fatal", self.cid, detail={"error": str(exc)})
-                self.world.crash_controller(self.cid, reason="fatal")
-
-        return run
-
-    def on_coord_msg(self, msg: dict) -> None:
-        op = msg["op"]
-        if op == "entry":
-            self.replica.on_log_entry(msg["entry"])
-        elif op == "leader":
-            self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
-        elif op == "append-reply":
-            cb = self._append_cbs.pop(msg["req"], None)
-            if cb is not None:
-                cb(msg["error"])
-
-    def heartbeat(self) -> None:
-        if self.coord_ep is not None:
-            self.coord_ep.send({"op": "heartbeat", "sid": self.session_id})
-        self.exec.call_later(self.world.cfg.heartbeat_interval_ms, self.heartbeat, maintenance=True)
+    def fail(self) -> None:
+        self.world.crash_controller(self.cid, reason="fatal")
 
 
 class SwitchNode:
@@ -119,52 +33,7 @@ class SwitchNode:
         self.endpoints: list = []
 
 
-class CoordNode:
-    def __init__(self, world: "DetWorld") -> None:
-        self.world = world
-        self.exec = Executor(world.sched, "coord")
-        self.service = CoordService(trace=world.trace.emitter("coord"))
-        self._expiry_timer = None
-        self.endpoints: list = []
-
-    def on_request(self, ep, msg: dict) -> None:
-        op = msg["op"]
-        now = self.exec.now()
-        if op == "append":
-            error = None
-            try:
-                self.service.append(msg["sid"], msg["epoch"], msg["bodies"], now)
-            except SessionExpired:
-                error = "session-expired"
-            except NotLeader:
-                error = "not-leader"
-            except EmptyAppend:
-                error = "rejected-empty"
-            ep.send({"op": "append-reply", "req": msg["req"], "error": error})
-        elif op == "heartbeat":
-            try:
-                self.service.heartbeat(msg["sid"], now)
-            except CoordError:
-                pass  # dead session; the client learns through leadership changes
-        self.arm_expiry()
-
-    def arm_expiry(self) -> None:
-        if self._expiry_timer is not None:
-            self.exec.cancel(self._expiry_timer)
-            self._expiry_timer = None
-        deadline = self.service.next_deadline()
-        if deadline is None:
-            return
-        delay = max(0.0, deadline - self.exec.now()) + 0.01
-        self._expiry_timer = self.exec.call_later(delay, self._check_expiry, maintenance=True)
-
-    def _check_expiry(self) -> None:
-        self._expiry_timer = None
-        self.service.check_expiry(self.exec.now())
-        self.arm_expiry()
-
-
-class DetWorld:
+class DetWorld(World):
     def __init__(
         self,
         cfg: ScenarioConfig,
@@ -177,29 +46,15 @@ class DetWorld:
         self.sched = Scheduler(cfg.seed)
         self.trace = trace if trace is not None else TraceLog(clock=lambda: self.sched.now)
         self.costs = costs or CostModel()
-        self._replica_cfg = replica_cfg
-        self.coord = CoordNode(self)
-        self.switches: dict[str, SwitchNode] = {}
-        self.ctrls: dict[str, CtrlNode] = {}
-        self.crashed_controllers: set[str] = set()
-        self.crashed_switches: set[str] = set()
-        self._occ_cursor = 0
-        self._occ_logged = 0
+        self.coord = CoordHost(Executor(self.sched, "coord"), self.trace)
         self.faults: list[FaultInjection] = [
             FaultInjection(**{k: getattr(f, k) for k in ("target", "point", "trigger_event", "at_time_ms", "pause_ms")})
             for f in cfg.fault_plan
         ]
-
-        rcfg = replica_cfg or ReplicaConfig(batch_size=cfg.batch_size, batch_time_ms=cfg.batch_time_ms)
-        for i in range(cfg.n_switches):
-            sid = f"s{i}"
-            self.switches[sid] = SwitchNode(self, sid)
-        for i in range(cfg.n_controllers):
-            cid = f"c{i}"
-            self.ctrls[cid] = CtrlNode(self, cid, rcfg, [apps_mod.make_app(cfg.app, cfg.app_params)])
-
-        self._wire()
-        self._bootstrap()
+        self.switches = {f"s{i}": SwitchNode(self, f"s{i}") for i in range(cfg.n_switches)}
+        self.ctrls = {f"c{i}": CtrlNode(self, f"c{i}", replica_cfg) for i in range(cfg.n_controllers)}
+        for cnode in self.ctrls.values():
+            self._connect(cnode)
         self._arm_timed_faults()
 
     # -- construction -------------------------------------------------------
@@ -212,58 +67,38 @@ class DetWorld:
             return fixed_latency(float(override))
         return default_latency(self.sched.rng)
 
-    def _wire(self) -> None:
+    def _connect(self, cnode: CtrlNode) -> None:
+        """Join a controller to the coordination service and every switch,
+        then open its session."""
         costs = self.costs
-        for cid, cnode in self.ctrls.items():
-            # controller <-> coordination service
-            chan = Channel(self.sched, cnode.exec, self.coord.exec, self._latency_fn(cid, "coord"))
-            ctrl_end, coord_end = chan.ends
-            cnode.coord_ep = ctrl_end
+        cid = cnode.cid
+        chan = Channel(self.sched, cnode.exec, self.coord.exec, self._latency_fn(cid, "coord"))
+        ctrl_end, coord_end = chan.ends
+        cnode.send_coord = ctrl_end.send
+        cnode.endpoints.append(ctrl_end)
+        ctrl_end.on_message = cnode.guard(cnode.on_coord_msg)
+        ctrl_end.send_cost = _ctrl_to_coord_cost(costs)
+        ctrl_end.recv_cost = _coord_to_ctrl_recv_cost(costs)
+        coord_end.recv_cost = _coord_recv_cost(costs)
+        for sid, snode in self.switches.items():
+            chan = Channel(self.sched, cnode.exec, snode.exec, self._latency_fn(cid, sid))
+            ctrl_end, sw_end = chan.ends
+            cnode.switch_links[sid] = ctrl_end.send
             cnode.endpoints.append(ctrl_end)
-            self.coord.endpoints.append(coord_end)
-            ctrl_end.on_message = cnode.guard_msg(cnode.on_coord_msg)
-            ctrl_end.send_cost = _ctrl_to_coord_cost(costs)
-            ctrl_end.recv_cost = _coord_to_ctrl_recv_cost(costs)
-            coord_end.on_message = lambda m, ep=coord_end: self.coord.on_request(ep, m)
-            coord_end.recv_cost = _coord_recv_cost(costs)
-            # controller <-> each switch
-            for sid, snode in self.switches.items():
-                chan = Channel(self.sched, cnode.exec, snode.exec, self._latency_fn(cid, sid))
-                ctrl_end, sw_end = chan.ends
-                cnode.switch_eps[sid] = ctrl_end
-                cnode.endpoints.append(ctrl_end)
-                snode.endpoints.append(sw_end)
-                conn = _ConnAdapter(cid, sw_end)
-                ctrl_end.on_message = cnode.guard_msg(
-                    lambda msg, s=sid, c=cnode: c.replica.on_switch_message(s, msg)
-                )
-                ctrl_end.on_close = cnode.guard(lambda s=sid, c=cnode: c.replica.on_switch_disconnect(s))
-                ctrl_end.send_cost = lambda msg: costs.ctrl_send
-                ctrl_end.recv_cost = lambda msg: costs.ctrl_recv
-                sw_end.on_message = lambda msg, c=conn, sw=snode: sw.switch.on_message(c, msg)
-                sw_end.on_close = lambda c=conn, sw=snode: sw.switch.on_conn_closed(c.uid)
-                sw_end.send_cost = lambda msg: costs.switch_send
-                sw_end.recv_cost = lambda msg: costs.switch_recv
-                snode.switch.attach(conn)
-                cnode.replica.attach_switch(sid)
-
-    def _bootstrap(self) -> None:
-        service = self.coord.service
-        for i in range(self.cfg.n_controllers):
-            cid = f"c{i}"
-            cnode = self.ctrls[cid]
-            sid = service.open_session(cid, self.cfg.session_timeout_ms, now=0.0)
-            cnode.session_id = sid
-            ep = cnode.coord_ep.peer
-            service.subscribe(1, lambda entry, ep=ep: ep.send({"op": "entry", "entry": entry}))
-            service.watch_leadership(
-                lambda leader, epoch, log_len, ep=ep: ep.send(
-                    {"op": "leader", "leader": leader, "epoch": epoch, "log_len": log_len}
-                )
-            )
-            service.enroll(sid, cid, now=0.0)
-            cnode.exec.call_later(self.cfg.heartbeat_interval_ms, cnode.heartbeat, maintenance=True)
-        self.coord.arm_expiry()
+            snode.endpoints.append(sw_end)
+            conn = SwitchConn(cid, sw_end.send)
+            ctrl_end.on_message = cnode.guard(lambda msg, s=sid, c=cnode: c.replica.on_switch_message(s, msg))
+            ctrl_end.on_close = cnode.guard(lambda s=sid, c=cnode: c.replica.on_switch_disconnect(s))
+            ctrl_end.send_cost = lambda msg: costs.ctrl_send
+            ctrl_end.recv_cost = lambda msg: costs.ctrl_recv
+            sw_end.on_message = lambda msg, c=conn, sw=snode: sw.switch.on_message(c, msg)
+            sw_end.on_close = lambda c=conn, sw=snode: sw.switch.on_conn_closed(c.uid)
+            sw_end.send_cost = lambda msg: costs.switch_send
+            sw_end.recv_cost = lambda msg: costs.switch_recv
+            snode.switch.attach(conn)
+            cnode.replica.attach_switch(sid)
+        coord_end.on_message = self.coord.open_session(cid, self.cfg.session_timeout_ms, coord_end.send)
+        cnode.start_heartbeat()
 
     # -- fault machinery -----------------------------------------------------
 
@@ -326,7 +161,6 @@ class DetWorld:
         node = self.ctrls[cid]
         if not node.exec.alive:
             return
-        self.crashed_controllers.add(cid)
         node.exec.kill()
         for ep in node.endpoints:
             ep.close()
@@ -336,7 +170,6 @@ class DetWorld:
         node = self.switches[sid]
         if not node.exec.alive:
             return
-        self.crashed_switches.add(sid)
         node.switch.crash()
         node.exec.kill()
         for ep in node.endpoints:
@@ -347,36 +180,6 @@ class DetWorld:
     def inject(self, sid: str, payload: bytes, in_port: int) -> None:
         node = self.switches[sid]
         node.exec.post(lambda: node.switch.inject_packet(payload, in_port))
-
-    def live_controllers(self) -> list[CtrlNode]:
-        return [c for c in self.ctrls.values() if c.exec.alive]
-
-    def _logged_switch_events(self) -> int:
-        # incremental count of logged events that came off a switch (the
-        # synthesized switch-failure events are controller-made)
-        log = self.coord.service.log
-        while self._occ_cursor < len(log):
-            body = log[self._occ_cursor].body
-            self._occ_cursor += 1
-            if isinstance(body, EventBody) and body.event.kind != "switch-failure":
-                self._occ_logged += 1
-        return self._occ_logged
-
-    def quiescent(self) -> bool:
-        service = self.coord.service
-        if service.n_events != service.n_processed:
-            return False
-        emitted = sum(node.switch.events_emitted for node in self.switches.values())
-        if self._logged_switch_events() != emitted:
-            return False
-        max_id = service.max_event_id
-        for cnode in self.live_controllers():
-            replica = cnode.replica
-            if not replica.is_quiescent():
-                return False
-            if replica.delivered_upto != max_id:
-                return False
-        return True
 
     def run(self, deadline_ms: float) -> bool:
         return self.sched.run(deadline_ms, self.quiescent)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ftsdn import ofwire
 from ftsdn.harness.checker import CheckError, check_records, check_trace
 from ftsdn.harness.config import ScenarioConfig
 from ftsdn.harness.mutations import by_name
@@ -111,3 +112,23 @@ def test_unfinished_event_counts_as_loss():
     report = check_records(records)
     assert not report.result("T2").passed
     assert report.summary["losses"] == 1
+
+
+def test_command_after_marker_fails_t3():
+    def executed(cmd):
+        return {
+            "kind": "switch-exec",
+            "actor": "s0",
+            "timestamp": 1.0,
+            "bundle_id": 1,
+            "detail": {"command": ofwire.to_json(cmd), "origin": "bundle", "controller": "c0"},
+        }
+
+    records = [
+        _meta(),
+        executed(ofwire.make_commit_marker(1, [1])),
+        executed(ofwire.PacketOut((ofwire.Action.output(2),), b"late")),
+    ]
+    t3 = check_records(records).result("T3")
+    assert not t3.passed
+    assert any("after its marker" in c.message and c.records == [2] for c in t3.counterexamples)

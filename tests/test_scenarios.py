@@ -1,12 +1,17 @@
-"""End-to-end scenario tests on the deterministic transport, plus a socket
-smoke run. These exercise the full stack: switches, replicas, coordination,
+"""End-to-end scenario tests on the deterministic transport, plus socket
+runs. These exercise the full stack: switches, replicas, coordination,
 fault injection, and the checker."""
 
 import json
+import threading
+import time
 
 import pytest
 
+from ftsdn import ofwire
+from ftsdn.ctrl import FatalProtocolError
 from ftsdn.harness.config import FaultInjection, ScenarioConfig
+from ftsdn.harness.runtime_socket import SocketWorld
 from ftsdn.harness.scenario import run_deterministic, run_scenario
 
 
@@ -266,3 +271,32 @@ def test_socket_transport_smoke():
     result = run_scenario(cfg)
     assert result.quiescent
     assert result.report.all_pass
+
+
+def test_socket_protocol_error_crashes_the_replica():
+    world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=1, n_controllers=2, session_timeout_ms=200.0))
+    slave = world.ctrls["c1"]
+
+    def broken(entry):
+        raise FatalProtocolError("injected")
+
+    slave.replica.on_log_entry = broken
+    try:
+        world.switches["s0"].inject(ofwire.ether_payload("02:00:00:00:00:02", "02:00:00:00:00:01", b"x"), 1)
+        quiescent = world.wait_quiescent(5.0)
+    finally:
+        world.stop()
+    fatal = [r for r in world.trace.as_dicts() if r["kind"] == "replica-fatal"]
+    assert [r["actor"] for r in fatal] == ["c1"]
+    assert slave.dead
+    assert quiescent
+
+
+def test_socket_world_stop_ends_its_threads():
+    before = set(threading.enumerate())
+    world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=2, n_controllers=2))
+    world.stop()
+    deadline = time.monotonic() + 2.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
