@@ -217,3 +217,79 @@ def test_ether_helpers():
     p = ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03", b"x")
     assert ofwire.parse_ether(p) == ("02:00:00:01:00:02", "02:00:00:01:00:03")
     assert ofwire.parse_ether(b"short") is None
+
+
+# Golden frames and JSON: the wire format and the trace rendering are
+# normative, so these bytes and dicts are pinned exactly.
+_MK_ALL = MatchKey(1, "02:00:00:00:00:01", "02:00:00:00:00:02")
+_MK_NONE_JSON = {"in_port": None, "eth_src": None, "eth_dst": None}
+_MK_ALL_JSON = {"in_port": 1, "eth_src": "02:00:00:00:00:01", "eth_dst": "02:00:00:00:00:02"}
+_INNER_FLOW = FlowMod(MatchKey(eth_dst="02:00:00:00:00:02"), (Action.output(1),), 1)
+_INNER_FLOW_JSON = {
+    "type": "FlowMod",
+    "match_key": {"in_port": None, "eth_src": None, "eth_dst": "02:00:00:00:00:02"},
+    "actions": [{"kind": "output", "port": 1}],
+    "priority": 1,
+}
+
+GOLDEN = [
+    (
+        PacketIn("s1", 300, ofwire.NO_BUFFER, 2, b"\x02\x00\x01"),
+        "0000001001027331ac02ffffffff0f0203020001",
+        {"type": "PacketIn", "switch_id": "s1", "switch_seq": 300, "buffer_id": 4294967295, "in_port": 2, "payload": "020001"},
+    ),
+    (
+        PacketOut((Action.output(3), Action.to_controller()), b"hi"),
+        "000000080202010302026869",
+        {"type": "PacketOut", "actions": [{"kind": "output", "port": 3}, {"kind": "controller", "port": None}], "payload": "6869"},
+    ),
+    (
+        FlowMod(_MK_ALL, (Action.output(200), Action.drop()), 10),
+        "0000002f030101011130323a30303a30303a30303a30303a3031011130323a30303a30303a30303a30303a30320201c801030a",
+        {"type": "FlowMod", "match_key": _MK_ALL_JSON, "actions": [{"kind": "output", "port": 200}, {"kind": "drop", "port": None}], "priority": 10},
+    ),
+    (
+        FlowMod(MatchKey(), (), 0),
+        "00000006030000000000",
+        {"type": "FlowMod", "match_key": _MK_NONE_JSON, "actions": [], "priority": 0},
+    ),
+    (BundleOpen(5), "000000020405", {"type": "BundleOpen", "bundle_id": 5}),
+    (
+        BundleAdd(5, _INNER_FLOW),
+        "0000001d05051a030000011130323a30303a30303a30303a30303a303201010101",
+        {"type": "BundleAdd", "bundle_id": 5, "inner": _INNER_FLOW_JSON},
+    ),
+    (
+        BundleAdd(6, PacketOut((Action.drop(),), b"")),
+        "0000000705060402010300",
+        {"type": "BundleAdd", "bundle_id": 6, "inner": {"type": "PacketOut", "actions": [{"kind": "drop", "port": None}], "payload": ""}},
+    ),
+    (BundleCommit(5), "000000020605", {"type": "BundleCommit", "bundle_id": 5}),
+    (BundleReply(5, True), "00000003070501", {"type": "BundleReply", "bundle_id": 5, "success": True}),
+    (BarrierRequest(128), "00000003088001", {"type": "BarrierRequest", "xid": 128}),
+    (BarrierReply(7), "000000020907", {"type": "BarrierReply", "xid": 7}),
+    (RoleAnnounce("c0", 3), "000000050a02633003", {"type": "RoleAnnounce", "controller_id": "c0", "epoch": 3}),
+    (PortStatus("s2", 4, False), "000000060b0273320400", {"type": "PortStatus", "switch_id": "s2", "port": 4, "up": False}),
+]
+
+
+_GOLDEN_IDS = [
+    "packet-in", "packet-out", "flow-mod-match-all", "flow-mod-match-none", "bundle-open",
+    "bundle-add-flow-mod", "bundle-add-packet-out", "bundle-commit", "bundle-reply",
+    "barrier-request", "barrier-reply", "role-announce", "port-status",
+]
+
+
+@pytest.mark.parametrize("msg,frame_hex,as_json", GOLDEN, ids=_GOLDEN_IDS)
+def test_golden_codec(msg, frame_hex, as_json):
+    frame = ofwire.encode(msg)
+    assert frame.hex() == frame_hex
+    assert ofwire.decode(frame) == (msg, len(frame))
+    got = ofwire.to_json(msg)
+    assert got == as_json
+    assert list(got) == list(as_json)
+    assert ofwire.from_json(as_json) == msg
+
+
+def test_golden_covers_every_message_type():
+    assert {type(m) for m, _, _ in GOLDEN} == set(ofwire._TAGS)
