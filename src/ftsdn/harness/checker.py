@@ -325,7 +325,7 @@ def _group_bundles(switch_id: str, recs: list[tuple[int, dict]], t3: PropertyRes
             }
         current["indices"].append(idx)
         cmd = detail.get("command", {})
-        marker = _marker_of(cmd)
+        marker = _marker_of(cmd, idx, t3)
         if marker is not None:
             current["event_ids"] = list(marker.event_ids)
             current["closed"] = True
@@ -347,12 +347,13 @@ def _finish_bundle(switch_id: str, bundle: dict, bundles: list[dict], t3: Proper
     bundles.append(bundle)
 
 
-def _marker_of(cmd_json: dict) -> ofwire.CommitMarker | None:
+def _marker_of(cmd_json: dict, idx: int, t3: PropertyResult) -> ofwire.CommitMarker | None:
     if cmd_json.get("type") != "PacketOut":
         return None
     try:
         msg = ofwire.from_json(cmd_json)
-    except (KeyError, ValueError, ofwire.OfwireError):
+    except ofwire.OfwireError as exc:
+        t3.fail(f"executed command is malformed: {exc}", [idx])
         return None
     try:
         return ofwire.parse_commit_marker(msg)
@@ -370,7 +371,11 @@ def _oracle_commands(
         raise CheckError(str(exc)) from exc
     expected: dict[tuple[int, str], list[dict]] = {}
     for ev in sorted(logged, key=lambda e: e.event_id):
-        event = SwitchEvent.from_json(ev.event_json)
+        try:
+            event = SwitchEvent.from_json(ev.event_json)
+        except ofwire.OfwireError as exc:
+            t3.fail(f"logged event {ev.event_id} cannot be replayed: {exc}", [ev.record_idx])
+            continue
         staged: dict[str, list[dict]] = {}
 
         class _Ctx:

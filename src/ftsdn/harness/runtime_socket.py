@@ -406,22 +406,32 @@ def run_socket_scenario(cfg: ScenarioConfig):
     start = time.monotonic()
     kill_times = sorted(f.at_time_ms for f in cfg.fault_plan)
     killed = 0
+
+    def sleep_until(time_ms: float) -> None:
+        delay = time_ms / 1000.0 - (time.monotonic() - start)
+        if delay > 0:
+            time.sleep(delay)
+
+    def kill_master() -> None:
+        target = world.master_id()
+        if target is not None:
+            world.trace.emit("fault-injected", "harness", detail={"target": target, "point": "at-time"})
+            world.ctrls[target].crash()
+
     try:
         for inj in build_workload(cfg):
             while killed < len(kill_times) and (time.monotonic() - start) * 1000.0 >= kill_times[killed]:
-                target = world.master_id()
-                if target is not None:
-                    world.trace.emit("fault-injected", "harness", detail={"target": target, "point": "at-time"})
-                    world.ctrls[target].crash()
+                kill_master()
                 killed += 1
-            delay = inj.time_ms / 1000.0 - (time.monotonic() - start)
-            if delay > 0:
-                time.sleep(delay)
+            sleep_until(inj.time_ms)
             world.trace.emit(
                 "packet-injected", "harness", switch_id=inj.switch_id,
                 detail={"in_port": inj.in_port, "payload": inj.payload.hex()},
             )
             world.switches[inj.switch_id].inject(inj.payload, inj.in_port)
+        for kill_time in kill_times[killed:]:  # planned after the last packet
+            sleep_until(kill_time)
+            kill_master()
         budget = 5.0 + (len(cfg.fault_plan) + 1) * 4 * cfg.session_timeout_ms / 1000.0
         quiescent = world.wait_quiescent(budget)
     finally:

@@ -12,12 +12,20 @@ Integers are unsigned LEB128 varints, byte/character strings are
 varint-length prefixed, optional fields carry a one-byte presence flag, and
 lists a varint element count. The JSON rendering produced by ``to_json`` is
 normative for trace files.
+
+Each message's payload is its dataclass fields in declaration order, and its
+JSON object is ``type`` followed by the same fields in the same order. Each
+field's annotation picks one entry of ``_FIELD_CODECS``, which holds the
+binary and JSON forms of that type. To add a message, declare a frozen
+dataclass and give it a tag in ``_TAGS``; a field of a new type also needs a
+``_FIELD_CODECS`` entry.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple
 
 MAX_FRAME_BODY = 1 << 24
 
@@ -116,7 +124,7 @@ class BundleOpen:
 @dataclass(frozen=True)
 class BundleAdd:
     bundle_id: int
-    inner: "PacketOut | FlowMod"
+    inner: PacketOut | FlowMod
 
     def __post_init__(self) -> None:
         if not isinstance(self.inner, (PacketOut, FlowMod)):
@@ -188,7 +196,7 @@ _BY_TAG = {tag: cls for cls, tag in _TAGS.items()}
 
 
 # ---------------------------------------------------------------------------
-# primitive field codecs
+# primitive codecs
 
 
 def _put_uvarint(out: bytearray, value: int) -> None:
@@ -254,76 +262,177 @@ def _get_bool(data: bytes, off: int) -> tuple[bool, int]:
     return bool(b), off + 1
 
 
+_ACTION_TAGS = {"output": 1, "controller": 2, "drop": 3}
+_ACTION_BY_TAG = {tag: kind for kind, tag in _ACTION_TAGS.items()}
+
+
 def _put_action(out: bytearray, action: Action) -> None:
-    if action.kind == "output":
-        out.append(1)
-        _put_uvarint(out, action.port or 0)
-    elif action.kind == "controller":
-        out.append(2)
-    elif action.kind == "drop":
-        out.append(3)
-    else:
+    tag = _ACTION_TAGS.get(action.kind)
+    if tag is None:
         raise EncodeError(f"unknown action kind {action.kind!r}")
+    out.append(tag)
+    if action.kind == "output":
+        _put_uvarint(out, action.port or 0)
 
 
 def _get_action(data: bytes, off: int) -> tuple[Action, int]:
     if off >= len(data):
         raise ProtocolError("truncated action")
-    tag = data[off]
+    kind = _ACTION_BY_TAG.get(data[off])
+    if kind is None:
+        raise ProtocolError(f"unknown action tag {data[off]:#x}")
     off += 1
-    if tag == 1:
-        port, off = _get_uvarint(data, off)
-        return Action.output(port), off
-    if tag == 2:
-        return Action.to_controller(), off
-    if tag == 3:
-        return Action.drop(), off
-    raise ProtocolError(f"unknown action tag {tag:#x}")
+    if kind != "output":
+        return Action(kind), off
+    port, off = _get_uvarint(data, off)
+    return Action(kind, port), off
 
 
-def _put_actions(out: bytearray, actions: tuple[Action, ...]) -> None:
-    _put_uvarint(out, len(actions))
-    for a in actions:
-        _put_action(out, a)
+# ---------------------------------------------------------------------------
+# field codecs: one entry per field type, each message's fields from its
+# dataclass
 
 
-def _get_actions(data: bytes, off: int) -> tuple[tuple[Action, ...], int]:
-    n, off = _get_uvarint(data, off)
-    acts = []
-    for _ in range(n):
-        a, off = _get_action(data, off)
-        acts.append(a)
-    return tuple(acts), off
+class _Codec(NamedTuple):
+    put: Callable[[bytearray, Any], None]
+    get: Callable[[bytes, int], tuple[Any, int]]
+    to_json: Callable[[Any], Any]
+    from_json: Callable[[Any], Any]
 
 
-def _put_match(out: bytearray, mk: MatchKey) -> None:
-    if mk.in_port is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _put_uvarint(out, mk.in_port)
-    for field in (mk.eth_src, mk.eth_dst):
-        if field is None:
+def _same(value: Any) -> Any:
+    return value
+
+
+def _checked(what: str, ok: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    def from_json(value: Any) -> Any:
+        if not ok(value):
+            raise ProtocolError(f"expected {what}, got {value!r}")
+        return value
+
+    return from_json
+
+
+def _hex_from_json(value: Any) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"expected a hex string, got {value!r}") from exc
+
+
+def _optional(codec: _Codec) -> _Codec:
+    def put(out: bytearray, value: Any) -> None:
+        if value is None:
             out.append(0)
         else:
             out.append(1)
-            _put_str(out, field)
+            codec.put(out, value)
+
+    def get(data: bytes, off: int) -> tuple[Any, int]:
+        present, off = _get_bool(data, off)
+        return codec.get(data, off) if present else (None, off)
+
+    return _Codec(
+        put,
+        get,
+        lambda v: None if v is None else codec.to_json(v),
+        lambda v: None if v is None else codec.from_json(v),
+    )
 
 
-def _get_match(data: bytes, off: int) -> tuple[MatchKey, int]:
-    present, off = _get_bool(data, off)
-    in_port = None
-    if present:
-        in_port, off = _get_uvarint(data, off)
-    present, off = _get_bool(data, off)
-    eth_src = None
-    if present:
-        eth_src, off = _get_str(data, off)
-    present, off = _get_bool(data, off)
-    eth_dst = None
-    if present:
-        eth_dst, off = _get_str(data, off)
-    return MatchKey(in_port, eth_src, eth_dst), off
+def _tuple_of(codec: _Codec) -> _Codec:
+    def put(out: bytearray, values: tuple) -> None:
+        _put_uvarint(out, len(values))
+        for v in values:
+            codec.put(out, v)
+
+    def get(data: bytes, off: int) -> tuple[tuple, int]:
+        n, off = _get_uvarint(data, off)
+        items = []
+        for _ in range(n):
+            item, off = codec.get(data, off)
+            items.append(item)
+        return tuple(items), off
+
+    def from_json(values: Any) -> tuple:
+        if type(values) is not list:
+            raise ProtocolError(f"expected a list, got {values!r}")
+        return tuple(codec.from_json(v) for v in values)
+
+    return _Codec(put, get, lambda values: [codec.to_json(v) for v in values], from_json)
+
+
+def _get_inner(data: bytes, off: int) -> tuple[OfMessage, int]:
+    raw, off = _get_bytes(data, off)
+    return _decode_body(raw), off
+
+
+# Keyed by annotation text: ``from __future__ import annotations`` keeps
+# every dataclass field type as a string.
+_FIELD_CODECS: dict[str, _Codec] = {
+    "int": _Codec(_put_uvarint, _get_uvarint, _same, _checked("unsigned int", lambda v: type(v) is int and v >= 0)),
+    "str": _Codec(_put_str, _get_str, _same, _checked("str", lambda v: type(v) is str)),
+    "bool": _Codec(_put_bool, _get_bool, _same, _checked("bool", lambda v: type(v) is bool)),
+    "bytes": _Codec(_put_bytes, _get_bytes, lambda v: v.hex(), _hex_from_json),
+    # A bundled message is a nested frame body; BundleAdd rejects other types.
+    # The lambdas look up to_json/from_json, defined below, at call time.
+    "PacketOut | FlowMod": _Codec(
+        lambda out, m: _put_bytes(out, _encode_body(m)),
+        _get_inner,
+        lambda m: to_json(m),
+        lambda d: from_json(d),
+    ),
+}
+
+
+def _field_codec(annotation: str) -> _Codec:
+    if annotation.endswith(" | None"):
+        return _optional(_field_codec(annotation[: -len(" | None")]))
+    return _FIELD_CODECS[annotation]
+
+
+def _record(cls: type) -> _Codec:
+    """Codec for a dataclass: its fields in declaration order, as a JSON object."""
+    spec = tuple((f.name, _field_codec(f.type)) for f in fields(cls))
+    puts = tuple((name, c.put) for name, c in spec)
+    gets = tuple(c.get for _, c in spec)
+    to_jsons = tuple((name, c.to_json) for name, c in spec)
+    from_jsons = tuple((name, c.from_json) for name, c in spec)
+
+    def put(out: bytearray, obj: Any) -> None:
+        for name, put_field in puts:
+            put_field(out, getattr(obj, name))
+
+    def get(data: bytes, off: int) -> tuple[Any, int]:
+        values = []
+        for get_field in gets:
+            value, off = get_field(data, off)
+            values.append(value)
+        return cls(*values), off
+
+    def to_json(obj: Any) -> dict:
+        return {name: field_json(getattr(obj, name)) for name, field_json in to_jsons}
+
+    def from_json(d: Any) -> Any:
+        if type(d) is not dict:
+            raise ProtocolError(f"{cls.__name__} must be a JSON object, got {d!r}")
+        values = []
+        for name, field_from_json in from_jsons:
+            if name not in d:
+                raise ProtocolError(f"{cls.__name__} lacks field {name!r}")
+            values.append(field_from_json(d[name]))
+        return cls(*values)
+
+    return _Codec(put, get, to_json, from_json)
+
+
+_ACTION_JSON = _record(Action)  # actions keep their own tagged wire form
+_FIELD_CODECS["tuple[Action, ...]"] = _tuple_of(
+    _Codec(_put_action, _get_action, _ACTION_JSON.to_json, _ACTION_JSON.from_json)
+)
+_FIELD_CODECS["MatchKey"] = _record(MatchKey)
+_BODIES: dict[type, _Codec] = {cls: _record(cls) for cls in _TAGS}
+_BY_NAME: dict[str, type] = {cls.__name__: cls for cls in _TAGS}
 
 
 # ---------------------------------------------------------------------------
@@ -331,105 +440,21 @@ def _get_match(data: bytes, off: int) -> tuple[MatchKey, int]:
 
 
 def _encode_body(msg: OfMessage) -> bytes:
-    out = bytearray()
     tag = _TAGS.get(type(msg))
     if tag is None:
         raise EncodeError(f"not an OfMessage: {msg!r}")
-    out.append(tag)
-    if isinstance(msg, PacketIn):
-        _put_str(out, msg.switch_id)
-        _put_uvarint(out, msg.switch_seq)
-        _put_uvarint(out, msg.buffer_id)
-        _put_uvarint(out, msg.in_port)
-        _put_bytes(out, msg.payload)
-    elif isinstance(msg, PacketOut):
-        _put_actions(out, msg.actions)
-        _put_bytes(out, msg.payload)
-    elif isinstance(msg, FlowMod):
-        _put_match(out, msg.match_key)
-        _put_actions(out, msg.actions)
-        _put_uvarint(out, msg.priority)
-    elif isinstance(msg, BundleOpen):
-        _put_uvarint(out, msg.bundle_id)
-    elif isinstance(msg, BundleAdd):
-        _put_uvarint(out, msg.bundle_id)
-        _put_bytes(out, _encode_body(msg.inner))
-    elif isinstance(msg, BundleCommit):
-        _put_uvarint(out, msg.bundle_id)
-    elif isinstance(msg, BundleReply):
-        _put_uvarint(out, msg.bundle_id)
-        _put_bool(out, msg.success)
-    elif isinstance(msg, BarrierRequest):
-        _put_uvarint(out, msg.xid)
-    elif isinstance(msg, BarrierReply):
-        _put_uvarint(out, msg.xid)
-    elif isinstance(msg, RoleAnnounce):
-        _put_str(out, msg.controller_id)
-        _put_uvarint(out, msg.epoch)
-    elif isinstance(msg, PortStatus):
-        _put_str(out, msg.switch_id)
-        _put_uvarint(out, msg.port)
-        _put_bool(out, msg.up)
+    out = bytearray((tag,))
+    _BODIES[type(msg)].put(out, msg)
     return bytes(out)
 
 
 def _decode_body(body: bytes) -> OfMessage:
     if not body:
         raise ProtocolError("empty frame body")
-    tag = body[0]
-    cls = _BY_TAG.get(tag)
+    cls = _BY_TAG.get(body[0])
     if cls is None:
-        raise ProtocolError(f"unknown message tag {tag:#x}")
-    off = 1
-    msg: OfMessage
-    if cls is PacketIn:
-        switch_id, off = _get_str(body, off)
-        switch_seq, off = _get_uvarint(body, off)
-        buffer_id, off = _get_uvarint(body, off)
-        in_port, off = _get_uvarint(body, off)
-        payload, off = _get_bytes(body, off)
-        msg = PacketIn(switch_id, switch_seq, buffer_id, in_port, payload)
-    elif cls is PacketOut:
-        actions, off = _get_actions(body, off)
-        payload, off = _get_bytes(body, off)
-        msg = PacketOut(actions, payload)
-    elif cls is FlowMod:
-        mk, off = _get_match(body, off)
-        actions, off = _get_actions(body, off)
-        priority, off = _get_uvarint(body, off)
-        msg = FlowMod(mk, actions, priority)
-    elif cls is BundleOpen:
-        bid, off = _get_uvarint(body, off)
-        msg = BundleOpen(bid)
-    elif cls is BundleAdd:
-        bid, off = _get_uvarint(body, off)
-        inner_raw, off = _get_bytes(body, off)
-        inner = _decode_body(inner_raw)
-        if not isinstance(inner, (PacketOut, FlowMod)):
-            raise ProtocolError("bundle inner message must be PacketOut or FlowMod")
-        msg = BundleAdd(bid, inner)
-    elif cls is BundleCommit:
-        bid, off = _get_uvarint(body, off)
-        msg = BundleCommit(bid)
-    elif cls is BundleReply:
-        bid, off = _get_uvarint(body, off)
-        success, off = _get_bool(body, off)
-        msg = BundleReply(bid, success)
-    elif cls is BarrierRequest:
-        xid, off = _get_uvarint(body, off)
-        msg = BarrierRequest(xid)
-    elif cls is BarrierReply:
-        xid, off = _get_uvarint(body, off)
-        msg = BarrierReply(xid)
-    elif cls is RoleAnnounce:
-        controller_id, off = _get_str(body, off)
-        epoch, off = _get_uvarint(body, off)
-        msg = RoleAnnounce(controller_id, epoch)
-    else:
-        switch_id, off = _get_str(body, off)
-        port, off = _get_uvarint(body, off)
-        up, off = _get_bool(body, off)
-        msg = PortStatus(switch_id, port, up)
+        raise ProtocolError(f"unknown message tag {body[0]:#x}")
+    msg, off = _BODIES[cls].get(body, 1)
     if off != len(body):
         raise ProtocolError(f"{len(body) - off} trailing bytes inside frame body")
     return msg
@@ -468,12 +493,10 @@ class FrameBuffer:
 
     def feed(self, data: bytes) -> list[OfMessage]:
         self._buf.extend(data)
+        buf = bytes(self._buf)
         msgs: list[OfMessage] = []
         off = 0
-        while True:
-            got = decode(bytes(self._buf), off)
-            if got is None:
-                break
+        while (got := decode(buf, off)) is not None:
             msg, off = got
             msgs.append(msg)
         if off:
@@ -542,92 +565,21 @@ def parse_commit_marker(msg: PacketIn | PacketOut) -> CommitMarker | None:
 # JSON rendering (normative for trace files)
 
 
-def _action_json(a: Action) -> dict:
-    return {"kind": a.kind, "port": a.port}
-
-
-def _action_from_json(d: dict) -> Action:
-    return Action(d["kind"], d.get("port"))
-
-
 def to_json(msg: OfMessage) -> dict:
-    if isinstance(msg, PacketIn):
-        return {
-            "type": "PacketIn",
-            "switch_id": msg.switch_id,
-            "switch_seq": msg.switch_seq,
-            "buffer_id": msg.buffer_id,
-            "in_port": msg.in_port,
-            "payload": msg.payload.hex(),
-        }
-    if isinstance(msg, PacketOut):
-        return {
-            "type": "PacketOut",
-            "actions": [_action_json(a) for a in msg.actions],
-            "payload": msg.payload.hex(),
-        }
-    if isinstance(msg, FlowMod):
-        return {
-            "type": "FlowMod",
-            "match_key": {
-                "in_port": msg.match_key.in_port,
-                "eth_src": msg.match_key.eth_src,
-                "eth_dst": msg.match_key.eth_dst,
-            },
-            "actions": [_action_json(a) for a in msg.actions],
-            "priority": msg.priority,
-        }
-    if isinstance(msg, BundleOpen):
-        return {"type": "BundleOpen", "bundle_id": msg.bundle_id}
-    if isinstance(msg, BundleAdd):
-        return {"type": "BundleAdd", "bundle_id": msg.bundle_id, "inner": to_json(msg.inner)}
-    if isinstance(msg, BundleCommit):
-        return {"type": "BundleCommit", "bundle_id": msg.bundle_id}
-    if isinstance(msg, BundleReply):
-        return {"type": "BundleReply", "bundle_id": msg.bundle_id, "success": msg.success}
-    if isinstance(msg, BarrierRequest):
-        return {"type": "BarrierRequest", "xid": msg.xid}
-    if isinstance(msg, BarrierReply):
-        return {"type": "BarrierReply", "xid": msg.xid}
-    if isinstance(msg, RoleAnnounce):
-        return {"type": "RoleAnnounce", "controller_id": msg.controller_id, "epoch": msg.epoch}
-    if isinstance(msg, PortStatus):
-        return {"type": "PortStatus", "switch_id": msg.switch_id, "port": msg.port, "up": msg.up}
-    raise EncodeError(f"not an OfMessage: {msg!r}")
+    body = _BODIES.get(type(msg))
+    if body is None:
+        raise EncodeError(f"not an OfMessage: {msg!r}")
+    return {"type": type(msg).__name__, **body.to_json(msg)}
 
 
 def from_json(d: dict) -> OfMessage:
-    t = d.get("type")
-    if t == "PacketIn":
-        return PacketIn(d["switch_id"], d["switch_seq"], d["buffer_id"], d["in_port"], bytes.fromhex(d["payload"]))
-    if t == "PacketOut":
-        return PacketOut(tuple(_action_from_json(a) for a in d["actions"]), bytes.fromhex(d["payload"]))
-    if t == "FlowMod":
-        mk = d["match_key"]
-        return FlowMod(
-            MatchKey(mk.get("in_port"), mk.get("eth_src"), mk.get("eth_dst")),
-            tuple(_action_from_json(a) for a in d["actions"]),
-            d["priority"],
-        )
-    if t == "BundleOpen":
-        return BundleOpen(d["bundle_id"])
-    if t == "BundleAdd":
-        inner = from_json(d["inner"])
-        assert isinstance(inner, (PacketOut, FlowMod))
-        return BundleAdd(d["bundle_id"], inner)
-    if t == "BundleCommit":
-        return BundleCommit(d["bundle_id"])
-    if t == "BundleReply":
-        return BundleReply(d["bundle_id"], d["success"])
-    if t == "BarrierRequest":
-        return BarrierRequest(d["xid"])
-    if t == "BarrierReply":
-        return BarrierReply(d["xid"])
-    if t == "RoleAnnounce":
-        return RoleAnnounce(d["controller_id"], d["epoch"])
-    if t == "PortStatus":
-        return PortStatus(d["switch_id"], d["port"], d["up"])
-    raise ProtocolError(f"unknown message type {t!r}")
+    """Rebuild a message from its ``to_json`` form; raises :class:`ProtocolError`
+    on any unknown type, missing field, wrongly typed value or bad hex."""
+    t = d.get("type") if type(d) is dict else None
+    cls = _BY_NAME.get(t) if type(t) is str else None
+    if cls is None:
+        raise ProtocolError(f"unknown message type {t!r}")
+    return _BODIES[cls].from_json(d)
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,19 @@ class FlowRule:
 class FlowTable:
     def __init__(self) -> None:
         self.rules: list[FlowRule] = []
-        self._next_order = 0
+        self._index: dict[tuple[ofwire.MatchKey, int], FlowRule] = {}
 
     def insert(self, fm: FlowMod) -> None:
-        self.rules.append(FlowRule(fm.match_key, fm.actions, fm.priority, self._next_order))
-        self._next_order += 1
+        """An ADD whose match and priority equal an existing rule's replaces
+        that rule's actions in place (OpenFlow 1.3 section 6.4)."""
+        key = (fm.match_key, fm.priority)
+        rule = self._index.get(key)
+        if rule is not None:
+            rule.actions = fm.actions
+            return
+        rule = FlowRule(fm.match_key, fm.actions, fm.priority, len(self.rules))
+        self._index[key] = rule
+        self.rules.append(rule)
 
     def lookup(self, in_port: int, eth_src: str | None, eth_dst: str | None) -> FlowRule | None:
         best: FlowRule | None = None

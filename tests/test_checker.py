@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -132,3 +133,44 @@ def test_command_after_marker_fails_t3():
     t3 = check_records(records).result("T3")
     assert not t3.passed
     assert any("after its marker" in c.message and c.records == [2] for c in t3.counterexamples)
+
+
+@pytest.fixture(scope="module")
+def clean_records():
+    cfg = ScenarioConfig(n_switches=1, n_controllers=2, packets_per_switch=5, seed=8)
+    result = run_scenario(cfg)
+    assert result.report.all_pass
+    return result.records
+
+
+def _logged_message(rec):
+    if rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "event":
+        return rec["detail"]["body"]["event"]["message"]
+    return None
+
+
+def _executed_packet_out(rec):
+    if rec["kind"] == "switch-exec" and rec["detail"]["command"]["type"] == "PacketOut":
+        return rec["detail"]["command"]
+    return None
+
+
+@pytest.mark.parametrize(
+    "find,corrupt",
+    [
+        (_logged_message, lambda m: m.update(payload=5)),
+        (_logged_message, lambda m: m.pop("in_port")),
+        (_logged_message, lambda m: m.update(type="Nope")),
+        (_executed_packet_out, lambda m: m.update(actions=7)),
+        (_executed_packet_out, lambda m: m.update(payload=None)),
+    ],
+    ids=["payload-not-hex", "in-port-missing", "unknown-type", "actions-not-list", "payload-none"],
+)
+def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt):
+    records = copy.deepcopy(clean_records)
+    idx = next(i for i, rec in enumerate(records) if find(rec) is not None)
+    corrupt(find(records[idx]))
+    report = check_records(records)
+    assert not report.all_pass
+    cited = {i for p in report.properties for c in p.counterexamples for i in c.records}
+    assert idx in cited

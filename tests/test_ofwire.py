@@ -293,3 +293,38 @@ def test_golden_codec(msg, frame_hex, as_json):
 
 def test_golden_covers_every_message_type():
     assert {type(m) for m, _, _ in GOLDEN} == set(ofwire._TAGS)
+
+
+def test_frame_buffer_returns_many_frames_from_one_chunk():
+    msgs = [BarrierRequest(i) for i in range(1000)]
+    blob = b"".join(ofwire.encode(m) for m in msgs)
+    buf = ofwire.FrameBuffer()
+    assert buf.feed(blob + ofwire.encode(BarrierReply(1))[:3]) == msgs
+    assert buf.feed(ofwire.encode(BarrierReply(1))[3:]) == [BarrierReply(1)]
+
+
+_BAD_JSON = [
+    5,
+    {"type": "Nope"},
+    {"type": ["PacketOut"]},
+    {"type": "BarrierRequest"},
+    {"type": "BarrierRequest", "xid": -1},
+    {"type": "BarrierRequest", "xid": "7"},
+    {"type": "BundleReply", "bundle_id": 1, "success": 1},
+    {"type": "RoleAnnounce", "controller_id": 3, "epoch": 1},
+    {"type": "PacketOut", "actions": [], "payload": "zz"},
+    {"type": "PacketOut", "actions": [], "payload": None},
+    {"type": "PacketOut", "actions": 7, "payload": ""},
+    {"type": "PacketOut", "actions": [{"kind": "output"}], "payload": ""},
+    {"type": "PacketOut", "actions": ["drop"], "payload": ""},
+    {"type": "FlowMod", "match_key": None, "actions": [], "priority": 1},
+    {"type": "FlowMod", "match_key": {"in_port": None, "eth_src": None}, "actions": [], "priority": 1},
+    {"type": "BundleAdd", "bundle_id": 1, "inner": {"type": "BundleOpen", "bundle_id": 2}},
+    {"type": "BundleAdd", "bundle_id": 1, "inner": "x"},
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_JSON)
+def test_from_json_rejects_malformed_input(bad):
+    with pytest.raises(ofwire.ProtocolError):
+        ofwire.from_json(bad)

@@ -273,6 +273,23 @@ def test_socket_transport_smoke():
     assert result.report.all_pass
 
 
+def test_socket_kill_after_last_packet_fires():
+    cfg = ScenarioConfig(
+        transport="sockets",
+        n_switches=1,
+        n_controllers=2,
+        packets_per_switch=10,
+        inter_arrival_ms=3.0,
+        session_timeout_ms=200.0,
+        seed=40,
+        fault_plan=[FaultInjection(target="master", point="at-time", at_time_ms=2000.0)],
+    )
+    result = run_scenario(cfg)
+    assert len(records_of(result, "fault-injected")) == 1
+    assert len(records_of(result, "controller-crashed")) == 1
+    assert result.passed
+
+
 def test_socket_protocol_error_crashes_the_replica():
     world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=1, n_controllers=2, session_timeout_ms=200.0))
     slave = world.ctrls["c1"]

@@ -84,11 +84,25 @@ def test_flow_table_priority_and_tie_break():
     sw, (c0, _) = make_switch()
     low = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(1),), 1)
     hi_a = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(2),), 5)
-    hi_b = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(3),), 5)
+    hi_b = FlowMod(MatchKey(in_port=1), (Action.output(3),), 5)
     for fm in (low, hi_a, hi_b):
         sw.on_message(c0, fm)
     rule = sw.flow_table.lookup(1, "02:00:00:00:00:02", "02:00:00:00:00:01")
     assert rule.actions == (Action.output(2),)  # higher priority, older wins ties
+
+
+def test_flow_table_add_with_same_match_and_priority_replaces_rule():
+    sw, (c0, _) = make_switch()
+    mk = MatchKey(eth_dst="02:00:00:00:00:01")
+    other = FlowMod(MatchKey(in_port=1), (Action.output(4),), 5)
+    sw.on_message(c0, FlowMod(mk, (Action.output(2),), 5))
+    sw.on_message(c0, other)
+    sw.on_message(c0, FlowMod(mk, (Action.output(3),), 5))
+    assert len(sw.flow_table) == 2
+    rule = sw.flow_table.lookup(1, "02:00:00:00:00:02", "02:00:00:00:00:01")
+    assert rule.actions == (Action.output(3),)  # re-learned port, still the older rule
+    sw.on_message(c0, FlowMod(mk, (Action.drop(),), 6))
+    assert len(sw.flow_table) == 3  # another priority is another rule
 
 
 def test_bundle_lifecycle_commit_order():
