@@ -53,24 +53,21 @@ class FlowRule:
 
 class FlowTable:
     def __init__(self) -> None:
-        self.rules: list[FlowRule] = []
-        self._index: dict[tuple[ofwire.MatchKey, int], FlowRule] = {}
+        self.rules: dict[tuple[ofwire.MatchKey, int], FlowRule] = {}
 
     def insert(self, fm: FlowMod) -> None:
         """An ADD whose match and priority equal an existing rule's replaces
         that rule's actions in place (OpenFlow 1.3 section 6.4)."""
         key = (fm.match_key, fm.priority)
-        rule = self._index.get(key)
-        if rule is not None:
+        rule = self.rules.get(key)
+        if rule is None:
+            self.rules[key] = FlowRule(fm.match_key, fm.actions, fm.priority, len(self.rules))
+        else:
             rule.actions = fm.actions
-            return
-        rule = FlowRule(fm.match_key, fm.actions, fm.priority, len(self.rules))
-        self._index[key] = rule
-        self.rules.append(rule)
 
     def lookup(self, in_port: int, eth_src: str | None, eth_dst: str | None) -> FlowRule | None:
         best: FlowRule | None = None
-        for rule in self.rules:
+        for rule in self.rules.values():
             if not rule.match_key.matches(in_port, eth_src, eth_dst):
                 continue
             if best is None or (rule.priority, -rule.order) > (best.priority, -best.order):
