@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import hashlib
 import json
 import statistics
 import time
@@ -280,18 +281,37 @@ def test_criterion_9_checker_soundness():
     )
 
 
-def test_criterion_10_determinism():
-    def trace_bytes(cfg):
-        result = run_scenario(cfg)
-        return b"\n".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in result.records
-        )
-
-    shapes = [
+def _determinism_shapes() -> list[ScenarioConfig]:
+    return [
         matrix_cfg("learning", 5, [FaultInjection(target="master", point="F2", trigger_event=9)]),
         matrix_cfg("forwarding", 6),
         ScenarioConfig(n_switches=3, n_controllers=3, packets_per_switch=30, seed=7,
                        fault_plan=[FaultInjection(target="master", point="F3", trigger_event=20)]),
     ]
-    ok = all(trace_bytes(cfg) == trace_bytes(cfg) for cfg in shapes)
+
+
+def _trace_bytes(cfg: ScenarioConfig) -> bytes:
+    result = run_scenario(cfg)
+    return b"\n".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")).encode() for r in result.records
+    )
+
+
+def test_criterion_10_determinism():
+    ok = all(_trace_bytes(cfg) == _trace_bytes(cfg) for cfg in _determinism_shapes())
     verdict(10, ok, "determinism: identical (config, seed) reproduce byte-identical traces")
+
+
+# sha256 of each criterion-10 trace, records joined by newlines. A change to the
+# scheduler, the channels or the trace store must leave every byte of these alone;
+# a change that alters the protocol on purpose updates them and says why.
+GOLDEN_TRACE_SHA256 = [
+    "1f91419b816d31e59b757ae35aba150bfb8957868a312f0de27bea360e75856a",
+    "1cb8508f1752930c7b528d7c4b84d033a07fc4773cda2cbfdb9bc2d968970e23",
+    "29b6a3a639d6b2b157f3823a490f795290d07d79b60a908508c1bc772d114cf2",
+]
+
+
+def test_criterion_10_golden_trace_digest():
+    digests = [hashlib.sha256(_trace_bytes(cfg) + b"\n").hexdigest() for cfg in _determinism_shapes()]
+    assert digests == GOLDEN_TRACE_SHA256
