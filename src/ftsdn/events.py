@@ -20,6 +20,8 @@ KIND_SWITCH_FAILURE = "switch-failure"
 
 SWITCH_FAILURE_SEQ = -1
 
+_REQUIRED_FIELDS = frozenset({"switch_id", "switch_seq", "kind"})
+
 
 def port_status_seq(arrival_index: int) -> int:
     """Synthetic occurrence sequence for the nth port-status from a switch."""
@@ -49,5 +51,10 @@ class SwitchEvent:
 
     @staticmethod
     def from_json(d: dict) -> "SwitchEvent":
+        """Rebuild an event from its ``to_json`` form; raises
+        :class:`ofwire.ProtocolError` when a required field is missing."""
+        missing = _REQUIRED_FIELDS - d.keys()
+        if missing:
+            raise ofwire.ProtocolError(f"switch event lacks {sorted(missing)}")
         msg = ofwire.from_json(d["message"]) if d.get("message") is not None else None
         return SwitchEvent(d["switch_id"], d["switch_seq"], d["kind"], msg, d.get("event_id"))

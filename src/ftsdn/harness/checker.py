@@ -348,6 +348,9 @@ def _finish_bundle(switch_id: str, bundle: dict, bundles: list[dict], t3: Proper
 
 
 def _marker_of(cmd_json: dict, idx: int, t3: PropertyResult) -> ofwire.CommitMarker | None:
+    if type(cmd_json) is not dict:
+        t3.fail(f"executed command is not an object: {cmd_json!r}", [idx])
+        return None
     if cmd_json.get("type") != "PacketOut":
         return None
     try:

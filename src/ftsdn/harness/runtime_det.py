@@ -10,13 +10,19 @@ matching TCP semantics for an abruptly killed process.
 Actors can be given service costs (per received message and per sent
 message) so that throughput experiments have a real bottleneck resource;
 scenario runs leave all costs at zero.
+
+A scheduled event is a plain list ``[time, seq, fn, maintenance, cancelled]``.
+Lists compare element by element in C, and ``(time, seq)`` is unique, so heap
+steps never call back into Python and never compare ``fn``. The list is also
+the handle that ``schedule_at``, ``post`` and ``call_later`` return.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 
@@ -24,38 +30,33 @@ class Crashed(BaseException):
     """Unwinds the current handler when a fault hook kills the node."""
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    maintenance: bool = field(compare=False, default=False)
-    cancelled: bool = field(compare=False, default=False)
+Event = list  # [time, seq, fn, maintenance, cancelled]
+_MAINTENANCE, _CANCELLED = 3, 4
 
 
 class Scheduler:
     def __init__(self, seed: int) -> None:
         self.now = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[_Event] = []
+        self._heap: list[Event] = []
         self._seq = 0
         self._live_work = 0  # scheduled non-maintenance events
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> _Event:
+    def schedule(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         return self.schedule_at(self.now + max(0.0, delay_ms), fn, maintenance)
 
-    def schedule_at(self, when: float, fn: Callable[[], None], maintenance: bool = False) -> _Event:
+    def schedule_at(self, when: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         self._seq += 1
-        ev = _Event(when, self._seq, fn, maintenance)
+        ev = [when, self._seq, fn, maintenance, False]
         heapq.heappush(self._heap, ev)
         if not maintenance:
             self._live_work += 1
         return ev
 
-    def cancel(self, ev: _Event) -> None:
-        if not ev.cancelled:
-            ev.cancelled = True
-            if not ev.maintenance:
+    def cancel(self, ev: Event) -> None:
+        if not ev[_CANCELLED]:
+            ev[_CANCELLED] = True
+            if not ev[_MAINTENANCE]:
                 self._live_work -= 1
 
     def run(
@@ -65,20 +66,24 @@ class Scheduler:
     ) -> bool:
         """Drive events until ``quiescent()`` holds with no live work queued,
         or the deadline passes. Returns True when quiescence was reached."""
-        while self._heap:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
             if self._live_work == 0 and quiescent is not None and quiescent():
                 return True
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+            ev = pop(heap)
+            when, _, fn, maintenance, cancelled = ev
+            if cancelled:
                 continue
-            if ev.time > until:
-                heapq.heappush(self._heap, ev)
+            if when > until:
+                heapq.heappush(heap, ev)
                 return quiescent() if quiescent else True
-            self.now = max(self.now, ev.time)
-            if not ev.maintenance:
+            if when > self.now:
+                self.now = when
+            if not maintenance:
                 self._live_work -= 1
             try:
-                ev.fn()
+                fn()
             except Crashed:
                 pass
         return quiescent() if quiescent else True
@@ -101,27 +106,27 @@ class Executor:
         if self._cursor is not None:
             self._cursor += cost_ms
 
+    def _run(self, fn: Callable[..., None], cost_ms: float, *args: object) -> None:
+        """Run ``fn(*args)`` as this actor, after its earlier work, charging ``cost_ms``."""
+        if not self.alive:
+            return
+        start = max(self.sched.now, self.busy_until)
+        self._cursor = start + cost_ms
+        try:
+            fn(*args)
+        finally:
+            self.busy_until = self._cursor
+            self._cursor = None
+
     def post(self, fn: Callable[[], None], arrive: float | None = None, cost_ms: float = 0.0,
-             maintenance: bool = False) -> _Event:
+             maintenance: bool = False) -> Event:
         when = self.sched.now if arrive is None else arrive
+        return self.sched.schedule_at(when, partial(self._run, fn, cost_ms), maintenance)
 
-        def run() -> None:
-            if not self.alive:
-                return
-            start = max(self.sched.now, self.busy_until)
-            self._cursor = start + cost_ms
-            try:
-                fn()
-            finally:
-                self.busy_until = self._cursor
-                self._cursor = None
-
-        return self.sched.schedule_at(when, run, maintenance)
-
-    def call_later(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> _Event:
+    def call_later(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         return self.post(fn, arrive=self.now() + max(0.0, delay_ms), maintenance=maintenance)
 
-    def cancel(self, handle: _Event) -> None:
+    def cancel(self, handle: Event) -> None:
         self.sched.cancel(handle)
 
     def kill(self) -> None:
@@ -146,6 +151,10 @@ class Endpoint:
 
     def send(self, msg: object) -> None:
         self._channel.send(self._side, msg)
+
+    def deliver(self, msg: object) -> None:
+        if self.on_message is not None:
+            self.on_message(msg)
 
     def close(self) -> None:
         self._channel.close(self._side)
@@ -180,12 +189,7 @@ class Channel:
         self._last_arrival[to_side] = arrival
         dst = self.ends[to_side]
         receiver = self.execs[to_side]
-
-        def deliver() -> None:
-            if dst.on_message is not None:
-                dst.on_message(msg)
-
-        receiver.post(deliver, arrive=arrival, cost_ms=dst.recv_cost(msg))
+        self.sched.schedule_at(arrival, partial(receiver._run, dst.deliver, dst.recv_cost(msg), msg))
 
     def close(self, from_side: int) -> None:
         """Close after in-flight messages are delivered, like a flushed TCP FIN."""

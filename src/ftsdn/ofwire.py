@@ -246,7 +246,10 @@ def _put_str(out: bytearray, value: str) -> None:
 
 def _get_str(data: bytes, off: int) -> tuple[str, int]:
     raw, off = _get_bytes(data, off)
-    return raw.decode("utf-8"), off
+    try:
+        return raw.decode("utf-8"), off
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"string field is not UTF-8: {exc}") from exc
 
 
 def _put_bool(out: bytearray, value: bool) -> None:

@@ -2,12 +2,21 @@
 
 One JSON object per line; field names are the schema. Timestamps are logical
 milliseconds in deterministic mode and wall-clock nanoseconds in socket mode.
+
+``TraceLog`` holds no object per record: ``emit`` extends one flat list with
+the nine fields of a ``TraceRecord``, in field order. The fields are strings,
+numbers, ``None`` and ``detail`` dicts, and the collector tracks none of these
+but the dicts that hold other containers. A long run therefore adds one
+tracked list, not 10^5 tracked records that every full collection must walk
+and that push it to collect more often. ``as_dicts`` rebuilds the records
+through ``TraceRecord.to_dict``. One ``list.extend`` with a tuple runs no
+Python code, so under the interpreter lock it lands all nine fields at once
+and socket threads emit without a lock.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,13 +56,15 @@ class TraceRecord:
         return d
 
 
+_WIDTH = len(TraceRecord.__slots__)
+
+
 class TraceLog:
     """Append-only collector; per-actor records appear in emission order."""
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._lock = threading.Lock()
-        self.records: list[TraceRecord] = []
+        self._fields: list = []  # _WIDTH fields per record, in TraceRecord order
 
     def emit(
         self,
@@ -67,19 +78,9 @@ class TraceLog:
         bundle_id: int | None = None,
         detail: dict | None = None,
     ) -> None:
-        rec = TraceRecord(
-            kind=kind,
-            actor=actor,
-            timestamp=self._clock(),
-            epoch=epoch,
-            event_id=event_id,
-            switch_id=switch_id,
-            switch_seq=switch_seq,
-            bundle_id=bundle_id,
-            detail=detail,
+        self._fields.extend(
+            (kind, actor, self._clock(), epoch, event_id, switch_id, switch_seq, bundle_id, detail)
         )
-        with self._lock:
-            self.records.append(rec)
 
     def emitter(self, actor: str) -> Callable[..., None]:
         """Bound emit function for one actor."""
@@ -90,8 +91,9 @@ class TraceLog:
         return emit
 
     def as_dicts(self) -> list[dict]:
-        with self._lock:
-            return [r.to_dict() for r in self.records]
+        fields = self._fields
+        end = len(fields)  # records emitted later by other threads are left out
+        return [TraceRecord(*fields[i:i + _WIDTH]).to_dict() for i in range(0, end, _WIDTH)]
 
     def to_jsonl(self) -> bytes:
         lines = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in self.as_dicts()]

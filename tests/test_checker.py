@@ -149,6 +149,16 @@ def _logged_message(rec):
     return None
 
 
+def _logged_event(rec):
+    if rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "event":
+        return rec["detail"]["body"]["event"]
+    return None
+
+
+def _exec_detail(rec):
+    return rec["detail"] if rec["kind"] == "switch-exec" else None
+
+
 def _executed_packet_out(rec):
     if rec["kind"] == "switch-exec" and rec["detail"]["command"]["type"] == "PacketOut":
         return rec["detail"]["command"]
@@ -163,8 +173,11 @@ def _executed_packet_out(rec):
         (_logged_message, lambda m: m.update(type="Nope")),
         (_executed_packet_out, lambda m: m.update(actions=7)),
         (_executed_packet_out, lambda m: m.update(payload=None)),
+        (_logged_event, lambda e: e.pop("switch_id")),
+        (_exec_detail, lambda d: d.update(command=7)),
     ],
-    ids=["payload-not-hex", "in-port-missing", "unknown-type", "actions-not-list", "payload-none"],
+    ids=["payload-not-hex", "in-port-missing", "unknown-type", "actions-not-list", "payload-none",
+         "event-switch-id-missing", "command-not-object"],
 )
 def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt):
     records = copy.deepcopy(clean_records)

@@ -158,6 +158,13 @@ def test_unknown_tag_is_protocol_error():
         ofwire.decode(frame)
 
 
+def test_invalid_utf8_string_is_protocol_error():
+    # RoleAnnounce("c0", 3) with the first controller_id byte set to 0xff
+    frame = bytes.fromhex("000000050a02ff3003")
+    with pytest.raises(ofwire.ProtocolError):
+        ofwire.decode(frame)
+
+
 def test_oversize_payload_rejected():
     with pytest.raises(ofwire.EncodeError):
         ofwire.encode(PacketOut((), b"x" * (ofwire.MAX_FRAME_BODY + 1)))
