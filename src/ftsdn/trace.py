@@ -8,16 +8,17 @@ the nine fields of a ``TraceRecord``, in field order. The fields are strings,
 numbers, ``None`` and ``detail`` dicts, and the collector tracks none of these
 but the dicts that hold other containers. A long run therefore adds one
 tracked list, not 10^5 tracked records that every full collection must walk
-and that push it to collect more often. ``as_dicts`` rebuilds the records
-through ``TraceRecord.to_dict``. One ``list.extend`` with a tuple runs no
-Python code, so under the interpreter lock it lands all nine fields at once
-and socket threads emit without a lock.
+and that push it to collect more often. ``as_dicts`` builds each record's dict
+straight from the list, with the function behind ``TraceRecord.to_dict``. One
+``list.extend`` with a tuple runs no Python code, so under the interpreter lock
+it lands all nine fields at once and socket threads emit without a lock.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 
@@ -40,23 +41,29 @@ class TraceRecord:
     detail: dict | None = None
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "actor": self.actor, "timestamp": self.timestamp}
-        if self.epoch is not None:
-            d["epoch"] = self.epoch
-        if self.event_id is not None:
-            d["event_id"] = self.event_id
-        if self.switch_id is not None:
-            d["switch_id"] = self.switch_id
-        if self.switch_seq is not None:
-            d["switch_seq"] = self.switch_seq
-        if self.bundle_id is not None:
-            d["bundle_id"] = self.bundle_id
-        if self.detail is not None:
-            d["detail"] = self.detail
-        return d
+        return _record_dict(self.kind, self.actor, self.timestamp, self.epoch, self.event_id,
+                            self.switch_id, self.switch_seq, self.bundle_id, self.detail)
 
 
 _WIDTH = len(TraceRecord.__slots__)
+
+
+def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq, bundle_id, detail) -> dict:
+    """The JSON form of one record, in ``TraceRecord`` field order; unset fields are left out."""
+    d: dict = {"kind": kind, "actor": actor, "timestamp": timestamp}
+    if epoch is not None:
+        d["epoch"] = epoch
+    if event_id is not None:
+        d["event_id"] = event_id
+    if switch_id is not None:
+        d["switch_id"] = switch_id
+    if switch_seq is not None:
+        d["switch_seq"] = switch_seq
+    if bundle_id is not None:
+        d["bundle_id"] = bundle_id
+    if detail is not None:
+        d["detail"] = detail
+    return d
 
 
 class TraceLog:
@@ -91,9 +98,10 @@ class TraceLog:
         return emit
 
     def as_dicts(self) -> list[dict]:
-        fields = self._fields
-        end = len(fields)  # records emitted later by other threads are left out
-        return [TraceRecord(*fields[i:i + _WIDTH]).to_dict() for i in range(0, end, _WIDTH)]
+        # Records emitted by other threads after this line are left out. One
+        # iterator zipped with itself walks the list in place, a record at a time.
+        fields = islice(self._fields, len(self._fields))
+        return [_record_dict(*rec) for rec in zip(*[fields] * _WIDTH)]
 
     def to_jsonl(self) -> bytes:
         lines = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in self.as_dicts()]
