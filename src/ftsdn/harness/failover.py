@@ -4,6 +4,7 @@ the new master."""
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -91,6 +92,10 @@ def failover_gap_socket(
         batch_time_ms=5.0,
         seed=seed,
     )
+    # Start from a clean heap, not the garbage of earlier work in this process:
+    # a full collection of a large heap holds the interpreter lock for longer
+    # than the session timeout, which would expire the surviving replica too.
+    gc.collect()
     world = SocketWorld(cfg)
     master = world.ctrls["c0"]
     try:

@@ -143,16 +143,15 @@ def clean_records():
     return result.records
 
 
-def _logged_message(rec):
-    if rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "event":
-        return rec["detail"]["body"]["event"]["message"]
-    return None
-
-
 def _logged_event(rec):
     if rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "event":
         return rec["detail"]["body"]["event"]
     return None
+
+
+def _logged_message(rec):
+    event = _logged_event(rec)
+    return event["message"] if event is not None else None
 
 
 def _exec_detail(rec):
