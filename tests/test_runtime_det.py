@@ -14,16 +14,6 @@ def test_events_at_equal_times_run_in_schedule_order():
     assert sched.now == 5.0
 
 
-def test_cancelled_event_does_not_run():
-    sched = Scheduler(seed=1)
-    ran = []
-    handle = sched.schedule_at(1.0, lambda: ran.append("cancelled"))
-    sched.schedule_at(2.0, lambda: ran.append("kept"))
-    sched.cancel(handle)
-    sched.run(until=100.0)
-    assert ran == ["kept"]
-
-
 def test_double_cancel_lowers_live_work_once():
     sched = Scheduler(seed=1)
     ran = []
