@@ -255,9 +255,6 @@ class CoordService:
             watch.cursor += 1
             watch.deliver(entry)
 
-    def dump_log(self) -> list[dict]:
-        return [e.to_json() for e in self.log]
-
     @property
     def max_event_id(self) -> int:
         for entry in reversed(self.log):

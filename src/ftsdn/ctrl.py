@@ -173,7 +173,6 @@ class Replica:
         self._bundle_owner: dict[int, tuple[int, str]] = {}
         self.pending_replies: dict[int, set[str]] = {}
         self._processed_sent: set[int] = set()
-        self.n_completed = 0  # events whose transaction fully finished at this replica
 
         # learned from commit markers: (event_id, switch_id) -> highest marker epoch
         self.processed_at_switch: dict[tuple[int, str], int] = {}
@@ -461,7 +460,6 @@ class Replica:
         if eid in self._processed_sent:
             return
         self._processed_sent.add(eid)
-        self.n_completed += 1
         if not self.cfg.replicate_events:
             return
         self.pending_batch.append(ProcessedBody(eid))

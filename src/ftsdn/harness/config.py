@@ -21,7 +21,6 @@ class FaultInjection:
     trigger_event: int | None = None  # event id, for F1/F2/F3
     at_time_ms: float | None = None  # for at-time / zombie
     pause_ms: float | None = None  # zombie stall duration
-    fired: bool = False
 
     def validate(self) -> None:
         if self.point not in _POINTS:

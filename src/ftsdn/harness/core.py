@@ -12,15 +12,22 @@ converts them at its edge.
 from __future__ import annotations
 
 import itertools
+import threading
+from functools import partial
 from typing import Callable
 
 from .. import apps as apps_mod
 from ..coord import CoordError, CoordService, EmptyAppend, NotLeader, SessionExpired
 from ..ctrl import FatalProtocolError, Replica, ReplicaConfig
-from .config import ScenarioConfig
+from .config import AT_TIME, ZOMBIE, FaultInjection, ScenarioConfig
 
 # how long after a session's deadline the expiry check runs, in ms
 EXPIRY_SLACK_MS = 0.01
+
+
+class Crashed(BaseException):
+    """Unwinds the current handler when a fault hook kills the node; both
+    executors swallow it."""
 
 
 class CoordHost:
@@ -176,11 +183,29 @@ class Controller:
 
 class World:
     """What both worlds share: ``coord`` (a CoordHost), ``switches`` (nodes
-    with a ``switch``) and ``ctrls`` (Controllers)."""
+    with a ``switch``), ``ctrls`` (Controllers), the quiescence test and the
+    fault injector.
+
+    A world supplies ``at(time_ms, fn)``, which runs ``fn`` at ``time_ms`` of
+    the run; ``crash_controller(cid, reason)``; ``crash_switch(sid)``;
+    ``stall(cid, pause_ms)``, which freezes a controller without killing it;
+    ``inject(sid, payload, in_port)``; and ``run(deadline_ms)``, which returns
+    whether the world reached quiescence by the deadline. It builds each
+    controller with ``fault_hook(cid)`` and calls ``_arm_timed_faults()`` once
+    every node is connected."""
 
     coord: CoordHost
     switches: dict
     ctrls: dict
+
+    def __init__(self, cfg: ScenarioConfig, trace) -> None:
+        self.cfg = cfg
+        self.trace = trace
+        self._unfired: list[FaultInjection] = list(cfg.fault_plan)
+        self._fire_lock = threading.Lock()
+
+    def stop(self) -> None:
+        """End every thread the world started; a world without threads has nothing to do."""
 
     def quiescent(self) -> bool:
         """Every switch event is logged and finished, and every live replica
@@ -196,6 +221,66 @@ class World:
             for c in self.ctrls.values()
             if c.exec.alive
         )
+
+    # -- fault injection ------------------------------------------------------
+
+    def _take(self, fault: FaultInjection) -> bool:
+        """Mark ``fault`` fired; False if it already was. The list is replaced,
+        not changed, so hooks running on other threads can keep walking it."""
+        with self._fire_lock:
+            left = [f for f in self._unfired if f is not fault]
+            if len(left) == len(self._unfired):
+                return False
+            self._unfired = left
+            return True
+
+    def fault_hook(self, cid: str) -> Callable[..., None]:
+        """The F1/F2/F3 hook of controller ``cid``: the first planned master
+        fault whose point and trigger event it reaches crashes it there."""
+
+        def hook(point: str, event_ids=None, event_id=None, switch_id=None) -> None:
+            for fault in self._unfired:
+                if fault.point != point or fault.target != "master":
+                    continue
+                if fault.trigger_event not in (event_ids if event_ids is not None else [event_id]):
+                    continue
+                if not self._take(fault):
+                    continue
+                self.trace.emit(
+                    "fault-injected",
+                    "harness",
+                    detail={"target": cid, "point": point, "trigger_event": fault.trigger_event},
+                )
+                self.crash_controller(cid, reason=point)
+                raise Crashed()
+
+        return hook
+
+    def _arm_timed_faults(self) -> None:
+        for fault in self.cfg.fault_plan:
+            if fault.point in (AT_TIME, ZOMBIE):
+                self.at(fault.at_time_ms, partial(self._fire_timed, fault))
+
+    def _fire_timed(self, fault: FaultInjection) -> None:
+        if not self._take(fault):
+            return
+        if fault.point == AT_TIME and fault.target.startswith("switch:"):
+            sid = fault.target.split(":", 1)[1]
+            self.trace.emit("fault-injected", "harness", detail={"target": sid, "point": AT_TIME})
+            self.crash_switch(sid)
+            return
+        leader = self.coord.service.leader
+        if leader is None:
+            return
+        if fault.point == AT_TIME:
+            self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": AT_TIME})
+            self.crash_controller(leader, reason=AT_TIME)
+            return
+        pause = fault.pause_ms if fault.pause_ms is not None else 3 * self.cfg.session_timeout_ms
+        # a stalled process: everything queued runs only after the pause,
+        # including its own heartbeats, so the session expires underneath it
+        self.stall(leader, pause)
+        self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": ZOMBIE, "pause_ms": pause})
 
 
 class SwitchConn:

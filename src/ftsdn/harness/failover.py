@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import gc
 import statistics
-import time
 from dataclasses import dataclass, field
 
 from .. import ofwire
 from .config import FaultInjection, ScenarioConfig
+from .scenario import run_scenario
 
 _MARKER_HEX = ofwire.MARKER_MAGIC.hex()
 
@@ -45,6 +45,26 @@ def largest_gap(times: list[float]) -> float:
     return max(b - a for a, b in zip(times, times[1:]))
 
 
+def _stream_gap(stream_ms: float, inter_arrival_ms: float, plan: list[FaultInjection], **cfg_fields) -> float:
+    """Run a one-switch stream under ``plan`` and return the largest gap, in
+    ms, between the data PacketOuts the switch executed."""
+    cfg = ScenarioConfig(
+        n_switches=1,
+        n_controllers=2,
+        app="forwarding",
+        batch_time_ms=5.0,  # keep the stream smooth so the gap is the outage
+        inter_arrival_ms=inter_arrival_ms,
+        packets_per_switch=int(stream_ms / inter_arrival_ms),
+        fault_plan=plan,
+        **cfg_fields,
+    )
+    result = run_scenario(cfg)
+    if not result.passed:
+        raise RuntimeError("failover run did not quiesce with every property passing")
+    scale = 1e-6 if cfg.transport == "sockets" else 1.0  # socket traces stamp ns
+    return largest_gap(data_packet_out_times(result.records, "s0", scale))
+
+
 def failover_gap_deterministic(
     session_timeout_ms: float = 500.0,
     seed: int = 0,
@@ -52,27 +72,11 @@ def failover_gap_deterministic(
     inter_arrival_ms: float = 5.0,
     inject_fault: bool = True,
 ) -> float:
-    from .scenario import run_deterministic
-
-    stream_ms = kill_at_ms + session_timeout_ms + 600.0
     plan = [FaultInjection(target="master", point="at-time", at_time_ms=kill_at_ms)] if inject_fault else []
-    cfg = ScenarioConfig(
-        n_switches=1,
-        n_controllers=2,
-        app="forwarding",
-        session_timeout_ms=session_timeout_ms,
-        heartbeat_interval_ms=1.0,
-        batch_time_ms=5.0,  # keep the stream smooth so the gap is the outage
-        inter_arrival_ms=inter_arrival_ms,
-        packets_per_switch=int(stream_ms / inter_arrival_ms),
-        seed=seed,
-        fault_plan=plan,
+    return _stream_gap(
+        kill_at_ms + session_timeout_ms + 600.0, inter_arrival_ms, plan,
+        session_timeout_ms=session_timeout_ms, heartbeat_interval_ms=1.0, seed=seed,
     )
-    result = run_deterministic(cfg)
-    if not result.quiescent:
-        raise RuntimeError("failover run did not quiesce")
-    times = data_packet_out_times(result.records, "s0")
-    return largest_gap(times)
 
 
 def failover_gap_socket(
@@ -81,58 +85,17 @@ def failover_gap_socket(
     kill_after_ms: float = 600.0,
     seed: int = 0,
 ) -> float:
-    from .runtime_socket import SocketWorld
-
-    cfg = ScenarioConfig(
-        n_switches=1,
-        n_controllers=2,
-        transport="sockets",
-        session_timeout_ms=session_timeout_ms,
-        heartbeat_interval_ms=2.0,  # detection then lags the crash by ~the full timeout
-        batch_time_ms=5.0,
-        seed=seed,
-    )
     # Start from a clean heap, not the garbage of earlier work in this process:
     # a full collection of a large heap holds the interpreter lock for longer
     # than the session timeout, which would expire the surviving replica too.
     gc.collect()
-    world = SocketWorld(cfg)
-    master = world.ctrls["c0"]
-    try:
-        payload = ofwire.ether_payload("02:00:00:00:00:01", "02:00:00:00:00:02", b"stream")
-        start = time.monotonic()
-        stream_s = (kill_after_ms + session_timeout_ms + 800.0) / 1000.0
-        killed = False
-        i = 0
-        while time.monotonic() - start < stream_s:
-            if not killed and (time.monotonic() - start) * 1000.0 >= kill_after_ms:
-                master.crash()
-                killed = True
-            world.switches["s0"].inject(payload, in_port=2)
-            i += 1
-            target = start + i * inter_arrival_ms / 1000.0
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        # wait for the new master to push packet-outs through the switch;
-        # in-flight commits from the dead one land within a few ms of the
-        # kill, so recovery means traffic well past the detection window
-        recovered_after = (master.crash_time_ms or 0.0) + session_timeout_ms / 2.0
-        deadline = time.monotonic() + 10.0 * session_timeout_ms / 1000.0
-        recovered = False
-        while time.monotonic() < deadline:
-            times = data_packet_out_times(world.trace.as_dicts(), "s0", scale=1e-6)
-            if times and times[-1] > recovered_after:
-                recovered = True
-                break
-            time.sleep(0.05)
-        time.sleep(0.3)
-    finally:
-        world.stop()
-    if not recovered:
-        raise RuntimeError("no recovery within 10x the session timeout")
-    times = data_packet_out_times(world.trace.as_dicts(), "s0", scale=1e-6)
-    return largest_gap(times)
+    plan = [FaultInjection(target="master", point="at-time", at_time_ms=kill_after_ms)]
+    return _stream_gap(
+        kill_after_ms + session_timeout_ms + 800.0, inter_arrival_ms, plan, transport="sockets",
+        session_timeout_ms=session_timeout_ms,
+        heartbeat_interval_ms=2.0,  # detection then lags the crash by ~the full timeout
+        seed=seed,
+    )
 
 
 def failover_timing(

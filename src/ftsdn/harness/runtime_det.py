@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-
-class Crashed(BaseException):
-    """Unwinds the current handler when a fault hook kills the node."""
+from .core import Crashed
 
 
 Event = list  # [time, seq, fn, maintenance, cancelled]

@@ -27,7 +27,7 @@ from ..coord import LogEntry, body_from_json
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
-from .core import Controller, CoordHost, SwitchConn, World
+from .core import Controller, CoordHost, Crashed, SwitchConn, World
 
 
 def _now_ms() -> float:
@@ -35,10 +35,13 @@ def _now_ms() -> float:
 
 
 class SocketExecutor:
-    """Serial executor with millisecond timers, one thread per node."""
+    """Serial executor with millisecond timers, one thread per node. An
+    exception that escapes a task is written to the trace as an
+    ``executor-error`` record, and the executor carries on."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, trace: TraceLog) -> None:
         self.name = name
+        self.trace = trace
         self._q: queue.Queue = queue.Queue()
         self._timers: list = []
         self._lock = threading.Lock()
@@ -99,10 +102,10 @@ class SocketExecutor:
             return
         try:
             fn()
-        except Exception:
-            import traceback
-
-            traceback.print_exc()
+        except Crashed:
+            pass
+        except Exception as exc:
+            self.trace.emit("executor-error", self.name, detail={"error": repr(exc)})
 
 
 def _connect(port: int) -> socket.socket:
@@ -220,7 +223,7 @@ def _read_frames(sock: socket.socket):
 
 class CoordServer(CoordHost):
     def __init__(self, trace: TraceLog) -> None:
-        super().__init__(SocketExecutor("coord"), trace)
+        super().__init__(SocketExecutor("coord", trace), trace)
         self._listener = _listen()
         self.port = self._listener.getsockname()[1]
         _serve(self._listener, self._client_loop)
@@ -250,13 +253,15 @@ class CoordServer(CoordHost):
 
 class SwitchServer:
     def __init__(self, switch_id: str, trace: TraceLog) -> None:
-        self.exec = SocketExecutor(switch_id)
+        self.exec = SocketExecutor(switch_id, trace)
         self.switch = Switch(switch_id, trace=trace.emitter(switch_id))
+        self._accepted: list[socket.socket] = []
         self._listener = _listen()
         self.port = self._listener.getsockname()[1]
         _serve(self._listener, self._conn_loop)
 
     def _conn_loop(self, sock: socket.socket) -> None:
+        self._accepted.append(sock)
         conn: SwitchConn | None = None
         for msg in _read_frames(sock):
             if conn is None:
@@ -275,6 +280,17 @@ class SwitchServer:
     def inject(self, payload: bytes, in_port: int) -> None:
         self.exec.post(lambda: self.switch.inject_packet(payload, in_port))
 
+    def crash(self) -> None:
+        """Fail the switch after the work already queued: it stops, and every
+        controller sees its connection drop."""
+        self.exec.post(self._crash)
+
+    def _crash(self) -> None:
+        self.switch.crash()
+        self.stop()
+        for sock in self._accepted:
+            _close(sock)
+
     def stop(self) -> None:
         try:
             _close(self._listener)
@@ -286,10 +302,9 @@ class SocketController(Controller):
     """A replica wired to the coordination server and every switch over TCP."""
 
     def __init__(self, cid: str, cfg: ScenarioConfig, coord_port: int, switch_ports: dict[str, int],
-                 trace: TraceLog) -> None:
-        super().__init__(cid, SocketExecutor(cid), cfg, None, trace, None)
+                 trace: TraceLog, fault_hook) -> None:
+        super().__init__(cid, SocketExecutor(cid, trace), cfg, None, trace, fault_hook)
         self.dead = False
-        self.crash_time_ms: float | None = None
         self._socks: list[socket.socket] = []
         for sid, port in switch_ports.items():
             sock = self._open(port)
@@ -324,25 +339,29 @@ class SocketController(Controller):
         for sock in self._socks:
             _close(sock)
 
-    def crash(self) -> None:
+    def crash(self, reason: str = "killed") -> None:
         """Kill the process model: sockets flush and close, timers stop."""
+        if self.dead:
+            return
         self.dead = True
-        self.crash_time_ms = time.time_ns() * 1e-6
         self.exec.stop()
         self.close()
-        self.trace.emit("controller-crashed", self.cid, detail={"reason": "killed"})
+        self.trace.emit("controller-crashed", self.cid, detail={"reason": reason})
 
     def fail(self) -> None:
-        self.crash()
+        self.crash("fatal")
 
 
 class SocketWorld(World):
-    """One coordination server, the switches, and the controller replicas."""
+    """One coordination server, the switches, and the controller replicas.
+
+    Times given to ``at`` are milliseconds after ``run`` is called; nothing
+    planned, the fault plan included, fires unless ``run`` walks it."""
 
     def __init__(self, cfg: ScenarioConfig) -> None:
         cfg.validate()
-        self.cfg = cfg
-        self.trace = TraceLog(clock=time.time_ns)
+        super().__init__(cfg, TraceLog(clock=time.time_ns))
+        self._timeline: list = []  # (time_ms, fn) in the order planned
         self.coord = CoordServer(self.trace)
         self.switches: dict[str, SwitchServer] = {
             f"s{i}": SwitchServer(f"s{i}", self.trace) for i in range(cfg.n_switches)
@@ -351,9 +370,10 @@ class SocketWorld(World):
         self.ctrls: dict[str, SocketController] = {}
         for i in range(cfg.n_controllers):
             cid = f"c{i}"
-            self.ctrls[cid] = SocketController(cid, cfg, self.coord.port, ports, self.trace)
+            self.ctrls[cid] = SocketController(cid, cfg, self.coord.port, ports, self.trace, self.fault_hook(cid))
             if i == 0:
                 self._await_master(cid)
+        self._arm_timed_faults()
 
     def _await_master(self, cid: str, timeout_s: float = 5.0) -> None:
         deadline = time.monotonic() + timeout_s
@@ -365,6 +385,36 @@ class SocketWorld(World):
 
     def master_id(self) -> str | None:
         return self.coord.service.leader
+
+    # -- what the shared driver and fault injector need ------------------------
+
+    def at(self, time_ms: float, fn) -> None:
+        self._timeline.append((time_ms, fn))
+
+    def crash_controller(self, cid: str, reason: str) -> None:
+        self.ctrls[cid].crash(reason)
+
+    def crash_switch(self, sid: str) -> None:
+        self.switches[sid].crash()
+
+    def stall(self, cid: str, pause_ms: float) -> None:
+        self.ctrls[cid].exec.post(partial(time.sleep, pause_ms / 1000.0))
+
+    def inject(self, sid: str, payload: bytes, in_port: int) -> None:
+        self.switches[sid].inject(payload, in_port)
+
+    def run(self, deadline_ms: float) -> bool:
+        """Run what is planned up to the deadline on the wall clock, on this
+        thread, then wait for quiescence for the time that is left."""
+        start = time.monotonic()
+        for time_ms, fn in sorted(self._timeline, key=lambda entry: entry[0]):
+            if time_ms > deadline_ms:
+                break
+            delay = time_ms / 1000.0 - (time.monotonic() - start)
+            if delay > 0:
+                time.sleep(delay)
+            fn()
+        return self.wait_quiescent(deadline_ms / 1000.0 - (time.monotonic() - start))
 
     def wait_quiescent(self, timeout_s: float) -> bool:
         deadline = time.monotonic() + timeout_s
@@ -389,53 +439,3 @@ class SocketWorld(World):
         self.coord.stop()
         for ctrl in self.ctrls.values():
             ctrl.close()
-
-
-def run_socket_scenario(cfg: ScenarioConfig):
-    """Drive a socket-mode run to quiescence. Fault plan support is limited
-    to at-time master kills; the staged F1/F2/F3 hooks are a deterministic-
-    transport facility."""
-    from .checker import check_records
-    from .scenario import ScenarioResult, build_workload
-
-    for fault in cfg.fault_plan:
-        if fault.point != "at-time" or not fault.target.startswith("master"):
-            raise ValueError("socket transport supports only at-time master faults")
-    world = SocketWorld(cfg)
-    world.trace.emit("run-meta", "harness", detail={"config": cfg.to_json()})
-    start = time.monotonic()
-    kill_times = sorted(f.at_time_ms for f in cfg.fault_plan)
-    killed = 0
-
-    def sleep_until(time_ms: float) -> None:
-        delay = time_ms / 1000.0 - (time.monotonic() - start)
-        if delay > 0:
-            time.sleep(delay)
-
-    def kill_master() -> None:
-        target = world.master_id()
-        if target is not None:
-            world.trace.emit("fault-injected", "harness", detail={"target": target, "point": "at-time"})
-            world.ctrls[target].crash()
-
-    try:
-        for inj in build_workload(cfg):
-            while killed < len(kill_times) and (time.monotonic() - start) * 1000.0 >= kill_times[killed]:
-                kill_master()
-                killed += 1
-            sleep_until(inj.time_ms)
-            world.trace.emit(
-                "packet-injected", "harness", switch_id=inj.switch_id,
-                detail={"in_port": inj.in_port, "payload": inj.payload.hex()},
-            )
-            world.switches[inj.switch_id].inject(inj.payload, inj.in_port)
-        for kill_time in kill_times[killed:]:  # planned after the last packet
-            sleep_until(kill_time)
-            kill_master()
-        budget = 5.0 + (len(cfg.fault_plan) + 1) * 4 * cfg.session_timeout_ms / 1000.0
-        quiescent = world.wait_quiescent(budget)
-    finally:
-        world.stop()
-    records = world.trace.as_dicts()
-    report = check_records(records)
-    return ScenarioResult(records, report, quiescent, world)

@@ -1,15 +1,17 @@
-"""Scenario runner: build a topology, drive the workload and fault plan to
-quiescence, and hand the trace to the checker."""
+"""Scenario runner: build a topology in either transport, drive the
+workload and fault plan to quiescence, and hand the trace to the checker."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .. import ofwire
-from ..trace import TraceLog
 from .checker import CheckReport, check_records
 from .config import ScenarioConfig
+from .core import World
+from .runtime_socket import SocketWorld
 from .world_det import DetWorld
 
 
@@ -61,45 +63,36 @@ class ScenarioResult:
         return self.quiescent and self.report.all_pass
 
 
-def _emit_meta(trace: TraceLog, cfg: ScenarioConfig) -> None:
-    trace.emit("run-meta", "harness", detail={"config": cfg.to_json()})
-
-
-def run_deterministic(cfg: ScenarioConfig, mutate=None) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, mutate=None) -> ScenarioResult:
+    """Run ``cfg`` in its transport until quiescence or the deadline, then
+    check the trace. ``mutate(world)`` may patch the world before it runs."""
     cfg.validate()
-    world = DetWorld(cfg)
-    _emit_meta(world.trace, cfg)
+    world = SocketWorld(cfg) if cfg.transport == "sockets" else DetWorld(cfg)
+    world.trace.emit("run-meta", "harness", detail={"config": cfg.to_json()})
     if mutate is not None:
         mutate(world)
     plan = build_workload(cfg)
     for inj in plan:
-        world.sched.schedule_at(inj.time_ms, lambda i=inj: _inject(world, i))
+        world.at(inj.time_ms, partial(_inject, world, inj))
     workload_end = max((inj.time_ms for inj in plan), default=0.0)
     fault_slack = (len(cfg.fault_plan) + 1) * 4 * cfg.session_timeout_ms
     deadline = workload_end + fault_slack + 2_000.0
-    quiescent = world.run(deadline)
-    if not quiescent:
-        world.trace.emit("quiescence-timeout", "harness", detail={"deadline_ms": deadline})
+    try:
+        quiescent = world.run(deadline)
+        if not quiescent:
+            world.trace.emit("quiescence-timeout", "harness", detail={"deadline_ms": deadline})
+    finally:
+        world.stop()
     records = world.trace.as_dicts()
     report = check_records(records)
     return ScenarioResult(records, report, quiescent, world)
 
 
-def _inject(world: DetWorld, inj: Injection) -> None:
+def _inject(world: World, inj: Injection) -> None:
     world.trace.emit(
         "packet-injected",
         "harness",
         switch_id=inj.switch_id,
         detail={"in_port": inj.in_port, "payload": inj.payload.hex()},
     )
-    node = world.switches[inj.switch_id]
-    if node.exec.alive:
-        node.switch.inject_packet(inj.payload, inj.in_port)
-
-
-def run_scenario(cfg: ScenarioConfig, mutate=None) -> ScenarioResult:
-    if cfg.transport == "deterministic":
-        return run_deterministic(cfg, mutate=mutate)
-    from .runtime_socket import run_socket_scenario
-
-    return run_socket_scenario(cfg)
+    world.inject(inj.switch_id, inj.payload, inj.in_port)

@@ -9,14 +9,14 @@ from ..coord import EventBody
 from ..ctrl import ReplicaConfig
 from ..switchsim import Switch
 from ..trace import TraceLog
-from .config import AT_TIME, ZOMBIE, FaultInjection, ScenarioConfig
+from .config import ScenarioConfig
 from .core import Controller, CoordHost, SwitchConn, World
-from .runtime_det import Channel, CostModel, Crashed, Executor, Scheduler, default_latency, fixed_latency
+from .runtime_det import Channel, CostModel, Executor, Scheduler, default_latency, fixed_latency
 
 
 class CtrlNode(Controller):
     def __init__(self, world: "DetWorld", cid: str, rcfg: ReplicaConfig | None) -> None:
-        super().__init__(cid, Executor(world.sched, cid), world.cfg, rcfg, world.trace, world.hook_for(cid))
+        super().__init__(cid, Executor(world.sched, cid), world.cfg, rcfg, world.trace, world.fault_hook(cid))
         self.world = world
         self.endpoints: list = []
 
@@ -42,15 +42,10 @@ class DetWorld(World):
         replica_cfg: ReplicaConfig | None = None,
     ) -> None:
         cfg.validate()
-        self.cfg = cfg
         self.sched = Scheduler(cfg.seed)
-        self.trace = trace if trace is not None else TraceLog(clock=lambda: self.sched.now)
+        super().__init__(cfg, trace if trace is not None else TraceLog(clock=lambda: self.sched.now))
         self.costs = costs or CostModel()
         self.coord = CoordHost(Executor(self.sched, "coord"), self.trace)
-        self.faults: list[FaultInjection] = [
-            FaultInjection(**{k: getattr(f, k) for k in ("target", "point", "trigger_event", "at_time_ms", "pause_ms")})
-            for f in cfg.fault_plan
-        ]
         self.switches = {f"s{i}": SwitchNode(self, f"s{i}") for i in range(cfg.n_switches)}
         self.ctrls = {f"c{i}": CtrlNode(self, f"c{i}", replica_cfg) for i in range(cfg.n_controllers)}
         for cnode in self.ctrls.values():
@@ -100,64 +95,12 @@ class DetWorld(World):
         coord_end.on_message = self.coord.open_session(cid, self.cfg.session_timeout_ms, coord_end.send)
         cnode.start_heartbeat()
 
-    # -- fault machinery -----------------------------------------------------
+    # -- what the shared driver and fault injector need ------------------------
 
-    def hook_for(self, cid: str) -> Callable[..., None]:
-        def hook(point: str, event_ids=None, event_id=None, switch_id=None) -> None:
-            ids = event_ids if event_ids is not None else ([event_id] if event_id is not None else [])
-            for fault in self.faults:
-                if fault.fired or fault.point != point or fault.target != "master":
-                    continue
-                if fault.trigger_event not in ids:
-                    continue
-                fault.fired = True
-                self.trace.emit(
-                    "fault-injected",
-                    "harness",
-                    detail={"target": cid, "point": point, "trigger_event": fault.trigger_event},
-                )
-                self.crash_controller(cid, reason=point)
-                raise Crashed()
+    def at(self, time_ms: float, fn: Callable[[], None]) -> None:
+        self.sched.schedule_at(time_ms, fn)
 
-        return hook
-
-    def _arm_timed_faults(self) -> None:
-        for fault in self.faults:
-            if fault.point == AT_TIME:
-                self.sched.schedule(fault.at_time_ms, lambda f=fault: self._fire_timed(f))
-            elif fault.point == ZOMBIE:
-                self.sched.schedule(fault.at_time_ms, lambda f=fault: self._fire_zombie(f))
-
-    def _fire_timed(self, fault: FaultInjection) -> None:
-        if fault.fired:
-            return
-        fault.fired = True
-        if fault.target.startswith("switch:"):
-            sid = fault.target.split(":", 1)[1]
-            self.trace.emit("fault-injected", "harness", detail={"target": sid, "point": "at-time"})
-            self.crash_switch(sid)
-        else:
-            leader = self.coord.service.leader
-            if leader is None:
-                return
-            self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": "at-time"})
-            self.crash_controller(leader, reason="at-time")
-
-    def _fire_zombie(self, fault: FaultInjection) -> None:
-        if fault.fired:
-            return
-        fault.fired = True
-        leader = self.coord.service.leader
-        if leader is None:
-            return
-        pause = fault.pause_ms if fault.pause_ms is not None else 3 * self.cfg.session_timeout_ms
-        node = self.ctrls[leader]
-        # a stalled process: everything queued runs only after the pause,
-        # including its own heartbeats, so the session expires underneath it
-        node.exec.busy_until = max(node.exec.busy_until, self.sched.now + pause)
-        self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": "zombie", "pause_ms": pause})
-
-    def crash_controller(self, cid: str, reason: str = "crash") -> None:
+    def crash_controller(self, cid: str, reason: str) -> None:
         node = self.ctrls[cid]
         if not node.exec.alive:
             return
@@ -175,11 +118,14 @@ class DetWorld(World):
         for ep in node.endpoints:
             ep.close()
 
-    # -- operation -----------------------------------------------------------
+    def stall(self, cid: str, pause_ms: float) -> None:
+        node = self.ctrls[cid]
+        node.exec.busy_until = max(node.exec.busy_until, self.sched.now + pause_ms)
 
     def inject(self, sid: str, payload: bytes, in_port: int) -> None:
         node = self.switches[sid]
-        node.exec.post(lambda: node.switch.inject_packet(payload, in_port))
+        if node.exec.alive:
+            node.switch.inject_packet(payload, in_port)
 
     def run(self, deadline_ms: float) -> bool:
         return self.sched.run(deadline_ms, self.quiescent)

@@ -29,10 +29,6 @@ from .ofwire import (
     RoleAnnounce,
 )
 
-BUNDLE_OPEN = "open"
-BUNDLE_COMMITTED = "committed"
-BUNDLE_DISCARDED = "discarded"
-
 
 class ControllerConn(Protocol):
     """What the switch needs from a controller connection."""
@@ -84,7 +80,6 @@ class StagedBundle:
     conn_uid: int
     owner: str
     messages: list[ofwire.OfMessage] = field(default_factory=list)
-    state: str = BUNDLE_OPEN
 
 
 @dataclass
@@ -104,7 +99,7 @@ class Switch:
         self._trace = trace or (lambda kind, **kw: None)
         self.flow_table = FlowTable()
         self.conns: dict[int, ControllerConn] = {}
-        self.bundles: dict[tuple[int, int], StagedBundle] = {}
+        self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1
         self.executed_log: list[ExecEntry] = []
         self.master_id: str | None = None
@@ -125,8 +120,7 @@ class Switch:
         if conn is None:
             return
         for key, bundle in list(self.bundles.items()):
-            if bundle.conn_uid == conn_uid and bundle.state == BUNDLE_OPEN:
-                bundle.state = BUNDLE_DISCARDED
+            if bundle.conn_uid == conn_uid:
                 del self.bundles[key]
                 self._trace("bundle-discarded", bundle_id=bundle.bundle_id, detail={"owner": bundle.owner})
         self._trace("conn-closed", detail={"controller": conn.controller_id})
@@ -188,25 +182,24 @@ class Switch:
             return
         if isinstance(msg, BundleOpen):
             key = (conn.uid, msg.bundle_id)
-            if key in self.bundles and self.bundles[key].state == BUNDLE_OPEN:
+            if key in self.bundles:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
             self.bundles[key] = StagedBundle(msg.bundle_id, conn.uid, conn.controller_id)
         elif isinstance(msg, BundleAdd):
             bundle = self.bundles.get((conn.uid, msg.bundle_id))
-            if bundle is None or bundle.state != BUNDLE_OPEN:
+            if bundle is None:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
             bundle.messages.append(msg.inner)
         elif isinstance(msg, BundleCommit):
             self.commits_received += 1
             bundle = self.bundles.get((conn.uid, msg.bundle_id))
-            if bundle is None or bundle.state != BUNDLE_OPEN:
+            if bundle is None:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
             for staged in bundle.messages:
                 self._apply(staged, origin="bundle", bundle_id=bundle.bundle_id, controller_id=bundle.owner)
-            bundle.state = BUNDLE_COMMITTED
             del self.bundles[(conn.uid, msg.bundle_id)]
             conn.send(BundleReply(msg.bundle_id, True))
         elif isinstance(msg, BarrierRequest):

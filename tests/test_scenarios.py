@@ -12,7 +12,7 @@ from ftsdn import ofwire
 from ftsdn.ctrl import FatalProtocolError
 from ftsdn.harness.config import FaultInjection, ScenarioConfig
 from ftsdn.harness.runtime_socket import SocketWorld
-from ftsdn.harness.scenario import run_deterministic, run_scenario
+from ftsdn.harness.scenario import run_scenario
 
 
 def base_cfg(**kw):
@@ -193,10 +193,10 @@ def test_learning_app_installs_rules_and_survives_failover():
 def test_port_status_takes_the_transactional_path():
     def add_port_flap(world):
         node = world.switches["s0"]
-        world.sched.schedule_at(40.0, lambda: node.switch.set_port(3, False))
+        world.at(40.0, lambda: node.switch.set_port(3, False))
 
     cfg = base_cfg(n_switches=1, packets_per_switch=10)
-    result = run_deterministic(cfg, mutate=add_port_flap)
+    result = run_scenario(cfg, mutate=add_port_flap)
     assert result.quiescent and result.report.all_pass
     ps = [
         r for _, r in records_of(result, "log-append")
@@ -288,6 +288,50 @@ def test_socket_kill_after_last_packet_fires():
     assert len(records_of(result, "fault-injected")) == 1
     assert len(records_of(result, "controller-crashed")) == 1
     assert result.passed
+
+
+SOCKET_FAULTS = {
+    "F1": FaultInjection(point="F1", trigger_event=3),
+    "F2": FaultInjection(point="F2", trigger_event=3),
+    "F3": FaultInjection(point="F3", trigger_event=3),
+    "switch-crash": FaultInjection(target="switch:s1", point="at-time", at_time_ms=60.0),
+}
+
+
+@pytest.mark.parametrize("fault", SOCKET_FAULTS.values(), ids=SOCKET_FAULTS.keys())
+def test_socket_fault_points(fault):
+    cfg = ScenarioConfig(
+        transport="sockets",
+        n_switches=2,
+        n_controllers=2,
+        packets_per_switch=40,
+        inter_arrival_ms=5.0,
+        batch_time_ms=5.0,
+        session_timeout_ms=200.0,
+        seed=3,
+        fault_plan=[fault],
+    )
+    result = run_scenario(cfg)
+    assert result.quiescent
+    assert result.report.all_pass, result.report.format()
+    assert len(records_of(result, "fault-injected")) == 1
+
+
+def test_socket_world_fires_no_fault_without_run():
+    cfg = ScenarioConfig(
+        transport="sockets",
+        n_switches=1,
+        n_controllers=2,
+        session_timeout_ms=200.0,
+        fault_plan=[FaultInjection(point="at-time", at_time_ms=10.0)],
+    )
+    world = SocketWorld(cfg)
+    try:
+        time.sleep(0.2)
+    finally:
+        world.stop()
+    kinds = {r["kind"] for r in world.trace.as_dicts()}
+    assert "fault-injected" not in kinds and "controller-crashed" not in kinds
 
 
 def test_socket_protocol_error_crashes_the_replica():
