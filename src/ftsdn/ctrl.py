@@ -435,7 +435,10 @@ class Replica:
 
     def _on_bundle_reply(self, switch_id: str, msg: BundleReply) -> None:
         if not msg.success:
-            raise FatalProtocolError(f"switch {switch_id} rejected bundle {msg.bundle_id}")
+            # the switch follows another master: a newer one exists
+            self._trace("bundle-refused", switch_id=switch_id, bundle_id=msg.bundle_id)
+            self._deposed()
+            return
         owner = self._bundle_owner.pop(msg.bundle_id, None)
         if owner is None:
             self._trace("stray-bundle-reply", switch_id=switch_id, bundle_id=msg.bundle_id)
@@ -487,6 +490,11 @@ class Replica:
     def _start_promotion_work(self) -> None:
         promo = _Promotion(epoch=self.epoch)
         self._promo = promo
+        # 0. fence: from here on each switch refuses commands from any other
+        #    controller, so a deposed master that has not noticed yet cannot
+        #    commit behind the probe below (OpenFlow 1.3 master/slave roles)
+        for switch_id in sorted(self.live_switches):
+            self.env.send_switch(switch_id, RoleAnnounce(self.controller_id, self.epoch))
         # 1. catch-up: replay everything the old master logged, discarding the
         #    writes of finished events and holding the writes of unfinished ones
         for eid in range(self.delivered_upto + 1, self.max_logged_id + 1):
@@ -574,8 +582,6 @@ class Replica:
             self.pending_batch.append(EventBody(ev))
         if self.pending_batch:
             self._flush("promotion")
-        for switch_id in sorted(self.live_switches):
-            self.env.send_switch(switch_id, RoleAnnounce(self.controller_id, self.epoch))
         self._trace("promotion-complete", detail={"held": len(promo.finished)})
         self._advance()
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..ctrl import ROLE_MASTER
+from ..ofwire import RoleAnnounce
 from .config import FaultInjection, ScenarioConfig
 from .world_det import DetWorld
 
@@ -150,6 +151,20 @@ def _stale_epoch_append(world: DetWorld) -> None:
     world.coord.service.fencing_enabled = False
 
 
+def _switch_ignores_role(world: DetWorld) -> None:
+    # switches drop role announcements, so a stalled master that wakes up
+    # still believing it leads can commit behind the new master's probe
+    for node in world.switches.values():
+        switch = node.switch
+        orig = switch.on_message
+
+        def wrapped(conn, msg, orig=orig):
+            if not isinstance(msg, RoleAnnounce):
+                orig(conn, msg)
+
+        switch.on_message = wrapped
+
+
 def catalog() -> list[Mutation]:
     return [
         Mutation(
@@ -203,6 +218,21 @@ def catalog() -> list[Mutation]:
             _base_cfg(),
             ("T3",),
             _marker_not_last,
+        ),
+        Mutation(
+            "switch-ignores-role",
+            "switches never fence a deposed master",
+            _base_cfg(
+                n_switches=2,
+                packets_per_switch=80,
+                inter_arrival_ms=3.0,
+                batch_time_ms=5.0,
+                seed=0,
+                app="learning",
+                fault_plan=[FaultInjection(target="master", point="zombie", at_time_ms=60.0, pause_ms=150.0)],
+            ),
+            ("T3",),
+            _switch_ignores_role,
         ),
     ]
 

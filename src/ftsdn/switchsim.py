@@ -29,6 +29,9 @@ from .ofwire import (
     RoleAnnounce,
 )
 
+# what only the master may send: it changes the switch's state
+_MASTER_ONLY = (BundleOpen, BundleAdd, BundleCommit, PacketOut, FlowMod)
+
 
 class ControllerConn(Protocol):
     """What the switch needs from a controller connection."""
@@ -102,7 +105,8 @@ class Switch:
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1
         self.executed_log: list[ExecEntry] = []
-        self.master_id: str | None = None
+        self.master_id: str | None = None  # the last announced master; None: any controller may command
+        self.master_epoch = 0
         self.dead = False
         self._port_status_count = 0
         self.events_emitted = 0  # dataplane packet-ins and port-status fan-outs
@@ -180,6 +184,12 @@ class Switch:
     def on_message(self, conn: ControllerConn, msg: ofwire.OfMessage) -> None:
         if self.dead:
             return
+        if conn.controller_id != self.master_id and self.master_id is not None and isinstance(msg, _MASTER_ONLY):
+            # a slave may not change the switch (OpenFlow 1.3 section 6.3.7)
+            self._trace("refused-not-master", detail={"controller": conn.controller_id, "type": type(msg).__name__})
+            if not isinstance(msg, (PacketOut, FlowMod)):
+                conn.send(BundleReply(msg.bundle_id, False))
+            return
         if isinstance(msg, BundleOpen):
             key = (conn.uid, msg.bundle_id)
             if key in self.bundles:
@@ -208,7 +218,11 @@ class Switch:
             self.plain_commands_received += 1
             self._apply(msg, origin="direct", bundle_id=None, controller_id=conn.controller_id)
         elif isinstance(msg, RoleAnnounce):
+            if msg.epoch < self.master_epoch:
+                self._trace("stale-role-announce", epoch=msg.epoch, detail={"controller": msg.controller_id})
+                return
             self.master_id = msg.controller_id
+            self.master_epoch = msg.epoch
             self._trace("role-announce", epoch=msg.epoch, detail={"controller": msg.controller_id})
         else:
             raise ofwire.ProtocolError(f"switch received unexpected message {msg!r}")

@@ -275,7 +275,7 @@ def test_criterion_9_checker_soundness():
             problems.append(f"{m.name}: unexpected failure set {[p.name for p in failing]}")
     verdict(
         9,
-        len(mutations) >= 6 and not problems,
+        len(mutations) >= 8 and not problems,
         f"checker soundness: {len(mutations)} seeded defects each caught with a counterexample, "
         f"clean twins all pass ({problems or 'no problems'})",
     )
@@ -305,10 +305,15 @@ def test_criterion_10_determinism():
 # sha256 of each criterion-10 trace, records joined by newlines. A change to the
 # scheduler, the channels or the trace store must leave every byte of these alone;
 # a change that alters the protocol on purpose updates them and says why.
+# The two fault shapes changed when a new master began to announce its role at
+# the start of its promotion instead of at its end: the announcements now leave
+# before the barrier probe and the resends, so the switches log role-announce
+# earlier and the shared latency RNG is drawn in a different order. The
+# fault-free shape promotes before any packet arrives and is unchanged.
 GOLDEN_TRACE_SHA256 = [
-    "1f91419b816d31e59b757ae35aba150bfb8957868a312f0de27bea360e75856a",
+    "8c054c94e491a0d2ee9ce2c0aec24e8fca836c6691c8c23b2fd14378951f1b52",
     "1cb8508f1752930c7b528d7c4b84d033a07fc4773cda2cbfdb9bc2d968970e23",
-    "29b6a3a639d6b2b157f3823a490f795290d07d79b60a908508c1bc772d114cf2",
+    "402d5d69ff179f47b6ca0b22a91cdcda4c4d2da3c38b6658f03a6b9c3ca4b1d7",
 ]
 
 

@@ -310,3 +310,15 @@ def test_append_rejection_deposes_master():
     cb("not-leader")
     assert replica.role == ROLE_SLAVE
     assert [ev.switch_seq for ev in replica.slave_buffer] == [1]
+
+
+def test_refused_bundle_deposes_master_without_a_fatal_error():
+    replica, env = make_master(batch_size=1)
+    replica.on_switch_message("s0", packet_in(seq=1))
+    feed_log(replica, env)
+    bid = next(m.bundle_id for _, m in env.sent if isinstance(m, BundleOpen))
+    replica.on_switch_message("s0", BundleReply(bid, False))
+    assert replica.role == ROLE_SLAVE
+    assert not replica.pending_replies
+    replica.on_switch_message("s0", BundleReply(bid, False))  # one refusal per bundle message
+    assert replica.role == ROLE_SLAVE

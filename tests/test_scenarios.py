@@ -176,6 +176,24 @@ def test_zombie_master_is_fenced_and_survives_as_slave():
     assert result.report.summary["duplicates"] == 0
 
 
+def test_woken_zombie_master_is_refused_by_the_switches():
+    # the stalled master wakes up still believing it leads and sends bundles
+    # after the new master's probe; the switches refuse them, so no command
+    # runs twice
+    cfg = base_cfg(
+        app="learning",
+        seed=0,
+        packets_per_switch=80,
+        inter_arrival_ms=3.0,
+        batch_time_ms=5.0,
+        fault_plan=[FaultInjection(point="zombie", at_time_ms=60.0, pause_ms=150.0)],
+    )
+    result = run_scenario(cfg)
+    assert result.quiescent and result.report.all_pass, result.report.format()
+    assert records_of(result, "refused-not-master", detail={"controller": "c0", "type": "BundleOpen"})
+    assert records_of(result, "bundle-refused", actor="c0")
+
+
 def test_learning_app_installs_rules_and_survives_failover():
     cfg = base_cfg(app="learning", packets_per_switch=80,
                    fault_plan=[FaultInjection(point="F2", trigger_event=12)])
@@ -294,6 +312,7 @@ SOCKET_FAULTS = {
     "F1": FaultInjection(point="F1", trigger_event=3),
     "F2": FaultInjection(point="F2", trigger_event=3),
     "F3": FaultInjection(point="F3", trigger_event=3),
+    "zombie": FaultInjection(point="zombie", at_time_ms=60.0, pause_ms=400.0),
     "switch-crash": FaultInjection(target="switch:s1", point="at-time", at_time_ms=60.0),
 }
 

@@ -13,6 +13,7 @@ from ftsdn.ofwire import (
     MatchKey,
     PacketIn,
     PacketOut,
+    RoleAnnounce,
 )
 from ftsdn.switchsim import Switch
 
@@ -144,6 +145,25 @@ def test_duplicate_open_is_error_reply():
     sw.on_message(c0, BundleOpen(5))
     sw.on_message(c0, BundleOpen(5))
     assert c0.inbox == [BundleReply(5, False)]
+
+
+def test_switch_refuses_changes_from_a_controller_that_is_not_master():
+    sw, (c0, c1) = make_switch()
+    sw.on_message(c1, RoleAnnounce("c1", 2))
+    sw.on_message(c0, BundleOpen(1))
+    sw.on_message(c0, BundleAdd(1, ofwire.make_commit_marker(1, [1])))
+    sw.on_message(c0, BundleCommit(1))
+    sw.on_message(c0, PacketOut((Action.output(2),), payload()))
+    sw.on_message(c0, FlowMod(MatchKey(in_port=1), (Action.output(2),), 1))
+    sw.on_message(c0, BarrierRequest(7))
+    assert c0.inbox == [BundleReply(1, False), BundleReply(1, False), BundleReply(1, False), BarrierReply(7)]
+    assert sw.executed_log == [] and sw.bundles == {}
+    # a stale announcement does not move the role back
+    sw.on_message(c0, RoleAnnounce("c0", 1))
+    sw.on_message(c0, PacketOut((Action.output(2),), payload()))
+    assert sw.master_id == "c1" and sw.executed_log == []
+    sw.on_message(c1, PacketOut((Action.output(2),), payload()))
+    assert len(sw.executed_log) == 1
 
 
 def test_barrier_covers_processed_not_pending_bundles():
