@@ -5,7 +5,8 @@ per-connection FIFO order (merged across connections in arrival order), so a
 BarrierReply naturally covers everything received earlier on that
 connection. Bundles stage commands until commit and are applied atomically
 and in order; open bundles owned by a connection are discarded when that
-connection drops.
+connection drops. Once a master has announced its role, bundles and commands
+from any other controller are refused (OpenFlow 1.3 master/slave roles).
 """
 
 from __future__ import annotations
