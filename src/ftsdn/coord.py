@@ -99,9 +99,8 @@ LeaderCallback = Callable[[str, int, int], None]
 
 
 class CoordService:
-    def __init__(self, trace: Callable[..., None] | None = None, fencing_enabled: bool = True) -> None:
+    def __init__(self, trace: Callable[..., None] | None = None) -> None:
         self.log: list[LogEntry] = []
-        self.fencing_enabled = fencing_enabled
         self._trace = trace or (lambda kind, **kw: None)
         self._sessions: dict[int, Session] = {}
         self._next_session_id = 1
@@ -196,16 +195,19 @@ class CoordService:
     def _leader_session_id(self) -> int | None:
         return self._candidates[0][1] if self._candidates else None
 
+    def fence(self, session_id: int, epoch: int, now: float) -> None:
+        """Raise unless the session is live, leads, and writes under the current epoch."""
+        self._live(session_id, now)
+        if session_id != self._leader_session_id() or epoch != self.epoch:
+            raise NotLeader(f"append under epoch {epoch}, current epoch {self.epoch}")
+
     # -- log ---------------------------------------------------------------
 
     def append(self, session_id: int, epoch: int, bodies: list[LogBody], now: float) -> tuple[int, int]:
         """Append all bodies contiguously and atomically; returns seq range."""
         if not bodies:
             raise EmptyAppend("rejected-empty")
-        if self.fencing_enabled:
-            self._live(session_id, now)
-            if session_id != self._leader_session_id() or epoch != self.epoch:
-                raise NotLeader(f"append under epoch {epoch}, current epoch {self.epoch}")
+        self.fence(session_id, epoch, now)
         first = len(self.log) + 1
         entries = []
         for body in bodies:

@@ -7,9 +7,10 @@ affected switch inside a bundle whose last message is a commit marker. Once
 every affected switch has acknowledged its bundle, the master logs an
 event-processed entry.
 
-Slaves buffer raw events (filtering them out as logged copies arrive), track
-commit markers, and deliver an event to their own applications only after
-its processed entry is logged, with all resulting writes discarded.
+Slaves buffer raw events (a logged copy takes its event out of the buffer),
+track commit markers, and deliver an event to their own applications only
+after its processed entry is logged, with all resulting writes discarded.
+A replica keeps a logged event only until it delivers it.
 
 On election a new master first replays logged-but-unfinished events to
 rebuild the old master's state, then decides per affected switch whether to
@@ -145,12 +146,13 @@ class Replica:
         self.epoch = 0
         self.live_switches: set[str] = set()
 
-        # shared-log mirror and indexes
-        self.mirror: list[LogEntry] = []
+        # shared-log position; events_by_id and processed_logged hold only
+        # logged events not yet delivered (ids above delivered_upto)
+        self.log_len = 0
         self.events_by_id: dict[int, SwitchEvent] = {}
-        self.occurrence_to_id: dict[tuple[str, int], int] = {}
         self.processed_logged: set[int] = set()
         self.max_logged_id = 0
+        self._logged_keys: set[tuple[str, int]] = set()  # occurrences of every logged event
 
         # master-side replication state
         self.next_event_id = 1
@@ -159,13 +161,11 @@ class Replica:
         self._inflight: list[list[LogBody]] = []
         self._batch_timer: object | None = None
 
-        # slave-side buffer of unlogged occurrences
-        self.slave_buffer: list[SwitchEvent] = []
-        self._buffer_keys: set[tuple[str, int]] = set()
+        # slave-side buffer: occurrences not yet logged, in arrival order
+        self.slave_buffer: dict[tuple[str, int], SwitchEvent] = {}
 
         # delivery pipeline: delivered ids form the dense prefix 1..delivered_upto
         self.delivered_upto = 0
-        self.n_delivered = 0
 
         # bundle manager state
         self._next_bundle_id = 1
@@ -247,7 +247,7 @@ class Replica:
     def _ingest(self, ev: SwitchEvent) -> None:
         key = ev.occurrence
         self._trace("event-collected", switch_id=ev.switch_id, switch_seq=ev.switch_seq, detail={"kind": ev.kind})
-        if key in self.occurrence_to_id or key in self._pending_keys or key in self._buffer_keys:
+        if key in self._logged_keys or key in self._pending_keys or key in self.slave_buffer:
             self._trace("duplicate-dropped", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             return
         if self.role == ROLE_MASTER:
@@ -256,7 +256,6 @@ class Replica:
             self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             if not self.cfg.replicate_events:
                 # consistency toggle: skip the shared log, deliver immediately
-                self.events_by_id[ev.event_id] = ev
                 staged = self._deliver(ev, discard=False)
                 self._finalize(ev, staged)
                 return
@@ -264,8 +263,7 @@ class Replica:
             self.pending_batch.append(EventBody(ev))
             self._arm_or_flush()
         else:
-            self.slave_buffer.append(ev)
-            self._buffer_keys.add(key)
+            self.slave_buffer[key] = ev
             self._trace("buffered", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
 
     # ------------------------------------------------------------------
@@ -314,9 +312,9 @@ class Replica:
     # shared-log input
 
     def on_log_entry(self, entry: LogEntry) -> None:
-        if entry.seq != len(self.mirror) + 1:
-            raise FatalProtocolError(f"log gap: expected seq {len(self.mirror) + 1}, got {entry.seq}")
-        self.mirror.append(entry)
+        if entry.seq != self.log_len + 1:
+            raise FatalProtocolError(f"log gap: expected seq {self.log_len + 1}, got {entry.seq}")
+        self.log_len = entry.seq
         body = entry.body
         if isinstance(body, EventBody):
             ev = body.event
@@ -325,20 +323,20 @@ class Replica:
             self.max_logged_id = ev.event_id
             self.events_by_id[ev.event_id] = ev
             key = ev.occurrence
-            self.occurrence_to_id[key] = ev.event_id
+            self._logged_keys.add(key)
             self._pending_keys.discard(key)
-            if key in self._buffer_keys:
-                self._buffer_keys.discard(key)
+            if self.slave_buffer.pop(key, None) is not None:
                 self._trace("buffer-filtered", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             self._trace("logged", event_id=ev.event_id, switch_id=ev.switch_id, detail={"seq": entry.seq})
         else:
-            if body.event_id not in self.events_by_id:
+            if not 1 <= body.event_id <= self.max_logged_id:
                 raise FatalProtocolError(f"processed entry for unknown event {body.event_id}")
-            self.processed_logged.add(body.event_id)
+            if body.event_id > self.delivered_upto:
+                self.processed_logged.add(body.event_id)
             if self.role == ROLE_MASTER:
                 self._trace("processed-logged", event_id=body.event_id)
         self._advance()
-        if self._promo_waiting and len(self.mirror) >= self._promo_watermark:
+        if self._promo_waiting and self.log_len >= self._promo_watermark:
             self._promo_waiting = False
             self._start_promotion_work()
 
@@ -383,7 +381,8 @@ class Replica:
                 break
         ctx._close()
         self.delivered_upto = ev.event_id
-        self.n_delivered += 1
+        self.events_by_id.pop(ev.event_id, None)
+        self.processed_logged.discard(ev.event_id)
         self._trace(
             "delivered",
             event_id=ev.event_id,
@@ -479,7 +478,7 @@ class Replica:
             self.role = ROLE_ELECT
             self._trace("role-changed", detail={"role": ROLE_MASTER})
             self._promo_watermark = log_len
-            if len(self.mirror) >= log_len:
+            if self.log_len >= log_len:
                 self._start_promotion_work()
             else:
                 self._promo_waiting = True
@@ -567,14 +566,10 @@ class Replica:
         self._promo = None
         self.next_event_id = self.max_logged_id + 1
         buffered = self.slave_buffer
-        self.slave_buffer = []
+        self.slave_buffer = {}
         self.role = ROLE_MASTER
-        for ev in buffered:
-            key = ev.occurrence
-            self._buffer_keys.discard(key)
-            if key in self.occurrence_to_id or key in self._pending_keys:
-                self._trace("buffer-filtered", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-                continue
+        # a logged copy has already taken its event out of the buffer
+        for key, ev in buffered.items():
             ev.event_id = self.next_event_id
             self.next_event_id += 1
             self._pending_keys.add(key)
@@ -605,10 +600,9 @@ class Replica:
         for ev in moved:
             key = ev.occurrence
             self._pending_keys.discard(key)
-            if key in self.occurrence_to_id or key in self._buffer_keys:
+            if key in self._logged_keys or key in self.slave_buffer:
                 continue
-            self.slave_buffer.append(SwitchEvent(ev.switch_id, ev.switch_seq, ev.kind, ev.message))
-            self._buffer_keys.add(key)
+            self.slave_buffer[key] = SwitchEvent(ev.switch_id, ev.switch_seq, ev.kind, ev.message)
         # in-flight bundles may still commit; their markers will be recorded
         self.pending_replies = {}
         self._bundle_owner = {}
@@ -624,4 +618,4 @@ class Replica:
             return False
         if self.role == ROLE_MASTER:
             return self.delivered_upto == self.max_logged_id
-        return not self._buffer_keys
+        return not self.slave_buffer

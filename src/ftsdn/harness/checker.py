@@ -1,6 +1,6 @@
 """Trace checker for the correctness properties.
 
-Ground truth is the switch executed_log as mirrored into the trace, not any
+Ground truth is the `switch-exec` records the switches write, not any
 controller's beliefs. Expected commands are recomputed by replaying the
 configured applications over the logged event sequence, so the checker is an
 independent oracle for what each event should have done to each switch.

@@ -11,11 +11,9 @@ Exit code 0 iff all checks pass.
 from __future__ import annotations
 
 import argparse
-import json
-import statistics
 import sys
 
-from ..trace import TraceParseError
+from ..trace import TraceParseError, dump_jsonl
 from .bench import MODES, BenchConfig, bench
 from .checker import CheckError, check_trace
 from .config import load_config
@@ -29,12 +27,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg.seed = args.seed
     result = run_scenario(cfg)
     if args.trace:
-        with open(args.trace, "wb") as fh:
-            lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in result.records]
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        dump_jsonl(result.records, args.trace)
         print(f"trace written to {args.trace} ({len(result.records)} records)")
     if not result.quiescent:
         print("run did not reach quiescence before the deadline (partial trace)")
+    for rec in result.missed_faults:
+        print(f"planned fault missed its target: {rec['detail']}")
     print(result.report.format())
     return 0 if result.passed else 1
 

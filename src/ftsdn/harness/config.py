@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 F1 = "F1"  # before the event's log append
 F2 = "F2"  # after the log append, before the bundle commit send
@@ -85,9 +85,6 @@ class ScenarioConfig:
             raise ValueError("deterministic transport requires a seed")
         for fault in self.fault_plan:
             fault.validate()
-
-    def with_(self, **kw) -> "ScenarioConfig":
-        return replace(self, **kw)
 
     def to_json(self) -> dict:
         d = {

@@ -269,8 +269,12 @@ class World:
             self.trace.emit("fault-injected", "harness", detail={"target": sid, "point": AT_TIME})
             self.crash_switch(sid)
             return
+        # the service names a crashed master leader until its session expires
         leader = self.coord.service.leader
-        if leader is None:
+        if leader is None or not self.ctrls[leader].exec.alive:
+            reason = "no-leader" if leader is None else "leader-dead"
+            detail = {"target": leader, "point": fault.point, "reason": reason}
+            self.trace.emit("fault-missed", "harness", detail=detail)
             return
         if fault.point == AT_TIME:
             self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": AT_TIME})

@@ -148,7 +148,7 @@ def _double_delivery(world: DetWorld) -> None:
 
 def _stale_epoch_append(world: DetWorld) -> None:
     # fencing off: a paused ex-master's stale-epoch append lands in the log
-    world.coord.service.fencing_enabled = False
+    world.coord.service.fence = lambda session_id, epoch, now: None
 
 
 def _switch_ignores_role(world: DetWorld) -> None:

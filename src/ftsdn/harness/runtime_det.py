@@ -143,10 +143,6 @@ class Endpoint:
         self.send_cost: Callable[[object], float] = lambda msg: 0.0
         self.recv_cost: Callable[[object], float] = lambda msg: 0.0
 
-    @property
-    def peer(self) -> "Endpoint":
-        return self._channel.ends[1 - self._side]
-
     def send(self, msg: object) -> None:
         self._channel.send(self._side, msg)
 

@@ -59,8 +59,13 @@ class ScenarioResult:
     world: object
 
     @property
+    def missed_faults(self) -> list[dict]:
+        """The planned faults that found no live node to hit."""
+        return [r for r in self.records if r["kind"] == "fault-missed"]
+
+    @property
     def passed(self) -> bool:
-        return self.quiescent and self.report.all_pass
+        return self.quiescent and self.report.all_pass and not self.missed_faults
 
 
 def run_scenario(cfg: ScenarioConfig, mutate=None) -> ScenarioResult:

@@ -86,17 +86,6 @@ class StagedBundle:
     messages: list[ofwire.OfMessage] = field(default_factory=list)
 
 
-@dataclass
-class ExecEntry:
-    """Ground-truth record of one command applied by the switch."""
-
-    index: int
-    command: ofwire.OfMessage
-    origin: str  # "bundle" | "direct" | "table"
-    bundle_id: int | None
-    controller_id: str | None
-
-
 class Switch:
     def __init__(self, switch_id: str, trace: Callable[..., None] | None = None) -> None:
         self.switch_id = switch_id
@@ -105,7 +94,6 @@ class Switch:
         self.conns: dict[int, ControllerConn] = {}
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1
-        self.executed_log: list[ExecEntry] = []
         self.master_id: str | None = None  # the last announced master; None: any controller may command
         self.master_epoch = 0
         self.dead = False
@@ -244,8 +232,8 @@ class Switch:
             # "output" and "drop" have no further simulated effect beyond the log
 
     def _record_exec(self, cmd: ofwire.OfMessage, origin: str, bundle_id: int | None, controller_id: str | None) -> None:
-        entry = ExecEntry(len(self.executed_log), cmd, origin, bundle_id, controller_id)
-        self.executed_log.append(entry)
+        """Trace one applied command; origin is "bundle", "direct" or "table".
+        These records are the checker's ground truth."""
         self._trace(
             "switch-exec",
             bundle_id=bundle_id,

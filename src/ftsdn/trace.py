@@ -103,13 +103,12 @@ class TraceLog:
         fields = islice(self._fields, len(self._fields))
         return [_record_dict(*rec) for rec in zip(*[fields] * _WIDTH)]
 
-    def to_jsonl(self) -> bytes:
-        lines = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in self.as_dicts()]
-        return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
-    def write(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_jsonl())
+def dump_jsonl(records: list[dict], path: str) -> None:
+    """Write one compact, key-sorted JSON object per line; ``load_jsonl`` reads it back."""
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_jsonl(path: str) -> list[dict]:

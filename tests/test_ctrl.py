@@ -91,7 +91,7 @@ def make_master(app=None, trace=None, **cfg_kw):
 
 def feed_log(replica, env):
     """Play the appended batches back as log entries, like the service would."""
-    seq = len(replica.mirror)
+    seq = replica.log_len
     while env.appends:
         _, bodies, cb = env.appends.pop(0)
         cb(None)
@@ -137,8 +137,8 @@ def test_batch_size_one_appends_each_event():
 def test_slave_buffers_without_ids():
     replica, env = make_replica()
     replica.on_switch_message("s0", packet_in(seq=1))
-    assert len(replica.slave_buffer) == 1
-    assert replica.slave_buffer[0].event_id is None
+    [ev] = replica.slave_buffer.values()
+    assert ev.event_id is None
     assert env.appends == []
 
 
@@ -147,7 +147,7 @@ def test_marker_records_processed_at_switch_both_roles():
     marker = ofwire.make_commit_marker(1, [7])
     replica.on_switch_message("s0", PacketIn("s0", 9, 0, ofwire.CONTROLLER_PORT, marker.payload))
     assert replica.processed_at_switch[(7, "s0")] == 1
-    assert replica.slave_buffer == []  # markers never become events
+    assert replica.slave_buffer == {}  # markers never become events
 
 
 def test_stale_marker_epoch_never_overrides_newer():
@@ -164,10 +164,28 @@ def test_slave_filters_buffer_on_log_entry():
     replica.on_switch_message("s0", packet_in(seq=1))
     ev = SwitchEvent("s0", 1, KIND_PACKET_IN, packet_in(seq=1), event_id=1)
     replica.on_log_entry(LogEntry(1, EventBody(ev)))
-    assert not replica._buffer_keys
+    assert not replica.slave_buffer
     # arriving after the log entry is a duplicate, not a fresh buffering
     replica.on_switch_message("s0", packet_in(seq=1))
-    assert not replica._buffer_keys
+    assert not replica.slave_buffer
+
+
+def test_promotion_drains_only_unlogged_events():
+    traced = []
+    replica, env = make_replica(trace=lambda kind, **kw: traced.append((kind, kw)), batch_size=10)
+    for seq in (1, 2, 3):
+        replica.on_switch_message("s0", packet_in(seq=seq))
+    for i in (1, 2):
+        ev = SwitchEvent("s0", i, KIND_PACKET_IN, packet_in(seq=i), event_id=i)
+        replica.on_log_entry(LogEntry(i, EventBody(ev)))
+    replica.on_log_entry(LogEntry(3, ProcessedBody(1)))
+    replica.on_log_entry(LogEntry(4, ProcessedBody(2)))
+    assert list(replica.slave_buffer) == [("s0", 3)]
+    replica.on_leadership("c0", 2, 4)
+    assert replica.role == ROLE_MASTER and not replica.slave_buffer
+    filtered = [kw for kind, kw in traced if kind == "buffer-filtered"]
+    assert [kw.get("event_id") for kw in filtered] == [1, 2]
+    assert [(b.event.switch_seq, b.event.event_id) for _, bodies, _ in env.appends for b in bodies] == [(3, 3)]
 
 
 def test_slave_delivers_on_processed_in_id_order_with_writes_discarded():
@@ -201,12 +219,12 @@ def test_master_delivers_and_bundles_commands():
 
 
 def test_zero_command_event_processed_immediately():
-    replica, env = make_master(batch_size=1)
+    traced = []
+    replica, env = make_master(trace=lambda kind, **kw: traced.append((kind, kw.get("event_id"))), batch_size=1)
     replica.on_switch_message("s0", PortStatus("s0", 4, False))
     feed_log(replica, env)
     assert env.sent == []  # recording app only writes for packet-ins
-    feed_log(replica, env)
-    assert 1 in replica.processed_logged
+    assert ("processed-logged", 1) in traced
 
 
 def test_multi_switch_event_gets_one_bundle_per_switch():
@@ -282,7 +300,7 @@ def test_port_status_occurrences_are_distinct_and_shared():
     replica, env = make_replica()
     replica.on_switch_message("s0", PortStatus("s0", 1, False))
     replica.on_switch_message("s0", PortStatus("s0", 1, True))
-    keys = [ev.occurrence for ev in replica.slave_buffer]
+    keys = [ev.occurrence for ev in replica.slave_buffer.values()]
     assert len(set(keys)) == 2
     assert all(seq < 0 for _, seq in keys)
 
@@ -295,12 +313,12 @@ def test_deposed_master_rebuffers_unacked_events():
     assert len(env.appends) == 1
     replica.on_leadership("c1", 2, 0)
     assert replica.role == ROLE_SLAVE
-    assert sorted(ev.switch_seq for ev in replica.slave_buffer) == [1, 2, 3]
-    assert all(ev.event_id is None for ev in replica.slave_buffer)
+    assert sorted(ev.switch_seq for ev in replica.slave_buffer.values()) == [1, 2, 3]
+    assert all(ev.event_id is None for ev in replica.slave_buffer.values())
     # the stale append now fails; that must not double-buffer anything
     _, _, cb = env.appends[0]
     cb("not-leader")
-    assert sorted(ev.switch_seq for ev in replica.slave_buffer) == [1, 2, 3]
+    assert sorted(ev.switch_seq for ev in replica.slave_buffer.values()) == [1, 2, 3]
 
 
 def test_append_rejection_deposes_master():
@@ -309,7 +327,7 @@ def test_append_rejection_deposes_master():
     _, bodies, cb = env.appends[0]
     cb("not-leader")
     assert replica.role == ROLE_SLAVE
-    assert [ev.switch_seq for ev in replica.slave_buffer] == [1]
+    assert [ev.switch_seq for ev in replica.slave_buffer.values()] == [1]
 
 
 def test_refused_bundle_deposes_master_without_a_fatal_error():

@@ -276,6 +276,59 @@ def test_two_sequential_master_crashes_with_f_two():
     assert result.report.summary["losses"] == 0
 
 
+def test_replicas_keep_no_delivered_events_at_quiescence():
+    cfg = base_cfg(n_controllers=3, fault_plan=[FaultInjection(point="F2", trigger_event=30)])
+    result = run_scenario(cfg)
+    assert result.passed
+    live = [c.replica for c in result.world.ctrls.values() if c.exec.alive]
+    assert [r.controller_id for r in live] == ["c1", "c2"]
+    for replica in live:
+        assert replica.delivered_upto == replica.max_logged_id > 0
+        assert not replica.slave_buffer
+        assert not replica.events_by_id
+        assert not replica.processed_logged
+
+
+def test_timed_fault_at_a_crashed_leader_is_missed():
+    # F2 kills c0 at 27 ms; the service names it leader until its session
+    # expires at 127 ms, so the at-time fault at 60 ms has no live target
+    cfg = ScenarioConfig(
+        n_switches=1,
+        n_controllers=3,
+        session_timeout_ms=100.0,
+        batch_time_ms=5.0,
+        seed=1,
+        fault_plan=[
+            FaultInjection(point="F2", trigger_event=2),
+            FaultInjection(point="at-time", at_time_ms=60.0),
+        ],
+    )
+    result = run_scenario(cfg)
+    missed = [r["detail"] for r in result.missed_faults]
+    assert missed == [{"target": "c0", "point": "at-time", "reason": "leader-dead"}]
+    assert len(records_of(result, "fault-injected")) == 1
+    assert [r["actor"] for _, r in records_of(result, "controller-crashed")] == ["c0"]
+    assert result.quiescent and result.report.all_pass
+    assert not result.passed
+
+
+def test_timed_fault_without_a_leader_is_missed():
+    # the only controller dies at 20 ms and its session expires at about 120 ms
+    cfg = base_cfg(
+        n_switches=1,
+        n_controllers=1,
+        packets_per_switch=5,
+        fault_plan=[
+            FaultInjection(point="at-time", at_time_ms=20.0),
+            FaultInjection(point="zombie", at_time_ms=300.0),
+        ],
+    )
+    result = run_scenario(cfg)
+    missed = [r["detail"] for r in result.missed_faults]
+    assert missed == [{"target": None, "point": "zombie", "reason": "no-leader"}]
+    assert not result.passed
+
+
 def test_socket_transport_smoke():
     cfg = ScenarioConfig(
         transport="sockets",

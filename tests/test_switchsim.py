@@ -34,8 +34,15 @@ def payload(dst="02:00:00:00:00:01", src="02:00:00:00:00:02", body=b"x"):
     return ofwire.ether_payload(dst, src, body)
 
 
-def make_switch(n_conns=2):
-    sw = Switch("s0")
+def make_switch(n_conns=2, execs=None):
+    """A switch with ``n_conns`` connections; the detail of every switch-exec
+    record it traces is appended to ``execs``."""
+
+    def trace(kind, **kw):
+        if kind == "switch-exec" and execs is not None:
+            execs.append(kw["detail"])
+
+    sw = Switch("s0", trace=trace)
     conns = [FakeConn(f"c{i}") for i in range(n_conns)]
     for c in conns:
         sw.attach(c)
@@ -60,14 +67,15 @@ def test_switch_seq_strictly_increases():
 
 
 def test_matched_packet_executes_locally_without_packetin():
-    sw, (c0, c1) = make_switch()
+    execs = []
+    sw, (c0, c1) = make_switch(execs=execs)
     fm = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(2),), 10)
     sw.on_message(c0, fm)  # plain FlowMod installs immediately
-    before = len(sw.executed_log)
+    before = len(execs)
     sw.inject_packet(payload(), in_port=1)
     assert len(c0.inbox) == 0 and len(c1.inbox) == 0
-    assert len(sw.executed_log) == before + 1
-    assert sw.executed_log[-1].origin == "table"
+    assert len(execs) == before + 1
+    assert execs[-1]["origin"] == "table"
 
 
 def test_fan_out_counts_live_connections_only():
@@ -107,7 +115,8 @@ def test_flow_table_add_with_same_match_and_priority_replaces_rule():
 
 
 def test_bundle_lifecycle_commit_order():
-    sw, (c0, c1) = make_switch()
+    execs = []
+    sw, (c0, c1) = make_switch(execs=execs)
     fm = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(2),), 10)
     marker = ofwire.make_commit_marker(1, [7])
     sw.on_message(c0, BundleOpen(5))
@@ -122,16 +131,17 @@ def test_bundle_lifecycle_commit_order():
     # reply went to the owner only
     assert BundleReply(5, True) in c0.inbox
     assert not any(isinstance(m, BundleReply) for m in c1.inbox)
-    # executed log shows the bundle contiguous and in order
-    kinds = [(e.origin, type(e.command).__name__) for e in sw.executed_log]
+    # the switch-exec records show the bundle contiguous and in order
+    kinds = [(e["origin"], e["command"]["type"]) for e in execs]
     assert kinds == [("bundle", "FlowMod"), ("bundle", "PacketOut")]
 
 
 def test_commit_unknown_bundle_fails():
-    sw, (c0, _) = make_switch()
+    execs = []
+    sw, (c0, _) = make_switch(execs=execs)
     sw.on_message(c0, BundleCommit(99))
     assert c0.inbox == [BundleReply(99, False)]
-    assert sw.executed_log == []
+    assert execs == []
 
 
 def test_add_to_unknown_bundle_fails():
@@ -148,7 +158,8 @@ def test_duplicate_open_is_error_reply():
 
 
 def test_switch_refuses_changes_from_a_controller_that_is_not_master():
-    sw, (c0, c1) = make_switch()
+    execs = []
+    sw, (c0, c1) = make_switch(execs=execs)
     sw.on_message(c1, RoleAnnounce("c1", 2))
     sw.on_message(c0, BundleOpen(1))
     sw.on_message(c0, BundleAdd(1, ofwire.make_commit_marker(1, [1])))
@@ -157,13 +168,13 @@ def test_switch_refuses_changes_from_a_controller_that_is_not_master():
     sw.on_message(c0, FlowMod(MatchKey(in_port=1), (Action.output(2),), 1))
     sw.on_message(c0, BarrierRequest(7))
     assert c0.inbox == [BundleReply(1, False), BundleReply(1, False), BundleReply(1, False), BarrierReply(7)]
-    assert sw.executed_log == [] and sw.bundles == {}
+    assert execs == [] and sw.bundles == {}
     # a stale announcement does not move the role back
     sw.on_message(c0, RoleAnnounce("c0", 1))
     sw.on_message(c0, PacketOut((Action.output(2),), payload()))
-    assert sw.master_id == "c1" and sw.executed_log == []
+    assert sw.master_id == "c1" and execs == []
     sw.on_message(c1, PacketOut((Action.output(2),), payload()))
-    assert len(sw.executed_log) == 1
+    assert len(execs) == 1
 
 
 def test_barrier_covers_processed_not_pending_bundles():
@@ -211,16 +222,18 @@ def test_reconnect_gets_fresh_bundle_namespace():
 
 
 def test_crash_stops_all_activity():
-    sw, (c0, _) = make_switch()
+    execs = []
+    sw, (c0, _) = make_switch(execs=execs)
     sw.crash()
     sw.inject_packet(payload(), in_port=1)
     sw.on_message(c0, BundleOpen(1))
     assert c0.inbox == []
-    assert sw.executed_log == []
+    assert execs == []
 
 
 def test_committed_bundles_are_contiguous_under_interleaving():
-    sw, (c0, c1) = make_switch()
+    execs = []
+    sw, (c0, c1) = make_switch(execs=execs)
     fm = lambda p: FlowMod(MatchKey(in_port=p), (Action.output(1),), 1)
     sw.on_message(c0, BundleOpen(1))
     sw.on_message(c1, BundleOpen(1))
@@ -230,7 +243,7 @@ def test_committed_bundles_are_contiguous_under_interleaving():
     sw.on_message(c1, BundleAdd(1, ofwire.make_commit_marker(1, [2])))
     sw.on_message(c1, BundleCommit(1))
     sw.on_message(c0, BundleCommit(1))
-    owners = [e.controller_id for e in sw.executed_log]
+    owners = [e["controller"] for e in execs]
     assert owners == ["c1", "c1", "c0", "c0"]
 
 

@@ -1,7 +1,10 @@
 import sys
 import threading
 
-from ftsdn.trace import TraceLog, TraceRecord
+from ftsdn.harness.checker import check_trace
+from ftsdn.harness.config import FaultInjection, ScenarioConfig
+from ftsdn.harness.scenario import run_scenario
+from ftsdn.trace import TraceLog, TraceRecord, dump_jsonl, load_jsonl
 
 THREADS = 8
 PER_THREAD = 5000
@@ -57,3 +60,14 @@ def test_concurrent_emits_keep_every_record_whole():
         assert i == next_i[t]
         next_i[t] += 1
     assert next_i == [PER_THREAD] * THREADS
+
+
+def test_dumped_scenario_trace_loads_back_and_checks(tmp_path):
+    cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=20, session_timeout_ms=100.0,
+                         seed=3, fault_plan=[FaultInjection(point="F2", trigger_event=10)])
+    records = run_scenario(cfg).records
+    path = str(tmp_path / "trace.jsonl")
+    dump_jsonl(records, path)
+    assert load_jsonl(path) == records
+    report = check_trace(path)
+    assert report.all_pass and report.summary["events"] > 0
