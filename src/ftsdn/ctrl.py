@@ -419,14 +419,17 @@ class Replica:
         if eid not in self.pending_replies:
             self._enqueue_processed(eid)
 
+    def _bundle_contents(self, eid: int, cmds: list[ofwire.OfMessage]) -> list[ofwire.OfMessage]:
+        """What a bundle for event ``eid`` stages: its commands, then the commit marker."""
+        return [*cmds, make_commit_marker(self.epoch, [eid])]
+
     def _send_bundle(self, eid: int, switch_id: str, cmds: list[ofwire.OfMessage]) -> None:
         bid = self._next_bundle_id
         self._next_bundle_id += 1
         self._bundle_owner[bid] = (eid, switch_id)
         self.env.send_switch(switch_id, BundleOpen(bid))
-        for cmd in cmds:
-            self.env.send_switch(switch_id, BundleAdd(bid, cmd))
-        self.env.send_switch(switch_id, BundleAdd(bid, make_commit_marker(self.epoch, [eid])))
+        for msg in self._bundle_contents(eid, cmds):
+            self.env.send_switch(switch_id, BundleAdd(bid, msg))
         self._fault_hook("F2", event_id=eid, switch_id=switch_id)
         self.env.send_switch(switch_id, BundleCommit(bid))
         self.pending_replies.setdefault(eid, set()).add(switch_id)

@@ -15,10 +15,10 @@ numbers are not meaningful, trends are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ctrl import ReplicaConfig
-from ..ofwire import ether_payload
+from ..ofwire import BundleCommit, FlowMod, PacketOut, ether_payload
 from .config import ScenarioConfig
 from .runtime_det import CostModel
 from .world_det import DetWorld
@@ -27,6 +27,13 @@ MODE_EVENTS = "events"
 MODE_COMMANDS = "commands"
 MODE_BOTH = "both"
 MODES = (MODE_EVENTS, MODE_COMMANDS, MODE_BOTH)
+
+N_CONTROLLERS = 2
+RATE_PER_SWITCH = 16000.0  # offered events per second per switch
+TARGET_RESPONSES = 4000
+WARMUP_RESPONSES = 800
+DEADLINE_MS = 60_000.0  # simulated time
+_RESPONSES = (BundleCommit, PacketOut, FlowMod)  # commit requests and plain commands
 
 
 class _NullTrace:
@@ -56,20 +63,13 @@ def bench_cost_model() -> CostModel:
 class BenchConfig:
     mode: str = MODE_BOTH
     n_switches: int = 16
-    n_controllers: int = 2
     batch_size: int = 1000
     batch_time_ms: float = 50.0
     seed: int = 0
-    rate_per_switch: float = 16000.0  # offered events per second per switch
-    target_responses: int = 4000
-    warmup_responses: int = 800
-    deadline_s: float = 60.0  # simulated seconds
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.warmup_responses >= self.target_responses:
-            raise ValueError("warmup must be below the response target")
 
 
 @dataclass
@@ -81,7 +81,6 @@ class BenchResult:
     elapsed_ms: float
     responses_per_sec: float
     saturated: bool
-    detail: dict = field(default_factory=dict)
 
 
 def _replica_cfg(cfg: BenchConfig) -> ReplicaConfig:
@@ -97,7 +96,7 @@ def bench(cfg: BenchConfig) -> BenchResult:
     cfg.validate()
     scenario = ScenarioConfig(
         n_switches=cfg.n_switches,
-        n_controllers=cfg.n_controllers,
+        n_controllers=N_CONTROLLERS,
         batch_size=cfg.batch_size,
         batch_time_ms=cfg.batch_time_ms,
         seed=cfg.seed,
@@ -109,18 +108,16 @@ def bench(cfg: BenchConfig) -> BenchResult:
 
     response_times: list[float] = []
     for node in world.switches.values():
-        sw = node.switch
-        orig = sw.on_message
+        orig = node.switch.on_message
 
-        def counted(conn, msg, sw=sw, orig=orig):
-            before = sw.commits_received + sw.plain_commands_received
+        def counted(conn, msg, orig=orig):
             orig(conn, msg)
-            if sw.commits_received + sw.plain_commands_received > before:
+            if isinstance(msg, _RESPONSES):
                 response_times.append(world.sched.now)
 
-        sw.on_message = counted
+        node.switch.on_message = counted
 
-    interval = 1000.0 / cfg.rate_per_switch
+    interval = 1000.0 / RATE_PER_SWITCH
     payloads = {
         sid: ether_payload(f"02:00:00:{i:02x}:00:01", f"02:00:00:{i:02x}:00:02", b"bench")
         for i, sid in enumerate(world.switches)
@@ -132,7 +129,6 @@ def bench(cfg: BenchConfig) -> BenchResult:
         def emit() -> None:
             node.switch.inject_packet(payloads[sid], in_port=2)
 
-        t = offset
         # pre-schedule emissions in slices to keep the heap small
         state = {"t": offset}
 
@@ -148,18 +144,17 @@ def bench(cfg: BenchConfig) -> BenchResult:
     for i, sid in enumerate(world.switches):
         start_emitter(sid, offset=1.0 + i * interval / max(1, cfg.n_switches))
 
-    deadline = cfg.deadline_s * 1000.0
-    while len(response_times) < cfg.target_responses and world.sched.now < deadline:
+    while len(response_times) < TARGET_RESPONSES and world.sched.now < DEADLINE_MS:
         world.sched.run(until=world.sched.now + 20.0, quiescent=None)
 
     n = len(response_times)
-    if n <= cfg.warmup_responses + 1:
+    if n <= WARMUP_RESPONSES + 1:
         return BenchResult(cfg.mode, cfg.n_switches, cfg.batch_size, n, 0.0, 0.0, False)
-    hi = min(n, cfg.target_responses)
-    t0 = response_times[cfg.warmup_responses - 1]
+    hi = min(n, TARGET_RESPONSES)
+    t0 = response_times[WARMUP_RESPONSES - 1]
     t1 = response_times[hi - 1]
     elapsed = t1 - t0
-    rate = (hi - cfg.warmup_responses) / (elapsed / 1000.0) if elapsed > 0 else 0.0
+    rate = (hi - WARMUP_RESPONSES) / (elapsed / 1000.0) if elapsed > 0 else 0.0
     return BenchResult(
         cfg.mode,
         cfg.n_switches,
@@ -167,8 +162,7 @@ def bench(cfg: BenchConfig) -> BenchResult:
         hi,
         elapsed,
         rate,
-        saturated=hi >= cfg.target_responses,
-        detail={"offered_per_sec": cfg.rate_per_switch * cfg.n_switches},
+        saturated=hi >= TARGET_RESPONSES,
     )
 
 

@@ -134,7 +134,6 @@ def check_records(records: list[dict]) -> CheckReport:
     delivered: dict[str, list[tuple[int, int]]] = {c: [] for c in controllers}
     emitted: list[tuple[int, str, int, list[str]]] = []  # idx, switch, seq, conns
     execs: dict[str, list[tuple[int, dict]]] = {}
-    ps_counts: dict[str, int] = {}
 
     for idx, rec in enumerate(records):
         kind = rec.get("kind")
@@ -163,7 +162,6 @@ def check_records(records: list[dict]) -> CheckReport:
             if origin == "dataplane":
                 emitted.append((idx, actor, rec.get("switch_seq"), detail.get("conns", [])))
             elif origin == "port-status":
-                ps_counts[actor] = detail.get("index", 0)
                 emitted.append((idx, actor, port_status_seq(detail.get("index", 0)), detail.get("conns", [])))
         elif kind == "switch-exec":
             execs.setdefault(actor, []).append((idx, rec))
@@ -364,6 +362,16 @@ def _marker_of(cmd_json: dict, idx: int, t3: PropertyResult) -> ofwire.CommitMar
         return None
 
 
+class _OracleCtx:
+    """The app context of an oracle replay: it keeps each write as JSON."""
+
+    def __init__(self) -> None:
+        self.staged: dict[str, list[dict]] = {}
+
+    def write(self, switch_id: str, message) -> None:
+        self.staged.setdefault(switch_id, []).append(ofwire.to_json(message))
+
+
 def _oracle_commands(
     meta: dict, logged: list[_LoggedEvent], t3: PropertyResult
 ) -> dict[tuple[int, str], list[dict]]:
@@ -379,16 +387,11 @@ def _oracle_commands(
         except ofwire.OfwireError as exc:
             t3.fail(f"logged event {ev.event_id} cannot be replayed: {exc}", [ev.record_idx])
             continue
-        staged: dict[str, list[dict]] = {}
-
-        class _Ctx:
-            def write(self, switch_id: str, message) -> None:
-                staged.setdefault(switch_id, []).append(ofwire.to_json(message))
-
+        ctx = _OracleCtx()
         try:
-            app.on_event(event, _Ctx())
+            app.on_event(event, ctx)
         except Exception:
-            staged = {}
-        for switch_id, cmds in staged.items():
+            continue  # a failing app stages nothing
+        for switch_id, cmds in ctx.staged.items():
             expected[(ev.event_id, switch_id)] = cmds
     return expected

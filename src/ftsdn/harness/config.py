@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -29,25 +30,6 @@ class FaultInjection:
             raise ValueError(f"fault point {self.point} needs trigger_event")
         if self.point in (AT_TIME, ZOMBIE) and self.at_time_ms is None:
             raise ValueError(f"fault point {self.point} needs at_time_ms")
-
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "point": self.point,
-            "trigger_event": self.trigger_event,
-            "at_time_ms": self.at_time_ms,
-            "pause_ms": self.pause_ms,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "FaultInjection":
-        return FaultInjection(
-            target=d.get("target", "master"),
-            point=d["point"],
-            trigger_event=d.get("trigger_event"),
-            at_time_ms=d.get("at_time_ms"),
-            pause_ms=d.get("pause_ms"),
-        )
 
 
 @dataclass
@@ -87,61 +69,40 @@ class ScenarioConfig:
             fault.validate()
 
     def to_json(self) -> dict:
-        d = {
-            "n_switches": self.n_switches,
-            "n_controllers": self.n_controllers,
-            "f": self.f,
-            "batch_size": self.batch_size,
-            "batch_time_ms": self.batch_time_ms,
-            "session_timeout_ms": self.session_timeout_ms,
-            "heartbeat_interval_ms": self.heartbeat_interval_ms,
-            "seed": self.seed,
-            "transport": self.transport,
-            "app": self.app,
-            "app_params": self.app_params,
-            "packets_per_switch": self.packets_per_switch,
-            "inter_arrival_ms": self.inter_arrival_ms,
-            "hosts_per_switch": self.hosts_per_switch,
-            "fault_plan": [f.to_json() for f in self.fault_plan],
-        }
-        return d
-
-
-_INT_KEYS = {"n_switches", "n_controllers", "batch_size", "seed", "packets_per_switch", "hosts_per_switch"}
-_FLOAT_KEYS = {
-    "batch_time_ms",
-    "session_timeout_ms",
-    "heartbeat_interval_ms",
-    "inter_arrival_ms",
-    "workload_start_ms",
-}
-_STR_KEYS = {"transport", "app"}
+        """Every field, plus the derived ``f``; ``config_from_dict`` reads it back."""
+        return {**dataclasses.asdict(self), "f": self.f}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    for key, value in d.items():
-        if key == "f":
-            continue  # derived from n_controllers
-        if key == "fault_plan":
-            cfg.fault_plan = [FaultInjection.from_json(x) for x in value]
-        elif key in ("app_params", "latency_overrides"):
-            setattr(cfg, key, dict(value))
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+    """Build a config from ``to_json`` output: exactly the dataclass fields,
+    and ``f``, which is derived and ignored. An unknown key, in the config
+    or in a fault, raises ValueError."""
+    d = {k: v for k, v in d.items() if k != "f"}
+    plan = [_build(FaultInjection, entry) for entry in d.pop("fault_plan", [])]
+    cfg = _build(ScenarioConfig, {**d, "fault_plan": plan})
     cfg.validate()
     return cfg
 
 
+def _build(cls, d: dict):
+    try:
+        return cls(**d)
+    except TypeError as exc:  # an unknown key, or an entry that is not an object
+        raise ValueError(f"bad {cls.__name__}: {exc}") from exc
+
+
+# keyed by annotation text: under ``from __future__ import annotations`` a field's type is a string
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
 def load_config(path: str) -> ScenarioConfig:
-    """Load a scenario config from JSON or flat ``key=value`` lines."""
+    """Load a scenario config from JSON or flat ``key=value`` lines. A line
+    sets an int, float or str field, parsed by the field's annotation."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return config_from_dict(json.loads(text))
+    types = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
     d: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -151,12 +112,8 @@ def load_config(path: str) -> ScenarioConfig:
             raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in _INT_KEYS:
-            d[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            d[key] = float(raw)
-        elif key in _STR_KEYS:
-            d[key] = raw
-        else:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        parse = _PARSERS.get(types.get(key))
+        if parse is None:
+            raise ValueError(f"config line {line_no}: {key!r} is not an int, float or str field")
+        d[key] = parse(raw)
     return config_from_dict(d)

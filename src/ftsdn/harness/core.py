@@ -71,7 +71,8 @@ class CoordHost:
                 self.service.heartbeat(sid, now)
             except CoordError:
                 pass  # dead session; the client learns through leadership changes
-        self.arm_expiry()
+        # No re-arm: a request only moves a deadline later, so the armed
+        # timer is early at worst, and _check_expiry re-arms it.
 
     def arm_expiry(self) -> None:
         if self._expiry_timer is not None:

@@ -5,8 +5,6 @@ the new master."""
 from __future__ import annotations
 
 import gc
-import statistics
-from dataclasses import dataclass, field
 
 from .. import ofwire
 from .config import FaultInjection, ScenarioConfig
@@ -14,14 +12,9 @@ from .scenario import run_scenario
 
 _MARKER_HEX = ofwire.MARKER_MAGIC.hex()
 
-
-@dataclass
-class FailoverResult:
-    gaps_ms: list[float] = field(default_factory=list)
-
-    @property
-    def median_ms(self) -> float:
-        return statistics.median(self.gaps_ms)
+INTER_ARRIVAL_MS = 5.0
+DET_KILL_AT_MS = 250.0
+SOCKET_KILL_AT_MS = 600.0
 
 
 def data_packet_out_times(records: list[dict], switch_id: str, scale: float = 1.0) -> list[float]:
@@ -45,7 +38,7 @@ def largest_gap(times: list[float]) -> float:
     return max(b - a for a, b in zip(times, times[1:]))
 
 
-def _stream_gap(stream_ms: float, inter_arrival_ms: float, plan: list[FaultInjection], **cfg_fields) -> float:
+def _stream_gap(stream_ms: float, plan: list[FaultInjection], **cfg_fields) -> float:
     """Run a one-switch stream under ``plan`` and return the largest gap, in
     ms, between the data PacketOuts the switch executed."""
     cfg = ScenarioConfig(
@@ -53,8 +46,8 @@ def _stream_gap(stream_ms: float, inter_arrival_ms: float, plan: list[FaultInjec
         n_controllers=2,
         app="forwarding",
         batch_time_ms=5.0,  # keep the stream smooth so the gap is the outage
-        inter_arrival_ms=inter_arrival_ms,
-        packets_per_switch=int(stream_ms / inter_arrival_ms),
+        inter_arrival_ms=INTER_ARRIVAL_MS,
+        packets_per_switch=int(stream_ms / INTER_ARRIVAL_MS),
         fault_plan=plan,
         **cfg_fields,
     )
@@ -65,49 +58,23 @@ def _stream_gap(stream_ms: float, inter_arrival_ms: float, plan: list[FaultInjec
     return largest_gap(data_packet_out_times(result.records, "s0", scale))
 
 
-def failover_gap_deterministic(
-    session_timeout_ms: float = 500.0,
-    seed: int = 0,
-    kill_at_ms: float = 250.0,
-    inter_arrival_ms: float = 5.0,
-    inject_fault: bool = True,
-) -> float:
-    plan = [FaultInjection(target="master", point="at-time", at_time_ms=kill_at_ms)] if inject_fault else []
+def failover_gap_deterministic(session_timeout_ms: float = 500.0, seed: int = 0, inject_fault: bool = True) -> float:
+    plan = [FaultInjection(target="master", point="at-time", at_time_ms=DET_KILL_AT_MS)] if inject_fault else []
     return _stream_gap(
-        kill_at_ms + session_timeout_ms + 600.0, inter_arrival_ms, plan,
+        DET_KILL_AT_MS + session_timeout_ms + 600.0, plan,
         session_timeout_ms=session_timeout_ms, heartbeat_interval_ms=1.0, seed=seed,
     )
 
 
-def failover_gap_socket(
-    session_timeout_ms: float = 500.0,
-    inter_arrival_ms: float = 5.0,
-    kill_after_ms: float = 600.0,
-    seed: int = 0,
-) -> float:
+def failover_gap_socket(session_timeout_ms: float = 500.0, seed: int = 0) -> float:
     # Start from a clean heap, not the garbage of earlier work in this process:
     # a full collection of a large heap holds the interpreter lock for longer
     # than the session timeout, which would expire the surviving replica too.
     gc.collect()
-    plan = [FaultInjection(target="master", point="at-time", at_time_ms=kill_after_ms)]
+    plan = [FaultInjection(target="master", point="at-time", at_time_ms=SOCKET_KILL_AT_MS)]
     return _stream_gap(
-        kill_after_ms + session_timeout_ms + 800.0, inter_arrival_ms, plan, transport="sockets",
+        SOCKET_KILL_AT_MS + session_timeout_ms + 800.0, plan, transport="sockets",
         session_timeout_ms=session_timeout_ms,
         heartbeat_interval_ms=2.0,  # detection then lags the crash by ~the full timeout
         seed=seed,
     )
-
-
-def failover_timing(
-    session_timeout_ms: float = 500.0,
-    trials: int = 10,
-    transport: str = "sockets",
-    seed: int = 0,
-) -> FailoverResult:
-    result = FailoverResult()
-    for i in range(trials):
-        if transport == "sockets":
-            result.gaps_ms.append(failover_gap_socket(session_timeout_ms, seed=seed + i))
-        else:
-            result.gaps_ms.append(failover_gap_deterministic(session_timeout_ms, seed=seed + i))
-    return result

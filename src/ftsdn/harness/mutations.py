@@ -57,43 +57,21 @@ def _duplicate_commit(world: DetWorld) -> None:
 
 def _skipped_marker(world: DetWorld) -> None:
     # bundles go out without the trailing commit marker
-    from ..ofwire import BundleAdd, BundleCommit, BundleOpen
-
     for node in world.ctrls.values():
-        replica = node.replica
-
-        def no_marker(eid, switch_id, cmds, replica=replica):
-            bid = replica._next_bundle_id
-            replica._next_bundle_id += 1
-            replica._bundle_owner[bid] = (eid, switch_id)
-            replica.env.send_switch(switch_id, BundleOpen(bid))
-            for cmd in cmds:
-                replica.env.send_switch(switch_id, BundleAdd(bid, cmd))
-            replica.env.send_switch(switch_id, BundleCommit(bid))
-            replica.pending_replies.setdefault(eid, set()).add(switch_id)
-
-        replica._send_bundle = no_marker
+        orig = node.replica._bundle_contents
+        node.replica._bundle_contents = lambda eid, cmds, orig=orig: orig(eid, cmds)[:-1]
 
 
 def _marker_not_last(world: DetWorld) -> None:
     # the commit marker goes into each bundle ahead of the commands
-    from ..ofwire import BundleAdd, BundleCommit, BundleOpen, make_commit_marker
-
     for node in world.ctrls.values():
-        replica = node.replica
+        orig = node.replica._bundle_contents
 
-        def marker_first(eid, switch_id, cmds, replica=replica):
-            bid = replica._next_bundle_id
-            replica._next_bundle_id += 1
-            replica._bundle_owner[bid] = (eid, switch_id)
-            replica.env.send_switch(switch_id, BundleOpen(bid))
-            replica.env.send_switch(switch_id, BundleAdd(bid, make_commit_marker(replica.epoch, [eid])))
-            for cmd in cmds:
-                replica.env.send_switch(switch_id, BundleAdd(bid, cmd))
-            replica.env.send_switch(switch_id, BundleCommit(bid))
-            replica.pending_replies.setdefault(eid, set()).add(switch_id)
+        def marker_first(eid, cmds, orig=orig):
+            *staged, marker = orig(eid, cmds)
+            return [marker, *staged]
 
-        replica._send_bundle = marker_first
+        node.replica._bundle_contents = marker_first
 
 
 def _lost_buffered_event(world: DetWorld) -> None:

@@ -99,9 +99,6 @@ class Switch:
         self.dead = False
         self._port_status_count = 0
         self.events_emitted = 0  # dataplane packet-ins and port-status fan-outs
-        # benchmark counters: bumped when a commit request or plain command arrives
-        self.commits_received = 0
-        self.plain_commands_received = 0
 
     # -- connection lifecycle ------------------------------------------------
 
@@ -192,7 +189,6 @@ class Switch:
                 return
             bundle.messages.append(msg.inner)
         elif isinstance(msg, BundleCommit):
-            self.commits_received += 1
             bundle = self.bundles.get((conn.uid, msg.bundle_id))
             if bundle is None:
                 conn.send(BundleReply(msg.bundle_id, False))
@@ -204,7 +200,6 @@ class Switch:
         elif isinstance(msg, BarrierRequest):
             conn.send(BarrierReply(msg.xid))
         elif isinstance(msg, (PacketOut, FlowMod)):
-            self.plain_commands_received += 1
             self._apply(msg, origin="direct", bundle_id=None, controller_id=conn.controller_id)
         elif isinstance(msg, RoleAnnounce):
             if msg.epoch < self.master_epoch:

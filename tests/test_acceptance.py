@@ -314,10 +314,13 @@ def test_criterion_10_determinism():
 # slave buffer: a promotion no longer walks already-logged events and writes a
 # second `buffer-filtered` record (one without an event id) for each. The
 # traces lost 51 and 75 such records and are otherwise unchanged.
+# All three changed when the run-meta record began to hold every config field:
+# it gained workload_start_ms and latency_overrides, and every other record
+# is byte-identical.
 GOLDEN_TRACE_SHA256 = [
-    "0c55e0f608d7ea6202fc7b9187d0a05de6200d0d5556c83e1abd58a6047cc006",
-    "1cb8508f1752930c7b528d7c4b84d033a07fc4773cda2cbfdb9bc2d968970e23",
-    "1a6e8df42582b44854e6fe0f45b858acf7cb608ffdfff2eb9728302cda5744a7",
+    "b947b10dc006f8d31f172d0c19580d58e639e92ba999f2ca8ee930ef094d3abc",
+    "4a9c2ca5c3917a3daf7888cc66e978d963f44ac5f575468f72b16aa7d5a632f3",
+    "2f6313eba24f8abb9ea4d484b306c6057bdb89a44689cacffb7f74575fb96109",
 ]
 
 

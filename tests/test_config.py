@@ -1,0 +1,91 @@
+"""Scenario config: the JSON round trip, the run-meta replay and the
+key=value format."""
+
+import json
+
+import pytest
+
+from ftsdn.harness.cli import main
+from ftsdn.harness.config import FaultInjection, ScenarioConfig, config_from_dict, load_config
+from ftsdn.harness.scenario import run_scenario
+
+
+def every_field_cfg() -> ScenarioConfig:
+    # every field away from its default
+    return ScenarioConfig(
+        n_switches=3,
+        n_controllers=3,
+        batch_size=7,
+        batch_time_ms=4.5,
+        session_timeout_ms=120.0,
+        heartbeat_interval_ms=1.5,
+        seed=11,
+        transport="sockets",
+        app="learning",
+        app_params={"idle": 1},
+        packets_per_switch=9,
+        inter_arrival_ms=2.5,
+        hosts_per_switch=2,
+        workload_start_ms=55.0,
+        fault_plan=[
+            FaultInjection(target="master", point="F2", trigger_event=4),
+            FaultInjection(target="master", point="zombie", at_time_ms=60.0, pause_ms=150.0),
+        ],
+        latency_overrides={"s0->c0": 1.0, "s1->c1": 6.0},
+    )
+
+
+def test_to_json_round_trips_every_field():
+    cfg = every_field_cfg()
+    assert config_from_dict(cfg.to_json()) == cfg
+    assert config_from_dict(json.loads(json.dumps(cfg.to_json()))) == cfg
+    assert cfg.to_json()["f"] == 2
+
+
+def test_run_meta_config_replays_the_latency_override_race(tmp_path):
+    cfg = ScenarioConfig(
+        n_switches=2,
+        n_controllers=2,
+        packets_per_switch=2,
+        seed=21,
+        latency_overrides={"s0->c0": 1.0, "s1->c0": 2.0, "s0->c1": 6.0, "s1->c1": 1.0},
+    )
+    first = run_scenario(cfg)
+    meta = next(r for r in first.records if r["kind"] == "run-meta")
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(meta["detail"]["config"]))
+    replay = run_scenario(load_config(str(path)))
+    assert replay.records == first.records
+
+
+def test_key_value_lines_parse_by_field_type(tmp_path):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("# a comment\nn_switches = 3\n\nworkload_start_ms=55\napp=learning\n")
+    cfg = load_config(str(path))
+    assert cfg == ScenarioConfig(n_switches=3, workload_start_ms=55.0, app="learning")
+    assert type(cfg.workload_start_ms) is float
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["no_such_key=1\n", "app_params={}\n", "fault_plan=[]\n", "latency_overrides={}\n"],
+)
+def test_key_value_rejects_unknown_and_non_scalar_fields(tmp_path, text):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_config(str(path))
+
+
+def test_json_rejects_unknown_keys():
+    with pytest.raises(ValueError):
+        config_from_dict({"n_switches": 2, "no_such_key": 1})
+    fault = {"target": "master", "point": "F1", "trigger_event": 3, "when": 5}
+    with pytest.raises(ValueError):
+        config_from_dict({"fault_plan": [fault]})
+
+
+def test_failover_command_reports_the_median_of_its_trials(capsys):
+    assert main(["failover", "--transport", "deterministic", "--session-timeout", "100", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(", ") == 1 and "median gap:" in out and "over 2 trials" in out

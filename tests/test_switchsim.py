@@ -246,12 +246,3 @@ def test_committed_bundles_are_contiguous_under_interleaving():
     owners = [e["controller"] for e in execs]
     assert owners == ["c1", "c1", "c0", "c0"]
 
-
-def test_plain_commands_counted_for_bench():
-    sw, (c0, _) = make_switch()
-    sw.on_message(c0, PacketOut((Action.output(2),), payload()))
-    assert sw.plain_commands_received == 1
-    sw.on_message(c0, BundleOpen(1))
-    sw.on_message(c0, BundleAdd(1, ofwire.make_commit_marker(1, [1])))
-    sw.on_message(c0, BundleCommit(1))
-    assert sw.commits_received == 1
