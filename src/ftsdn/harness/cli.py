@@ -23,7 +23,11 @@ from .scenario import run_scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}")
+        return 2
     if args.seed is not None:
         cfg.seed = args.seed
     result = run_scenario(cfg)
@@ -66,7 +70,7 @@ def _cmd_failover(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         report = check_trace(args.trace)
-    except (TraceParseError, CheckError) as exc:
+    except (TraceParseError, CheckError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     print(report.format())

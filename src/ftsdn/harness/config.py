@@ -75,24 +75,41 @@ class ScenarioConfig:
 
 def config_from_dict(d: dict) -> ScenarioConfig:
     """Build a config from ``to_json`` output: exactly the dataclass fields,
-    and ``f``, which is derived and ignored. An unknown key, in the config
-    or in a fault, raises ValueError."""
-    d = {k: v for k, v in d.items() if k != "f"}
-    plan = [_build(FaultInjection, entry) for entry in d.pop("fault_plan", [])]
-    cfg = _build(ScenarioConfig, {**d, "fault_plan": plan})
+    and ``f``, which is derived and ignored. An unknown key or a value of
+    the wrong type, in the config or in a fault, raises ValueError."""
+    d = _checked(ScenarioConfig, {k: v for k, v in d.items() if k != "f"})
+    plan = [FaultInjection(**_checked(FaultInjection, entry)) for entry in d.pop("fault_plan", [])]
+    cfg = ScenarioConfig(**d, fault_plan=plan)
     cfg.validate()
     return cfg
 
 
-def _build(cls, d: dict):
-    try:
-        return cls(**d)
-    except TypeError as exc:  # an unknown key, or an entry that is not an object
-        raise ValueError(f"bad {cls.__name__}: {exc}") from exc
+# Keyed by annotation text, which is a field's type under ``from __future__ import annotations``:
+# the types a JSON value may have, and the parser of a key=value line (None: a line may not set it).
+_FIELD_TYPES = {
+    "int": ((int,), int),
+    "float": ((int, float), float),
+    "str": ((str,), str),
+    "dict": ((dict,), None),
+    "list[FaultInjection]": ((list,), None),
+    "int | None": ((int, type(None)), None),
+    "float | None": ((int, float, type(None)), None),
+}
 
 
-# keyed by annotation text: under ``from __future__ import annotations`` a field's type is a string
-_PARSERS = {"int": int, "float": float, "str": str}
+def _checked(cls, d) -> dict:
+    """``d``, if each of its keys is a field of ``cls`` holding a value of the
+    field's type; otherwise ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"bad {cls.__name__}: expected an object, got {d!r}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in d.items():
+        if key not in types:
+            raise ValueError(f"bad {cls.__name__}: unknown field {key!r}")
+        allowed, _ = _FIELD_TYPES[types[key]]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"bad {cls.__name__}: {key} must be {types[key]}, got {value!r}")
+    return d
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -112,7 +129,7 @@ def load_config(path: str) -> ScenarioConfig:
             raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        parse = _PARSERS.get(types.get(key))
+        _, parse = _FIELD_TYPES.get(types.get(key), (None, None))
         if parse is None:
             raise ValueError(f"config line {line_no}: {key!r} is not an int, float or str field")
         d[key] = parse(raw)

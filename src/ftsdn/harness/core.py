@@ -1,11 +1,11 @@
 """The protocol wiring both transports share.
 
 A transport supplies executors and links: the deterministic one a scheduler
-with in-memory channels, the socket one threads with TCP connections. Both
-give an executor ``now()``, ``call_later(delay_ms, fn, maintenance)`` and
-``cancel(handle)``; maintenance timers keep nothing alive in the
-deterministic scheduler. Messages on the coordination link are dicts that
-carry log entries and bodies as objects; a transport that needs bytes
+with in-memory channels, the socket one an event loop per node with TCP
+connections. Both give an executor ``now()``, ``call_later(delay_ms, fn,
+maintenance)`` and ``cancel(handle)``; maintenance timers keep nothing alive
+in the deterministic scheduler. Messages on the coordination link are dicts
+that carry log entries and bodies as objects; a transport that needs bytes
 converts them at its edge.
 """
 

@@ -1,21 +1,21 @@
 """Socket transport: the same protocol cores over TCP loopback.
 
-Each node (coordination server, switch, controller replica) owns a
-single-threaded executor that serializes access to its state; per-connection
-reader threads only decode frames and post them to the owning executor.
-Controller-switch connections carry binary frames; the coordination
-connection carries length-prefixed JSON. Killing a controller closes its
-sockets, so peers observe an orderly disconnect while the coordination
-session keeps running until its timeout expires, exactly like an abruptly
-killed process behind a kernel TCP stack.
+Each node (coordination server, switch, controller replica) runs on one
+thread, running an asyncio event loop. Each TCP connection is an asyncio
+protocol on the loop of the node that owns it, which splits the byte stream
+into messages and hands each to the node's handler; a message that fails to
+decode is recorded as an ``executor-error`` and closes its connection.
+Controller-switch connections carry binary frames, the coordination
+connection length-prefixed JSON. Killing a controller closes its sockets, so
+peers observe an orderly disconnect while the coordination session keeps
+running until its timeout expires, exactly like an abruptly killed process
+behind a kernel TCP stack.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import asyncio
 import json
-import queue
 import socket
 import struct
 import threading
@@ -30,140 +30,171 @@ from .config import ScenarioConfig
 from .core import Controller, CoordHost, Crashed, SwitchConn, World
 
 
-def _now_ms() -> float:
-    return time.monotonic() * 1000.0
-
-
 class SocketExecutor:
-    """Serial executor with millisecond timers, one thread per node. An
-    exception that escapes a task is written to the trace as an
-    ``executor-error`` record, and the executor carries on."""
+    """One node's thread, running an asyncio event loop. ``post`` and
+    ``stop`` may be called from any thread, ``call_later`` and ``cancel``
+    only on the loop's own. An exception that escapes a task is written to
+    the trace as an ``executor-error`` record, and the executor carries on."""
 
     def __init__(self, name: str, trace: TraceLog) -> None:
         self.name = name
         self.trace = trace
-        self._q: queue.Queue = queue.Queue()
-        self._timers: list = []
-        self._lock = threading.Lock()
-        self._seq = itertools.count()
         self.alive = True
-        threading.Thread(target=self._run, name=f"exec-{name}", daemon=True).start()
+        self.loop = asyncio.new_event_loop()
+        # what asyncio itself would log, such as a connection that failed to open
+        self.loop.set_exception_handler(lambda _, context: self._record(context.get("exception") or context["message"]))
+        self._stopped = self.loop.create_future()
+        self._listener: socket.socket | None = None
+        self._links: set[_Link] = set()
+        self._adopting: set[asyncio.Task] = set()  # the loop holds tasks weakly
+        self.thread = threading.Thread(target=self._run, name=f"exec-{name}", daemon=True)
+        self.thread.start()
 
     def now(self) -> float:
-        return _now_ms()
+        return time.monotonic() * 1000.0
 
     def post(self, fn) -> None:
-        self._q.put(fn)
+        self._soon(self._safe, fn)
 
-    def call_later(self, delay_ms: float, fn, maintenance: bool) -> list:
+    def call_later(self, delay_ms: float, fn, maintenance: bool) -> asyncio.TimerHandle:
         """``maintenance`` is part of the shared executor interface; a thread
         needs no idle test, so it is not used here."""
-        handle = [fn]
-        with self._lock:
-            heapq.heappush(self._timers, (_now_ms() + max(0.0, delay_ms), next(self._seq), handle))
-        return handle
+        return self.loop.call_later(delay_ms / 1000.0, self._safe, fn)
 
-    def cancel(self, handle) -> None:
-        handle[0] = None
+    def cancel(self, handle: asyncio.TimerHandle) -> None:
+        handle.cancel()
 
     def stop(self) -> None:
+        """Run no more tasks. On the loop, close the listener and every
+        connection, then end the thread; the caller does not wait for it."""
         self.alive = False
-        self._q.put(None)
+        self._soon(self._shutdown)
 
-    def _due(self) -> list:
-        out = []
-        with self._lock:
-            while self._timers and self._timers[0][0] <= _now_ms():
-                _, _, handle = heapq.heappop(self._timers)
-                if handle[0] is not None:
-                    out.append(handle[0])
-        return out
+    def serve(self, make_link) -> socket.socket:
+        """Accept connections on a new loopback listener, each read by ``make_link()``."""
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.setblocking(False)
+        self._soon(self.loop.add_reader, self._listener, self._accept, make_link)
+        return self._listener
 
-    def _next_deadline(self) -> float | None:
-        with self._lock:
-            return self._timers[0][0] if self._timers else None
+    async def adopt(self, sock: socket.socket, link: _Link) -> _Link:
+        """Hand a connected socket to this loop, read by ``link``."""
+        # asyncio sets this only on sockets made with proto TCP, and accept() gives proto 0
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        link.sock = sock
+        await self.loop.create_connection(lambda: link, sock=sock)
+        return link
 
-    def _run(self) -> None:
-        while self.alive:
-            for fn in self._due():
-                self._safe(fn)
-            deadline = self._next_deadline()
-            wait = 0.05 if deadline is None else max(0.0, min((deadline - _now_ms()) / 1000.0, 0.05))
-            try:
-                fn = self._q.get(timeout=max(wait, 0.0005))
-            except queue.Empty:
-                continue
-            if fn is None:
-                break
-            self._safe(fn)
+    def _accept(self, make_link) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except BlockingIOError:
+            return
+        except OSError:  # the listener was shut down: accept no more
+            self.loop.remove_reader(self._listener)
+            return
+        task = self.loop.create_task(self.adopt(sock, make_link()))
+        self._adopting.add(task)
+        task.add_done_callback(self._adopting.discard)
 
-    def _safe(self, fn) -> None:
+    def _soon(self, *callback) -> None:
+        try:
+            self.loop.call_soon_threadsafe(*callback)
+        except RuntimeError:
+            pass  # the loop has closed: the node is gone
+
+    def _safe(self, fn, *args) -> None:
         if not self.alive:
             return
         try:
-            fn()
+            fn(*args)
         except Crashed:
             pass
         except Exception as exc:
-            self.trace.emit("executor-error", self.name, detail={"error": repr(exc)})
+            self._record(exc)
+
+    def _record(self, error) -> None:
+        self.trace.emit("executor-error", self.name, detail={"error": repr(error)})
+
+    def _shutdown(self) -> None:
+        if self._stopped.done():
+            return
+        if self._listener is not None:
+            self.loop.remove_reader(self._listener)
+            self._listener.close()
+        for link in list(self._links):
+            link.close()
+        self._stopped.set_result(None)
+
+    def _run(self) -> None:
+        try:
+            self.loop.run_until_complete(self._stopped)
+            if self._adopting:  # let the connections still being handed over finish
+                self.loop.run_until_complete(asyncio.gather(*self._adopting, return_exceptions=True))
+        finally:
+            self.loop.close()
 
 
-def _connect(port: int) -> socket.socket:
-    sock = socket.create_connection(("127.0.0.1", port))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+class _Link(asyncio.Protocol):
+    """One TCP connection on its node's loop. ``buf.feed`` splits the byte
+    stream into messages and each goes to ``on_message``; a stream that does
+    not decode is recorded and closes the connection. ``on_close`` runs when
+    the connection closes, at either end."""
 
+    def __init__(self, executor: SocketExecutor, buf, encode, on_message=None, on_close=None) -> None:
+        self.exec = executor
+        self.buf = buf
+        self.encode = encode
+        self.on_message = on_message
+        self.on_close = on_close
+        self.closed = False
 
-def _listen() -> socket.socket:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(16)
-    return sock
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.exec._links.add(self)
+        if not self.exec.alive:
+            self.close()
 
-
-def _serve(listener: socket.socket, conn_loop) -> None:
-    """Accept connections until the listener is shut down, one reader
-    thread per connection."""
-
-    def accept_loop() -> None:
-        while True:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
+    def data_received(self, data: bytes) -> None:
+        if self.closed:
+            return
+        try:
+            msgs = self.buf.feed(data)
+        except Exception as exc:
+            self.exec._record(exc)
+            self.close()
+            return
+        for msg in msgs:
+            if self.closed:
                 return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=conn_loop, args=(conn,), daemon=True).start()
+            self.exec._safe(self.on_message, msg)
 
-    threading.Thread(target=accept_loop, daemon=True).start()
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A failed write closes the transport without reading what has arrived, so read it now.
+        # Closing over unread data would also reset the connection, dropping what this end wrote
+        # that the kernel has not sent yet.
+        try:
+            while data := self.sock.recv(1 << 16):
+                self.data_received(data)
+        except OSError:  # nothing more has arrived, or the peer reset the connection
+            pass
+        self.closed = True
+        self.exec._links.discard(self)
+        if self.on_close is not None:
+            self.exec._safe(self.on_close)
 
+    def send(self, msg) -> None:
+        """A peer that has gone away is noticed by the reader, not here."""
+        if not self.transport.is_closing():
+            self.transport.write(self.encode(msg))
 
-def _close(sock: socket.socket) -> None:
-    """Shut down, then close: closing alone wakes no thread blocked on it."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    sock.close()
+    def close(self) -> None:
+        self.closed = True
+        self.transport.abort()
 
 
 def _encode_frame(msg: ofwire.OfMessage) -> bytes:
     return ofwire.encode(msg)  # looked up per call, so a wrapper installed later sees every frame
-
-
-def _sender(sock: socket.socket, encode):
-    """A thread-safe send of encoded messages; a peer that has gone away is
-    noticed by its reader, not by the sender."""
-    lock = threading.Lock()
-
-    def send(msg) -> None:
-        try:
-            with lock:
-                sock.sendall(encode(msg))
-        except OSError:
-            pass
-
-    return send
 
 
 def _encode_json(msg: dict) -> bytes:
@@ -178,104 +209,77 @@ def _encode_json(msg: dict) -> bytes:
     return struct.pack(">I", len(raw)) + raw
 
 
-def _read_json(sock: socket.socket) -> dict | None:
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    raw = _read_exact(sock, length)
-    if raw is None:
-        return None
-    msg = json.loads(raw.decode("utf-8"))
-    op = msg["op"]
-    if op == "entry":
-        msg["entry"] = LogEntry.from_json(msg["entry"])
-    elif op == "append":
-        msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
-    return msg
+class _JsonBuffer:
+    """Incremental splitter for the coordination link: each message is a
+    4-byte length, then that many bytes of JSON."""
 
+    def __init__(self) -> None:
+        self._buf = b""
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _read_frames(sock: socket.socket):
-    """Yield the OpenFlow messages arriving on ``sock`` until it closes."""
-    buf = ofwire.FrameBuffer()
-    while True:
-        try:
-            data = sock.recv(65536)
-        except OSError:
-            return
-        if not data:
-            return
-        yield from buf.feed(data)
+    def feed(self, data: bytes) -> list[dict]:
+        buf = self._buf + data
+        msgs = []
+        off = 0
+        while len(buf) - off >= 4:
+            (length,) = struct.unpack_from(">I", buf, off)
+            end = off + 4 + length
+            if len(buf) < end:
+                break
+            msg = json.loads(buf[off + 4 : end])
+            if msg["op"] == "entry":
+                msg["entry"] = LogEntry.from_json(msg["entry"])
+            elif msg["op"] == "append":
+                msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
+            msgs.append(msg)
+            off = end
+        self._buf = buf[off:]
+        return msgs
 
 
 class CoordServer(CoordHost):
     def __init__(self, trace: TraceLog) -> None:
         super().__init__(SocketExecutor("coord", trace), trace)
-        self._listener = _listen()
+        self._listener = self.exec.serve(self._link)
         self.port = self._listener.getsockname()[1]
-        _serve(self._listener, self._client_loop)
 
-    def _client_loop(self, conn: socket.socket) -> None:
-        hello = _read_json(conn)
-        if hello is None or hello.get("op") != "hello":
-            conn.close()
-            return
-        # runs on the executor before any request this loop posts after it
-        handler: list = []
-        push = _sender(conn, _encode_json)
-        self.exec.post(lambda: handler.append(self.open_session(hello["controller_id"], hello["timeout_ms"], push)))
-        while True:
-            msg = _read_json(conn)
-            if msg is None:
-                conn.close()
-                return  # connection gone; the session dies by timeout, not by EOF
-            self.exec.post(lambda m=msg: handler[0](m))
+    def _link(self) -> _Link:
+        """A controller's connection: its ``hello`` opens the session, whose
+        handler takes every later request. The session outlives the
+        connection and dies by timeout, not by EOF."""
+        link = _Link(self.exec, _JsonBuffer(), _encode_json)
 
-    def stop(self) -> None:
-        try:
-            _close(self._listener)
-        finally:
-            self.exec.stop()
+        def hello(msg: dict) -> None:
+            if msg["op"] != "hello":
+                link.close()
+                return
+            link.on_message = self.open_session(msg["controller_id"], msg["timeout_ms"], link.send)
+
+        link.on_message = hello
+        return link
 
 
 class SwitchServer:
     def __init__(self, switch_id: str, trace: TraceLog) -> None:
         self.exec = SocketExecutor(switch_id, trace)
         self.switch = Switch(switch_id, trace=trace.emitter(switch_id))
-        self._accepted: list[socket.socket] = []
-        self._listener = _listen()
+        self._listener = self.exec.serve(self._link)
         self.port = self._listener.getsockname()[1]
-        _serve(self._listener, self._conn_loop)
 
-    def _conn_loop(self, sock: socket.socket) -> None:
-        self._accepted.append(sock)
-        conn: SwitchConn | None = None
-        for msg in _read_frames(sock):
-            if conn is None:
-                # the first frame is the peer announcing its identity
-                if not isinstance(msg, ofwire.RoleAnnounce):
-                    sock.close()
-                    return
-                conn = SwitchConn(msg.controller_id, _sender(sock, _encode_frame))
-                self.exec.post(lambda c=conn: self.switch.attach(c))
-                continue
-            self.exec.post(lambda m=msg, c=conn: self.switch.on_message(c, m))
-        sock.close()
-        if conn is not None:
-            self.exec.post(lambda c=conn: self.switch.on_conn_closed(c.uid))
+    def _link(self) -> _Link:
+        link = _Link(self.exec, ofwire.FrameBuffer(), _encode_frame)
+
+        def identify(msg: ofwire.OfMessage) -> None:
+            # the first frame is the peer announcing its identity
+            if not isinstance(msg, ofwire.RoleAnnounce):
+                link.close()
+                return
+            conn = SwitchConn(msg.controller_id, link.send)
+            link.on_message = lambda m: self.switch.on_message(conn, m)
+            link.on_close = lambda: self.switch.on_conn_closed(conn.uid)
+            self.switch.attach(conn)
+
+        link.on_message = identify
+        return link
 
     def inject(self, payload: bytes, in_port: int) -> None:
         self.exec.post(lambda: self.switch.inject_packet(payload, in_port))
@@ -283,19 +287,8 @@ class SwitchServer:
     def crash(self) -> None:
         """Fail the switch after the work already queued: it stops, and every
         controller sees its connection drop."""
-        self.exec.post(self._crash)
-
-    def _crash(self) -> None:
-        self.switch.crash()
-        self.stop()
-        for sock in self._accepted:
-            _close(sock)
-
-    def stop(self) -> None:
-        try:
-            _close(self._listener)
-        finally:
-            self.exec.stop()
+        self.exec.post(self.switch.crash)
+        self.exec.post(self.exec.stop)
 
 
 class SocketController(Controller):
@@ -305,47 +298,31 @@ class SocketController(Controller):
                  trace: TraceLog, fault_hook) -> None:
         super().__init__(cid, SocketExecutor(cid, trace), cfg, None, trace, fault_hook)
         self.dead = False
-        self._socks: list[socket.socket] = []
-        for sid, port in switch_ports.items():
-            sock = self._open(port)
-            self.switch_links[sid] = _sender(sock, _encode_frame)
-            self.switch_links[sid](ofwire.RoleAnnounce(cid, 0))
-            self.exec.post(lambda s=sid: self.replica.attach_switch(s))
-            threading.Thread(target=self._switch_reader, args=(sid, sock), daemon=True).start()
-        sock = self._open(coord_port)
-        self.send_coord = _sender(sock, _encode_json)
-        self.send_coord({"op": "hello", "controller_id": cid, "timeout_ms": cfg.session_timeout_ms})
-        threading.Thread(target=self._coord_reader, args=(sock,), daemon=True).start()
-        self.start_heartbeat()
+        socks = {sid: socket.create_connection(("127.0.0.1", port)) for sid, port in switch_ports.items()}
+        for sock in socks.values():
+            sock.sendall(_encode_frame(ofwire.RoleAnnounce(cid, 0)))
+        coord = socket.create_connection(("127.0.0.1", coord_port))
+        coord.sendall(_encode_json({"op": "hello", "controller_id": cid, "timeout_ms": cfg.session_timeout_ms}))
+        # every later send runs on the loop, once it owns the sockets
+        asyncio.run_coroutine_threadsafe(self._adopt(socks, coord), self.exec.loop).result()
+        self.exec.post(self.start_heartbeat)
 
-    def _open(self, port: int) -> socket.socket:
-        sock = _connect(port)
-        self._socks.append(sock)
-        return sock
-
-    def _switch_reader(self, sid: str, sock: socket.socket) -> None:
-        on_message = self.guard(lambda msg: self.replica.on_switch_message(sid, msg))
-        for msg in _read_frames(sock):
-            self.exec.post(partial(on_message, msg))
-        if not self.dead:
-            self.exec.post(self.guard(lambda: self.replica.on_switch_disconnect(sid)))
-
-    def _coord_reader(self, sock: socket.socket) -> None:
-        on_message = self.guard(self.on_coord_msg)
-        while (msg := _read_json(sock)) is not None:
-            self.exec.post(partial(on_message, msg))
-
-    def close(self) -> None:
-        for sock in self._socks:
-            _close(sock)
+    async def _adopt(self, socks: dict[str, socket.socket], coord: socket.socket) -> None:
+        for sid, sock in socks.items():
+            self.replica.attach_switch(sid)
+            on_message = self.guard(lambda msg, sid=sid: self.replica.on_switch_message(sid, msg))
+            link = _Link(self.exec, ofwire.FrameBuffer(), _encode_frame, on_message,
+                         self.guard(partial(self.replica.on_switch_disconnect, sid)))
+            self.switch_links[sid] = (await self.exec.adopt(sock, link)).send
+        link = _Link(self.exec, _JsonBuffer(), _encode_json, self.guard(self.on_coord_msg))
+        self.send_coord = (await self.exec.adopt(coord, link)).send
 
     def crash(self, reason: str = "killed") -> None:
-        """Kill the process model: sockets flush and close, timers stop."""
+        """Kill the process model: sockets close, timers stop."""
         if self.dead:
             return
         self.dead = True
         self.exec.stop()
-        self.close()
         self.trace.emit("controller-crashed", self.cid, detail={"reason": reason})
 
     def fail(self) -> None:
@@ -430,12 +407,13 @@ class SocketWorld(World):
         return False
 
     def stop(self) -> None:
-        """Stop every node, then close the controllers' sockets, so every
-        thread the world started ends without adding to the trace."""
-        for ctrl in self.ctrls.values():
-            ctrl.exec.stop()
-        for node in self.switches.values():
-            node.stop()
-        self.coord.stop()
-        for ctrl in self.ctrls.values():
-            ctrl.close()
+        """Stop every node, then wait for each node's thread to end. Every
+        node stops running tasks before any closes a connection, so stopping
+        adds nothing to the trace."""
+        execs = [node.exec for node in (*self.ctrls.values(), *self.switches.values(), self.coord)]
+        for executor in execs:
+            executor.alive = False
+        for executor in execs:
+            executor.stop()
+        for executor in execs:
+            executor.thread.join()

@@ -89,3 +89,54 @@ def test_failover_command_reports_the_median_of_its_trials(capsys):
     assert main(["failover", "--transport", "deterministic", "--session-timeout", "100", "--trials", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count(", ") == 1 and "median gap:" in out and "over 2 trials" in out
+
+
+@pytest.mark.parametrize(
+    "d, field",
+    [
+        ({"n_switches": "2"}, "n_switches"),
+        ({"n_switches": True}, "n_switches"),
+        ({"n_switches": 2.0}, "n_switches"),
+        ({"batch_time_ms": "5"}, "batch_time_ms"),
+        ({"app": 1}, "app"),
+        ({"app_params": []}, "app_params"),
+        ({"fault_plan": {}}, "fault_plan"),
+        ({"seed": None}, "seed"),
+        ({"fault_plan": [{"point": "F1", "trigger_event": "3"}]}, "trigger_event"),
+        ({"fault_plan": [{"point": "at-time", "at_time_ms": False}]}, "at_time_ms"),
+    ],
+)
+def test_json_rejects_a_value_of_the_wrong_type_by_field(d, field):
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(d)
+
+
+def test_json_takes_an_int_for_a_float_and_none_where_allowed():
+    fault = {"point": "zombie", "at_time_ms": 60, "pause_ms": None, "trigger_event": None}
+    cfg = config_from_dict({"batch_time_ms": 5, "fault_plan": [fault]})
+    assert cfg.batch_time_ms == 5 and cfg.fault_plan == [FaultInjection(point="zombie", at_time_ms=60)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_switches": "2", "packets_per_switch": 5},
+        {"n_switchez": 2},
+        {"fault_plan": [{"point": "F9", "trigger_event": 3}]},
+        "{not json",
+        None,
+    ],
+)
+def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, config):
+    path = tmp_path / "scenario.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
+def test_check_reports_a_missing_trace_as_one_error_line(tmp_path, capsys):
+    assert main(["check", "--trace", str(tmp_path / "missing.jsonl")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1

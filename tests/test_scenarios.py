@@ -426,10 +426,10 @@ def test_socket_protocol_error_crashes_the_replica():
 
 
 def test_socket_world_stop_ends_its_threads():
-    before = set(threading.enumerate())
-    world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=2, n_controllers=2))
-    world.stop()
-    deadline = time.monotonic() + 2.0
-    while set(threading.enumerate()) - before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not set(threading.enumerate()) - before
+    for n_switches, n_threads in ((2, 5), (3, 6)):
+        before = set(threading.enumerate())
+        world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=n_switches, n_controllers=2))
+        started = set(threading.enumerate()) - before
+        world.stop()
+        assert len(started) == n_threads  # one per node: the coord server, each switch, each controller
+        assert not [t for t in started if t.is_alive()]
