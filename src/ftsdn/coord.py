@@ -2,7 +2,8 @@
 
 A single-process stand-in for a replicated ensemble, exposing the contract
 the control plane depends on: an append-only shared log with atomic batched
-appends, watches that replay every entry in order, sessions with
+appends, watches that replay every entry in order (one push per append,
+carrying all of that append's entries), sessions with
 timeout-based failure detection, and arrival-ordered leader election with
 fencing epochs.
 
@@ -91,7 +92,7 @@ class Session:
 @dataclass
 class _Watch:
     cursor: int  # index into the log of the next entry to deliver
-    deliver: Callable[[LogEntry], None]
+    deliver: Callable[[list[LogEntry]], None]
 
 
 # leadership callback: (leader_id, epoch, log_length_at_change)
@@ -239,11 +240,11 @@ class CoordService:
             self._pump(watch)
         return first, len(self.log)
 
-    def subscribe(self, from_seq: int, deliver: Callable[[LogEntry], None]) -> None:
+    def subscribe(self, from_seq: int, deliver: Callable[[list[LogEntry]], None]) -> None:
         """Deliver every entry with seq >= from_seq exactly once, in order.
 
-        Backlog is replayed synchronously; later entries are pushed as they
-        are appended.
+        The backlog is replayed synchronously in one call; after that each
+        append's entries are pushed in one call as they are appended.
         """
         if from_seq < 1:
             raise CoordError("from_seq must be >= 1")
@@ -252,10 +253,10 @@ class CoordService:
         self._pump(watch)
 
     def _pump(self, watch: _Watch) -> None:
-        while watch.cursor < len(self.log):
-            entry = self.log[watch.cursor]
-            watch.cursor += 1
-            watch.deliver(entry)
+        if watch.cursor < len(self.log):
+            entries = self.log[watch.cursor :]
+            watch.cursor = len(self.log)
+            watch.deliver(entries)
 
     @property
     def max_event_id(self) -> int:

@@ -6,7 +6,9 @@ connections. Both give an executor ``now()``, ``call_later(delay_ms, fn,
 maintenance)`` and ``cancel(handle)``; maintenance timers keep nothing alive
 in the deterministic scheduler. Messages on the coordination link are dicts
 that carry log entries and bodies as objects; a transport that needs bytes
-converts them at its edge.
+converts them at its edge. The service pushes the log to each controller one
+push per append: an ``entries`` message with all of that append's entries,
+in seq order.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class CoordHost:
         handler for the requests it sends."""
         now = self.exec.now()
         sid = self.service.open_session(controller_id, timeout_ms, now)
-        self.service.subscribe(1, lambda entry: push({"op": "entry", "entry": entry}))
+        self.service.subscribe(1, lambda entries: push({"op": "entries", "entries": entries}))
         self.service.watch_leadership(
             lambda leader, epoch, log_len: push({"op": "leader", "leader": leader, "epoch": epoch, "log_len": log_len})
         )
@@ -165,8 +167,9 @@ class Controller:
 
     def on_coord_msg(self, msg: dict) -> None:
         op = msg["op"]
-        if op == "entry":
-            self.replica.on_log_entry(msg["entry"])
+        if op == "entries":
+            for entry in msg["entries"]:
+                self.replica.on_log_entry(entry)
         elif op == "leader":
             self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
         elif op == "append-reply":

@@ -201,8 +201,8 @@ def _encode_json(msg: dict) -> bytes:
     """Coordination messages travel as length-prefixed JSON; log entries and
     bodies become their JSON form."""
     op = msg["op"]
-    if op == "entry":
-        msg = {"op": "entry", "entry": msg["entry"].to_json()}
+    if op == "entries":
+        msg = {"op": "entries", "entries": [e.to_json() for e in msg["entries"]]}
     elif op == "append":
         msg = {**msg, "bodies": [b.to_json() for b in msg["bodies"]]}
     raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
@@ -226,8 +226,8 @@ class _JsonBuffer:
             if len(buf) < end:
                 break
             msg = json.loads(buf[off + 4 : end])
-            if msg["op"] == "entry":
-                msg["entry"] = LogEntry.from_json(msg["entry"])
+            if msg["op"] == "entries":
+                msg["entries"] = [LogEntry.from_json(e) for e in msg["entries"]]
             elif msg["op"] == "append":
                 msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
             msgs.append(msg)

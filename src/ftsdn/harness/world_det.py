@@ -151,11 +151,11 @@ def _coord_recv_cost(costs: CostModel):
 
 def _coord_to_ctrl_recv_cost(costs: CostModel):
     def cost(msg: dict) -> float:
-        if msg.get("op") == "entry":
-            body = msg["entry"].body
-            if isinstance(body, EventBody):
-                return costs.ctrl_recv_log_event
-            return costs.ctrl_recv_log_processed
+        if msg.get("op") == "entries":
+            return sum(
+                costs.ctrl_recv_log_event if isinstance(e.body, EventBody) else costs.ctrl_recv_log_processed
+                for e in msg["entries"]
+            )
         return 0.0
 
     return cost

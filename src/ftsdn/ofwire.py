@@ -590,14 +590,15 @@ def from_json(d: dict) -> OfMessage:
 
 
 def mac_bytes(mac: str) -> bytes:
-    parts = mac.split(":")
-    if len(parts) != 6:
+    """Parse six colon-separated two-digit hex bytes, the form ``bytes_mac`` writes."""
+    raw = bytes.fromhex(mac.replace(":", "")) if mac[2::3] == ":::::" else b""
+    if len(mac) != 17 or len(raw) != 6:  # fromhex skips whitespace
         raise ValueError(f"bad MAC {mac!r}")
-    return bytes(int(p, 16) for p in parts)
+    return raw
 
 
 def bytes_mac(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def ether_payload(dst: str, src: str, body: bytes = b"") -> bytes:

@@ -27,11 +27,26 @@ def test_append_batch_atomic_and_contiguous():
     svc = CoordService()
     sid = make_leader(svc)
     seen = []
-    svc.subscribe(1, seen.append)
+    svc.subscribe(1, seen.extend)
     lo, hi = svc.append(sid, svc.epoch, [ev(1), ev(2), ev(3)], now=1.0)
     assert (lo, hi) == (1, 3)
     assert [e.seq for e in seen] == [1, 2, 3]
     assert [e.body.event.event_id for e in seen] == [1, 2, 3]
+
+
+def test_one_append_reaches_each_watch_as_one_call():
+    svc = CoordService()
+    sid = make_leader(svc)
+    svc.append(sid, 1, [ev(1), ev(2)], now=1.0)
+    early, late = [], []
+    svc.subscribe(1, early.append)
+    svc.append(sid, 1, [ev(3), ProcessedBody(1), ev(4)], now=2.0)
+    svc.subscribe(2, late.append)  # a late watch gets its whole backlog at once
+    assert [[e.seq for e in call] for call in early] == [[1, 2], [3, 4, 5]]
+    assert [[e.seq for e in call] for call in late] == [[2, 3, 4, 5]]
+    svc.append(sid, 1, [ev(5), ev(6)], now=3.0)
+    assert [e.seq for e in early[-1]] == [e.seq for e in late[-1]] == [6, 7]
+    assert len(early) == 3 and len(late) == 2
 
 
 def test_empty_append_rejected():
@@ -87,7 +102,7 @@ def test_watch_catch_up_then_live_tail():
     for i in range(1, 6):
         svc.append(sid, 1, [ev(i)], now=1.0)
     seen = []
-    svc.subscribe(1, seen.append)
+    svc.subscribe(1, seen.extend)
     assert [e.seq for e in seen] == [1, 2, 3, 4, 5]
     svc.append(sid, 1, [ev(6)], now=2.0)
     assert seen[-1].seq == 6
@@ -97,9 +112,9 @@ def test_two_subscribers_identical_streams():
     svc = CoordService()
     sid = make_leader(svc)
     a, b = [], []
-    svc.subscribe(1, a.append)
+    svc.subscribe(1, a.extend)
     svc.append(sid, 1, [ev(1), ev(2)], now=1.0)
-    svc.subscribe(1, b.append)
+    svc.subscribe(1, b.extend)
     svc.append(sid, 1, [ev(3), ProcessedBody(1)], now=2.0)
     assert [e.to_json() for e in a] == [e.to_json() for e in b]
     assert [e.seq for e in a] == [1, 2, 3, 4]
@@ -109,7 +124,7 @@ def test_slow_subscriber_sees_everything_in_order():
     svc = CoordService()
     sid = make_leader(svc)
     queue: list[LogEntry] = []
-    svc.subscribe(1, queue.append)  # consumer drains lazily; order must hold
+    svc.subscribe(1, queue.extend)  # consumer drains lazily; order must hold
     for i in range(1, 21):
         svc.append(sid, 1, [ev(i)], now=float(i))
     drained = [queue.pop(0).body.event.event_id for _ in range(len(queue))]
@@ -122,7 +137,7 @@ def test_watch_from_mid_sequence():
     for i in range(1, 6):
         svc.append(sid, 1, [ev(i)], now=1.0)
     seen = []
-    svc.subscribe(3, seen.append)
+    svc.subscribe(3, seen.extend)
     assert [e.seq for e in seen] == [3, 4, 5]
 
 

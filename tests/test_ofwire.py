@@ -226,6 +226,21 @@ def test_ether_helpers():
     assert ofwire.parse_ether(b"short") is None
 
 
+@pytest.mark.parametrize(
+    "bad", ["02:00:00:01:00", "02-00-00-01-00-02", "2:0:0:1:0:2", "02:00:00:01:00:0g", "02:00:00:01:00: 2", "  :00:00:00:00:00"]
+)
+def test_mac_bytes_rejects_anything_but_six_hex_pairs(bad):
+    with pytest.raises(ValueError):
+        ofwire.mac_bytes(bad)
+
+
+@settings(derandomize=True)
+@given(st.binary(min_size=6, max_size=6))
+def test_mac_text_is_lowercase_hex_pairs_and_round_trips(raw):
+    assert ofwire.bytes_mac(raw) == ":".join(f"{b:02x}" for b in raw)
+    assert ofwire.mac_bytes(ofwire.bytes_mac(raw)) == raw
+
+
 # Golden frames and JSON: the wire format and the trace rendering are
 # normative, so these bytes and dicts are pinned exactly.
 _MK_ALL = MatchKey(1, "02:00:00:00:00:01", "02:00:00:00:00:02")

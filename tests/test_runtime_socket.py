@@ -4,9 +4,18 @@ import threading
 import time
 
 from ftsdn import ofwire
+from ftsdn.coord import EventBody, LogEntry, ProcessedBody
+from ftsdn.events import KIND_PACKET_IN, SwitchEvent
 from ftsdn.harness.config import ScenarioConfig
 from ftsdn.harness.core import Crashed
-from ftsdn.harness.runtime_socket import CoordServer, SocketExecutor, SocketWorld, SwitchServer
+from ftsdn.harness.runtime_socket import (
+    CoordServer,
+    SocketExecutor,
+    SocketWorld,
+    SwitchServer,
+    _encode_json,
+    _JsonBuffer,
+)
 from ftsdn.trace import TraceLog
 
 
@@ -57,6 +66,21 @@ def test_a_malformed_frame_is_recorded_and_closes_its_connection():
         server.exec.thread.join(2.0)
     kinds = [(r["kind"], r["actor"]) for r in trace.as_dicts()]
     assert kinds == [("executor-error", "s0"), ("conn-closed", "s0")]  # the switch ran its close handler
+
+
+def test_an_entries_message_survives_the_json_link_byte_by_byte():
+    packet_in = ofwire.PacketIn("s1", 4, 0, 2, ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03"))
+    entries = [
+        LogEntry(7, EventBody(SwitchEvent("s1", 4, KIND_PACKET_IN, packet_in, event_id=3))),
+        LogEntry(8, ProcessedBody(2)),
+        LogEntry(9, ProcessedBody(3)),
+    ]
+    frame = _encode_json({"op": "entries", "entries": entries})
+    buf = _JsonBuffer()
+    msgs = []
+    for i in range(len(frame)):
+        msgs.extend(buf.feed(frame[i : i + 1]))
+    assert msgs == [{"op": "entries", "entries": entries}]
 
 
 def test_a_coordination_message_that_does_not_parse_closes_its_connection():

@@ -433,3 +433,38 @@ def test_socket_world_stop_ends_its_threads():
         world.stop()
         assert len(started) == n_threads  # one per node: the coord server, each switch, each controller
         assert not [t for t in started if t.is_alive()]
+
+
+def test_each_replica_gets_one_entries_message_per_accepted_append():
+    accepted = []
+    received = {}
+
+    def record(world):
+        service = world.coord.service
+        append = service.append
+
+        def counted_append(*args):
+            span = append(*args)  # raises for a rejected append
+            accepted.append(span)
+            return span
+
+        service.append = counted_append
+        for cid, cnode in world.ctrls.items():
+            coord_end = cnode.endpoints[0]  # a controller connects to the coordination service first
+            handler = coord_end.on_message
+
+            def on_message(msg, cid=cid, handler=handler):
+                if msg["op"] == "entries":
+                    received.setdefault(cid, []).append(msg["entries"])
+                handler(msg)
+
+            coord_end.on_message = on_message
+
+    result = run_scenario(base_cfg(n_controllers=3, batch_time_ms=5.0), mutate=record)
+    assert result.passed
+    log = result.world.coord.service.log
+    assert any(hi > lo for lo, hi in accepted)  # some appends carried several entries
+    assert sorted(received) == ["c0", "c1", "c2"]
+    for calls in received.values():
+        assert [(call[0].seq, call[-1].seq) for call in calls] == accepted
+        assert [entry for call in calls for entry in call] == log
