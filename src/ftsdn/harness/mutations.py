@@ -2,12 +2,14 @@
 
 Each mutation patches one deliberate defect into an otherwise healthy world;
 the checker must flag at least one property with a counterexample, and the
-unmutated twin of the same scenario must pass everything.
+unmutated twin of the same scenario must pass everything. A defect that shows
+only when the latency draws open a race sweeps several seeds of its scenario:
+every twin must pass, and the checker must flag the defect on at least one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..ctrl import ROLE_MASTER
@@ -23,6 +25,13 @@ class Mutation:
     config: ScenarioConfig
     expected_failures: tuple[str, ...]
     apply: Callable[[DetWorld], None]
+    seeds: range | None = None  # seeds of ``config`` to sweep; None runs its own seed only
+
+    def configs(self) -> list[ScenarioConfig]:
+        """The scenarios to run: ``config`` at each swept seed."""
+        if self.seeds is None:
+            return [self.config]
+        return [replace(self.config, seed=s) for s in self.seeds]
 
 
 def _base_cfg(**kw) -> ScenarioConfig:
@@ -211,6 +220,9 @@ def catalog() -> list[Mutation]:
             ),
             ("T3",),
             _switch_ignores_role,
+            # the woken master commits behind the probe only when the latency
+            # draws queue an entries push ahead of the leader change
+            seeds=range(20),
         ),
     ]
 

@@ -261,18 +261,24 @@ def test_criterion_9_checker_soundness():
     mutations = catalog()
     problems = []
     for m in mutations:
-        clean = run_scenario(m.config)
-        if not (clean.quiescent and clean.report.all_pass):
-            problems.append(f"{m.name}: clean twin failed")
-            continue
-        mutated = run_scenario(m.config, mutate=m.apply)
-        failing = [p for p in mutated.report.properties if not p.passed]
-        if not failing:
+        caught = False
+        for cfg in m.configs():
+            clean = run_scenario(cfg)
+            if not (clean.quiescent and clean.report.all_pass):
+                problems.append(f"{m.name}: clean twin failed at seed {cfg.seed}")
+                continue
+            mutated = run_scenario(cfg, mutate=m.apply)
+            failing = [p for p in mutated.report.properties if not p.passed]
+            if not failing:
+                continue
+            if not all(p.counterexamples for p in failing):
+                problems.append(f"{m.name}: failure without counterexample at seed {cfg.seed}")
+            elif not any(p.name in m.expected_failures for p in failing):
+                problems.append(f"{m.name}: unexpected failure set {[p.name for p in failing]} at seed {cfg.seed}")
+            else:
+                caught = True
+        if not caught:
             problems.append(f"{m.name}: checker missed the defect")
-        elif not all(p.counterexamples for p in failing):
-            problems.append(f"{m.name}: failure without counterexample")
-        elif not any(p.name in m.expected_failures for p in failing):
-            problems.append(f"{m.name}: unexpected failure set {[p.name for p in failing]}")
     verdict(
         9,
         len(mutations) >= 8 and not problems,

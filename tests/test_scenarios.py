@@ -179,19 +179,24 @@ def test_zombie_master_is_fenced_and_survives_as_slave():
 def test_woken_zombie_master_is_refused_by_the_switches():
     # the stalled master wakes up still believing it leads and sends bundles
     # after the new master's probe; the switches refuse them, so no command
-    # runs twice
-    cfg = base_cfg(
-        app="learning",
-        seed=0,
-        packets_per_switch=80,
-        inter_arrival_ms=3.0,
-        batch_time_ms=5.0,
-        fault_plan=[FaultInjection(point="zombie", at_time_ms=60.0, pause_ms=150.0)],
-    )
-    result = run_scenario(cfg)
-    assert result.quiescent and result.report.all_pass, result.report.format()
-    assert records_of(result, "refused-not-master", detail={"controller": "c0", "type": "BundleOpen"})
-    assert records_of(result, "bundle-refused", actor="c0")
+    # runs twice. It sends them only when the latency draws queue an entries
+    # push ahead of the leader change, so the test sweeps seeds for the race.
+    refused_on = []
+    for seed in range(20):
+        cfg = base_cfg(
+            app="learning",
+            seed=seed,
+            packets_per_switch=80,
+            inter_arrival_ms=3.0,
+            batch_time_ms=5.0,
+            fault_plan=[FaultInjection(point="zombie", at_time_ms=60.0, pause_ms=150.0)],
+        )
+        result = run_scenario(cfg)
+        assert result.quiescent and result.report.all_pass, f"seed {seed}: {result.report.format()}"
+        opened = records_of(result, "refused-not-master", detail={"controller": "c0", "type": "BundleOpen"})
+        if opened and records_of(result, "bundle-refused", actor="c0"):
+            refused_on.append(seed)
+    assert refused_on, "no seed woke the zombie into a refused bundle"
 
 
 def test_learning_app_installs_rules_and_survives_failover():
