@@ -182,8 +182,20 @@ class Replica:
         self._promo_waiting = False
         self._promo_watermark = 0
 
-    def _trace(self, kind: str, **kw) -> None:
-        self._trace_fn(kind, epoch=self.epoch, **kw)
+    def _trace(
+        self,
+        kind: str,
+        *,
+        event_id: int | None = None,
+        switch_id: str | None = None,
+        switch_seq: int | None = None,
+        bundle_id: int | None = None,
+        detail: dict | None = None,
+    ) -> None:
+        self._trace_fn(
+            kind, epoch=self.epoch, event_id=event_id, switch_id=switch_id,
+            switch_seq=switch_seq, bundle_id=bundle_id, detail=detail,
+        )
 
     # ------------------------------------------------------------------
     # switch-facing input

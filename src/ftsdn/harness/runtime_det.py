@@ -1,11 +1,16 @@
 """Deterministic in-memory transport.
 
 A single-threaded scheduler drives actor mailboxes in simulated time. Every
-channel is FIFO; cross-channel interleaving comes from per-message latencies
-drawn from the seeded RNG, which is exactly the nondeterminism a real
-multi-connection deployment exhibits and nothing more. Crashing a node
-delivers its in-flight messages before the peers observe the disconnect,
-matching TCP semantics for an abruptly killed process.
+channel is FIFO; cross-channel interleaving comes from latencies drawn from
+the seeded RNG, which is exactly the nondeterminism a real multi-connection
+deployment exhibits and nothing more. A handler's sends to one peer arrive
+together as one delivery, as back-to-back writes on one TCP connection do:
+the channel holds them until the handler ends, then draws one latency for
+them and charges the receiver the sum of their receive costs in one handler
+that reads them in order. A send made outside any handler, such as a harness
+injection, is a delivery of its own. Crashing a node delivers its held and
+in-flight messages before the peers observe the disconnect, matching TCP
+semantics for an abruptly killed process.
 
 Actors can be given service costs (per received message and per sent
 message) so that throughput experiments have a real bottleneck resource;
@@ -96,6 +101,7 @@ class Executor:
         self.alive = True
         self.busy_until = 0.0
         self._cursor: float | None = None  # virtual time while inside a handler
+        self._outbox: list[tuple[Channel, int]] = []  # directions holding this handler's sends
 
     def now(self) -> float:
         return self._cursor if self._cursor is not None else self.sched.now
@@ -113,6 +119,10 @@ class Executor:
         try:
             fn(*args)
         finally:
+            if self._outbox:
+                outbox, self._outbox = self._outbox, []
+                for chan, to_side in outbox:
+                    chan.flush(to_side)
             self.busy_until = self._cursor
             self._cursor = None
 
@@ -146,9 +156,17 @@ class Endpoint:
     def send(self, msg: object) -> None:
         self._channel.send(self._side, msg)
 
-    def deliver(self, msg: object) -> None:
-        if self.on_message is not None:
-            self.on_message(msg)
+    def deliver(self, msgs: list) -> None:
+        """Hand one delivery's messages to ``on_message`` in order; a node
+        that dies on one of them reads no more."""
+        on_message = self.on_message
+        if on_message is None:
+            return
+        receiver = self._channel.execs[self._side]
+        for msg in msgs:
+            if not receiver.alive:
+                return
+            on_message(msg)
 
     def close(self) -> None:
         self._channel.close(self._side)
@@ -167,6 +185,7 @@ class Channel:
         self.latency = latency
         self.ends = (Endpoint(self, 0), Endpoint(self, 1))
         self._last_arrival = [0.0, 0.0]  # per direction (indexed by receiving side)
+        self._held: list[list] = [[], []]  # per direction: sends waiting for their handler to end
         self._open = True
 
     def send(self, from_side: int, msg: object) -> None:
@@ -175,33 +194,51 @@ class Channel:
         sender = self.execs[from_side]
         if not sender.alive:
             return
-        src = self.ends[from_side]
-        sender.debit(src.send_cost(msg))
+        sender.debit(self.ends[from_side].send_cost(msg))
         to_side = 1 - from_side
-        depart = sender.now()
-        arrival = max(depart + self.latency(), self._last_arrival[to_side] + 1e-9)
+        if sender._cursor is None:  # outside any handler: a harness injection
+            self._dispatch(to_side, [msg])
+            return
+        held = self._held[to_side]
+        if not held:
+            sender._outbox.append((self, to_side))
+        held.append(msg)
+
+    def flush(self, to_side: int) -> None:
+        """Send the messages held for ``to_side`` as one delivery."""
+        held = self._held[to_side]
+        if held:
+            self._held[to_side] = []
+            self._dispatch(to_side, held)
+
+    def _dispatch(self, to_side: int, msgs: list) -> None:
+        """Schedule ``msgs`` as one delivery: one latency draw, behind every
+        earlier delivery in this direction, costing the receiver the sum of
+        their receive costs."""
+        arrival = max(self.execs[1 - to_side].now() + self.latency(), self._last_arrival[to_side] + 1e-9)
         self._last_arrival[to_side] = arrival
         dst = self.ends[to_side]
-        receiver = self.execs[to_side]
-        self.sched.schedule_at(arrival, partial(receiver._run, dst.deliver, dst.recv_cost(msg), msg))
+        recv_cost = dst.recv_cost
+        cost = sum([recv_cost(msg) for msg in msgs])
+        self.sched.schedule_at(arrival, partial(self.execs[to_side]._run, dst.deliver, cost, msgs))
 
     def close(self, from_side: int) -> None:
-        """Close after in-flight messages are delivered, like a flushed TCP FIN."""
+        """Close after in-flight messages are delivered, like a flushed TCP FIN.
+        The closing side's held sends leave first, so a node that dies inside
+        a handler still delivers what it sent before."""
         if not self._open:
             return
         self._open = False
-        for to_side in (0, 1):
-            if to_side == from_side:
-                continue
-            dst = self.ends[to_side]
-            receiver = self.execs[to_side]
-            when = max(self.sched.now, self._last_arrival[to_side]) + 1e-6
+        to_side = 1 - from_side
+        self.flush(to_side)
+        dst = self.ends[to_side]
+        when = max(self.sched.now, self._last_arrival[to_side]) + 1e-6
 
-            def notify(dst=dst) -> None:
-                if dst.on_close is not None:
-                    dst.on_close()
+        def notify() -> None:
+            if dst.on_close is not None:
+                dst.on_close()
 
-            receiver.post(notify, arrive=when)
+        self.execs[to_side].post(notify, arrive=when)
 
 
 @dataclass

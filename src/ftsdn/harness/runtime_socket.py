@@ -197,26 +197,39 @@ def _encode_frame(msg: ofwire.OfMessage) -> bytes:
     return ofwire.encode(msg)  # looked up per call, so a wrapper installed later sees every frame
 
 
-def _encode_json(msg: dict) -> bytes:
-    """Coordination messages travel as length-prefixed JSON; log entries and
-    bodies become their JSON form."""
-    op = msg["op"]
-    if op == "entries":
-        msg = {"op": "entries", "entries": [e.to_json() for e in msg["entries"]]}
-    elif op == "append":
-        msg = {**msg, "bodies": [b.to_json() for b in msg["bodies"]]}
+def _json_frame(msg: dict) -> bytes:
     raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
     return struct.pack(">I", len(raw)) + raw
 
 
+# a heartbeat carries nothing but its op, so every one is the same frame
+_HEARTBEAT_FRAME = _json_frame({"op": "heartbeat"})
+
+
+def _encode_json(msg: dict) -> bytes:
+    """Coordination messages travel as length-prefixed JSON; log entries and
+    bodies become their JSON form."""
+    op = msg["op"]
+    if op == "heartbeat":
+        return _HEARTBEAT_FRAME
+    if op == "entries":
+        msg = {"op": "entries", "entries": [e.to_json() for e in msg["entries"]]}
+    elif op == "append":
+        msg = {**msg, "bodies": [b.to_json() for b in msg["bodies"]]}
+    return _json_frame(msg)
+
+
 class _JsonBuffer:
     """Incremental splitter for the coordination link: each message is a
-    4-byte length, then that many bytes of JSON."""
+    4-byte length, then that many bytes of JSON. A read that is exactly one
+    heartbeat, with nothing buffered before it, skips the JSON decoder."""
 
     def __init__(self) -> None:
         self._buf = b""
 
     def feed(self, data: bytes) -> list[dict]:
+        if data == _HEARTBEAT_FRAME and not self._buf:
+            return [{"op": "heartbeat"}]
         buf = self._buf + data
         msgs = []
         off = 0

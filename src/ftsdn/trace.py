@@ -90,10 +90,24 @@ class TraceLog:
         )
 
     def emitter(self, actor: str) -> Callable[..., None]:
-        """Bound emit function for one actor."""
+        """Emit function for one actor. It names each field rather than
+        repacking ``**kw``, and looks ``emit`` up on every call, so a wrapper
+        put on ``TraceLog.emit`` later still sees every record."""
 
-        def emit(kind: str, **kw) -> None:
-            self.emit(kind, actor, **kw)
+        def emit(
+            kind: str,
+            *,
+            epoch: int | None = None,
+            event_id: int | None = None,
+            switch_id: str | None = None,
+            switch_seq: int | None = None,
+            bundle_id: int | None = None,
+            detail: dict | None = None,
+        ) -> None:
+            self.emit(
+                kind, actor, epoch=epoch, event_id=event_id, switch_id=switch_id,
+                switch_seq=switch_seq, bundle_id=bundle_id, detail=detail,
+            )
 
         return emit
 

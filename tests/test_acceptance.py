@@ -332,10 +332,16 @@ def test_criterion_10_determinism():
 # 73.29 ms) before s0's packet-in 27 reaches it, so the trace has one
 # event-collected and one id-assigned record fewer. At the old timing that
 # event got an id in a batch that was never appended.
+# All three changed when a handler's sends to one peer began to arrive as one
+# delivery with one latency draw instead of one draw per message. Fewer draws
+# shift every later draw and move arrival times. The record counts by kind are
+# unchanged in all three shapes, both fault shapes crash their master at the
+# same time as before, and each switch executes the same data packet-outs in
+# the same order.
 GOLDEN_TRACE_SHA256 = [
-    "a28875ebd3b5b3d138f9f420aa990a8a78880d310d78cddc53b39f55b9a43a06",
-    "693cb961c7386bf8a0c37f437abb757a9be2a34c62803c37434760bf715e957c",
-    "a19b17a151401b4adeeca40026512a276e8fff0a814406fee53caebbf59a177f",
+    "452268823bf1da7ccdba0863027be7207385e7e4fc32329a633300fdb67cf92d",
+    "8c882dd7c81773f8ede7193ce0bb1001035664e44ac24402bfe83fec77fd2caa",
+    "7349de98f4bafcf7f1b6825a1ac38a3b0959f4bbd97d6cdac59e43aedf8c1f8d",
 ]
 
 

@@ -144,3 +144,89 @@ def test_send_cost_delays_departure_and_dead_executors_run_nothing():
     a.post(lambda: chan.ends[0].send("lost"), arrive=20.0)
     sched.run(until=100.0)
     assert seen == [("m", 5.0, 5.25)]
+
+
+def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
+    sched = Scheduler(seed=1)
+    a, b = Executor(sched, "a"), Executor(sched, "b")
+    chan = Channel(sched, a, b, iter([2.0]).__next__)  # a second latency draw would raise
+    chan.ends[1].recv_cost = {"m1": 0.5, "m2": 0.25, "m3": 1.0}.__getitem__
+    seen = []
+    chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
+
+    def sends() -> None:
+        for msg in ("m1", "m2", "m3"):
+            chan.ends[0].send(msg)
+
+    a.post(sends, arrive=0.0)
+    sched.run(until=100.0)
+    # one arrival time, and one handler on b charged the summed receive cost
+    assert seen == [("m1", 2.0, 3.75), ("m2", 2.0, 3.75), ("m3", 2.0, 3.75)]
+    assert b.busy_until == 3.75
+
+
+def test_sends_to_two_peers_make_two_deliveries():
+    sched = Scheduler(seed=1)
+    a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
+    to_b = Channel(sched, a, b, fixed_latency(1.0))
+    to_c = Channel(sched, a, c, fixed_latency(3.0))
+    got = []
+    to_b.ends[1].on_message = lambda msg: got.append((msg, sched.now))
+    to_c.ends[1].on_message = lambda msg: got.append((msg, sched.now))
+    scheduled = []
+    schedule_at = sched.schedule_at
+
+    def counted(when, fn, maintenance=False):
+        scheduled.append(when)
+        return schedule_at(when, fn, maintenance)
+
+    sched.schedule_at = counted
+
+    def sends() -> None:
+        to_b.ends[0].send("b1")
+        to_c.ends[0].send("c1")
+        to_b.ends[0].send("b2")
+
+    a.post(sends, arrive=0.0)
+    sched.run(until=100.0)
+    assert got == [("b1", 1.0), ("b2", 1.0), ("c1", 3.0)]
+    assert scheduled == [0.0, 1.0, 3.0]  # the handler, then one delivery per peer
+
+
+def test_a_node_killed_in_a_handler_delivers_its_sends_before_the_close():
+    sched = Scheduler(seed=1)
+    a, b = Executor(sched, "a"), Executor(sched, "b")
+    chan = Channel(sched, a, b, fixed_latency(3.0))
+    seen = []
+    chan.ends[1].on_message = lambda msg: seen.append(("msg", msg, sched.now))
+    chan.ends[1].on_close = lambda: seen.append(("close", sched.now))
+
+    def dies() -> None:
+        chan.ends[0].send("first")
+        chan.ends[0].send("second")
+        a.kill()
+        chan.ends[0].close()
+        chan.ends[0].send("dropped")
+        raise Crashed()
+
+    a.post(dies, arrive=0.0)
+    sched.run(until=100.0)
+    assert seen == [("msg", "first", 3.0), ("msg", "second", 3.0), ("close", 3.0 + 1e-6)]
+
+
+def test_a_send_outside_any_handler_is_delivered_alone():
+    sched = Scheduler(seed=1)
+    a, b = Executor(sched, "a"), Executor(sched, "b")
+    chan = Channel(sched, a, b, iter([2.0, 1.0]).__next__)
+    chan.ends[1].recv_cost = lambda msg: 0.5
+    seen = []
+    chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
+
+    def inject() -> None:
+        chan.ends[0].send("x")
+        chan.ends[0].send("y")
+
+    sched.schedule_at(0.0, inject)
+    sched.run(until=100.0)
+    # a latency draw and a handler on b for each; y waits for b to finish x
+    assert seen == [("x", 2.0, 2.5), ("y", 2.0 + 1e-9, 3.0)]

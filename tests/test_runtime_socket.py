@@ -83,6 +83,16 @@ def test_an_entries_message_survives_the_json_link_byte_by_byte():
     assert msgs == [{"op": "entries", "entries": entries}]
 
 
+def test_heartbeats_come_back_whole_however_the_reads_split_them():
+    frame = _encode_json({"op": "heartbeat"})
+    heartbeat = {"op": "heartbeat"}
+    buf = _JsonBuffer()
+    assert buf.feed(frame) == [heartbeat]
+    assert buf.feed(frame[:3]) == []
+    assert buf.feed(frame[3:]) == [heartbeat]
+    assert buf.feed(frame + frame) == [heartbeat, heartbeat]
+
+
 def test_a_coordination_message_that_does_not_parse_closes_its_connection():
     trace = TraceLog(clock=time.time_ns)
     server = CoordServer(trace)

@@ -21,6 +21,17 @@ def test_emit_keeps_fields_and_drops_nones():
     assert log.as_dicts()[0] == TraceRecord("delivered", "c0", 4.5, epoch=1, event_id=7).to_dict()
 
 
+def test_emitter_records_match_emit():
+    fields = dict(epoch=2, event_id=9, switch_id="s1", switch_seq=4, bundle_id=3, detail={"n": 1})
+    via_emitter, via_emit = TraceLog(clock=lambda: 1.5), TraceLog(clock=lambda: 1.5)
+    emit = via_emitter.emitter("c1")
+    emit("commit-sent", **fields)
+    emit("conn-lost", switch_id="s0")
+    via_emit.emit("commit-sent", "c1", **fields)
+    via_emit.emit("conn-lost", "c1", switch_id="s0")
+    assert via_emitter.as_dicts() == via_emit.as_dicts()
+
+
 def test_concurrent_emits_keep_every_record_whole():
     stamps = threading.local()
     log = TraceLog(clock=lambda: stamps.value)
