@@ -5,12 +5,15 @@ channel is FIFO; cross-channel interleaving comes from latencies drawn from
 the seeded RNG, which is exactly the nondeterminism a real multi-connection
 deployment exhibits and nothing more. A handler's sends to one peer arrive
 together as one delivery, as back-to-back writes on one TCP connection do:
-the channel holds them until the handler ends, then draws one latency for
-them and charges the receiver the sum of their receive costs in one handler
-that reads them in order. A send made outside any handler, such as a harness
-injection, is a delivery of its own. Crashing a node delivers its held and
-in-flight messages before the peers observe the disconnect, matching TCP
-semantics for an abruptly killed process.
+the channel holds them until the handler ends, then schedules them with one
+latency draw and charges the receiver the sum of their receive costs in one
+handler that reads them in order. The delivery leaves with the last of its
+sends and arrives when the last of them would have, had each drawn its own
+latency, so a burst crosses the link no faster than its messages one by one.
+A send made outside any handler, such as a harness injection, is a delivery
+of its own. Crashing a node delivers its held and in-flight messages before
+the peers observe the disconnect, matching TCP semantics for an abruptly
+killed process.
 
 Actors can be given service costs (per received message and per sent
 message) so that throughput experiments have a real bottleneck resource;
@@ -178,7 +181,7 @@ class Channel:
         sched: Scheduler,
         exec_a: Executor,
         exec_b: Executor,
-        latency: Callable[[], float],
+        latency: Callable[[int], float],  # latency of a delivery of n messages
     ) -> None:
         self.sched = sched
         self.execs = (exec_a, exec_b)
@@ -186,6 +189,7 @@ class Channel:
         self.ends = (Endpoint(self, 0), Endpoint(self, 1))
         self._last_arrival = [0.0, 0.0]  # per direction (indexed by receiving side)
         self._held: list[list] = [[], []]  # per direction: sends waiting for their handler to end
+        self._last_send = [0.0, 0.0]  # per direction: when the latest held send left
         self._open = True
 
     def send(self, from_side: int, msg: object) -> None:
@@ -197,25 +201,26 @@ class Channel:
         sender.debit(self.ends[from_side].send_cost(msg))
         to_side = 1 - from_side
         if sender._cursor is None:  # outside any handler: a harness injection
-            self._dispatch(to_side, [msg])
+            self._dispatch(to_side, [msg], self.sched.now)
             return
         held = self._held[to_side]
         if not held:
             sender._outbox.append((self, to_side))
         held.append(msg)
+        self._last_send[to_side] = sender._cursor
 
     def flush(self, to_side: int) -> None:
         """Send the messages held for ``to_side`` as one delivery."""
         held = self._held[to_side]
         if held:
             self._held[to_side] = []
-            self._dispatch(to_side, held)
+            self._dispatch(to_side, held, self._last_send[to_side])
 
-    def _dispatch(self, to_side: int, msgs: list) -> None:
+    def _dispatch(self, to_side: int, msgs: list, depart: float) -> None:
         """Schedule ``msgs`` as one delivery: one latency draw, behind every
         earlier delivery in this direction, costing the receiver the sum of
         their receive costs."""
-        arrival = max(self.execs[1 - to_side].now() + self.latency(), self._last_arrival[to_side] + 1e-9)
+        arrival = max(depart + self.latency(len(msgs)), self._last_arrival[to_side] + 1e-9)
         self._last_arrival[to_side] = arrival
         dst = self.ends[to_side]
         recv_cost = dst.recv_cost
@@ -257,12 +262,17 @@ class CostModel:
     switch_send: float = 0.0
 
 
-def default_latency(rng: random.Random, lo: float = 0.2, hi: float = 1.5) -> Callable[[], float]:
-    def sample() -> float:
-        return rng.uniform(lo, hi)
+def default_latency(rng: random.Random, lo: float = 0.2, hi: float = 1.5) -> Callable[[int], float]:
+    """A delivery of ``n`` messages takes the latest of ``n`` uniform latencies
+    on ``[lo, hi)``. The largest of ``n`` uniforms on ``[0, 1)`` is distributed
+    as ``U ** (1 / n)``, so one draw gives it; a lone message draws exactly
+    what ``rng.uniform(lo, hi)`` would."""
+
+    def sample(n: int) -> float:
+        return lo + (hi - lo) * rng.random() ** (1.0 / n)
 
     return sample
 
 
-def fixed_latency(value: float) -> Callable[[], float]:
-    return lambda: value
+def fixed_latency(value: float) -> Callable[[int], float]:
+    return lambda n: value

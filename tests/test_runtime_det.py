@@ -1,6 +1,8 @@
 """Direct tests of the deterministic transport: scheduler, executor, channel."""
 
-from ftsdn.harness.runtime_det import Channel, Crashed, Executor, Scheduler, fixed_latency
+import random
+
+from ftsdn.harness.runtime_det import Channel, Crashed, Executor, Scheduler, default_latency, fixed_latency
 
 
 def test_events_at_equal_times_run_in_schedule_order():
@@ -64,7 +66,7 @@ def test_channel_directions_are_fifo_with_minimal_spacing():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
     latencies = iter([5.0, 1.0, 1.0, 2.0, 0.5])
-    chan = Channel(sched, a, b, lambda: next(latencies))
+    chan = Channel(sched, a, b, lambda n: next(latencies))
     got = {0: [], 1: []}
     chan.ends[0].on_message = lambda msg: got[0].append((msg, sched.now))
     chan.ends[1].on_message = lambda msg: got[1].append((msg, sched.now))
@@ -149,7 +151,13 @@ def test_send_cost_delays_departure_and_dead_executors_run_nothing():
 def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
-    chan = Channel(sched, a, b, iter([2.0]).__next__)  # a second latency draw would raise
+    draws = []
+
+    def latency(n: int) -> float:
+        draws.append(n)
+        return 2.0
+
+    chan = Channel(sched, a, b, latency)
     chan.ends[1].recv_cost = {"m1": 0.5, "m2": 0.25, "m3": 1.0}.__getitem__
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
@@ -161,6 +169,7 @@ def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
     a.post(sends, arrive=0.0)
     sched.run(until=100.0)
     # one arrival time, and one handler on b charged the summed receive cost
+    assert draws == [3]  # one latency draw for the three
     assert seen == [("m1", 2.0, 3.75), ("m2", 2.0, 3.75), ("m3", 2.0, 3.75)]
     assert b.busy_until == 3.75
 
@@ -217,7 +226,8 @@ def test_a_node_killed_in_a_handler_delivers_its_sends_before_the_close():
 def test_a_send_outside_any_handler_is_delivered_alone():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
-    chan = Channel(sched, a, b, iter([2.0, 1.0]).__next__)
+    latencies = iter([2.0, 1.0])
+    chan = Channel(sched, a, b, lambda n: next(latencies))
     chan.ends[1].recv_cost = lambda msg: 0.5
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
@@ -230,3 +240,35 @@ def test_a_send_outside_any_handler_is_delivered_alone():
     sched.run(until=100.0)
     # a latency draw and a handler on b for each; y waits for b to finish x
     assert seen == [("x", 2.0, 2.5), ("y", 2.0 + 1e-9, 3.0)]
+
+
+def test_a_delivery_of_n_messages_takes_the_latest_of_n_latencies():
+    # a lone message draws what a per-message uniform latency would
+    assert default_latency(random.Random(5))(1) == random.Random(5).uniform(0.2, 1.5)
+    sample = default_latency(random.Random(5))
+    draws = [sample(50) for _ in range(1000)]
+    assert all(0.2 <= d < 1.5 for d in draws)
+    # the largest of n uniforms on [lo, hi) has mean lo + (hi - lo) * n / (n + 1)
+    assert abs(sum(draws) / len(draws) - (0.2 + 1.3 * 50 / 51)) < 0.01
+
+
+def test_a_delivery_leaves_with_its_last_send():
+    sched = Scheduler(seed=1)
+    a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
+    to_b = Channel(sched, a, b, fixed_latency(1.0))
+    to_c = Channel(sched, a, c, fixed_latency(1.0))
+    to_b.ends[0].send_cost = lambda msg: 2.0
+    to_c.ends[0].send_cost = lambda msg: 5.0
+    got = []
+    to_b.ends[1].on_message = lambda msg: got.append((msg, sched.now))
+    to_c.ends[1].on_message = lambda msg: got.append((msg, sched.now))
+
+    def sends() -> None:
+        to_b.ends[0].send("b1")
+        to_b.ends[0].send("b2")
+        to_c.ends[0].send("c1")
+
+    a.post(sends, arrive=0.0)
+    sched.run(until=100.0)
+    # b's messages leave after their 4 ms of send cost, not when the handler ends at 9 ms
+    assert got == [("b1", 5.0), ("b2", 5.0), ("c1", 10.0)]
