@@ -37,9 +37,6 @@ class Counterexample:
     message: str
     records: list[int] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"message": self.message, "records": self.records}
-
 
 @dataclass
 class PropertyResult:
@@ -52,14 +49,6 @@ class PropertyResult:
         self.passed = False
         if len(self.counterexamples) < 25:
             self.counterexamples.append(Counterexample(message, records or []))
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "passed": self.passed,
-            "counterexamples": [c.to_json() for c in self.counterexamples],
-        }
 
 
 @dataclass
@@ -76,13 +65,6 @@ class CheckReport:
             if p.name == name:
                 return p
         raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "properties": [p.to_json() for p in self.properties],
-            "summary": self.summary,
-        }
 
     def format(self) -> str:
         lines = []

@@ -1,14 +1,17 @@
 """The protocol wiring both transports share.
 
-A transport supplies executors and links: the deterministic one a scheduler
-with in-memory channels, the socket one an event loop per node with TCP
-connections. Both give an executor ``now()``, ``call_later(delay_ms, fn,
-maintenance)`` and ``cancel(handle)``; maintenance timers keep nothing alive
-in the deterministic scheduler. Messages on the coordination link are dicts
-that carry log entries and bodies as objects; a transport that needs bytes
-converts them at its edge. The service pushes the log to each controller one
-push per append: an ``entries`` message with all of that append's entries,
-in seq order.
+A transport supplies executors and links, and opens the links: the
+deterministic one a scheduler with in-memory channels, the socket one an
+event loop per node with TCP connections. Both give an executor ``now()``,
+``call_later(delay_ms, fn, maintenance)``, ``cancel(handle)`` and ``stop()``,
+which kills the node and closes its links; maintenance timers keep nothing
+alive in the deterministic scheduler. A link has ``send(msg)`` and the
+``on_message(msg)`` and ``on_close()`` handlers that the ``bind_*`` helpers
+here set, so every node is wired the same way under both transports.
+Messages on the coordination link are dicts that carry log entries and
+bodies as objects; a transport that needs bytes converts them at its edge.
+The service pushes the log to each controller one push per append: an
+``entries`` message with all of that append's entries, in seq order.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ class CoordHost:
         self.service = CoordService(trace=trace.emitter("coord"))
         self._expiry_timer = None
 
-    def open_session(self, controller_id: str, timeout_ms: float, push: Callable[[dict], None]):
-        """Open, subscribe and enroll a controller's session; returns the
-        handler for the requests it sends."""
+    def bind_controller(self, controller_id: str, timeout_ms: float, link) -> None:
+        """Open, subscribe and enroll a controller's session, which gets its
+        pushes and sends its requests on ``link``."""
+        push = link.send
         now = self.exec.now()
         sid = self.service.open_session(controller_id, timeout_ms, now)
         self.service.subscribe(1, lambda entries: push({"op": "entries", "entries": entries}))
@@ -52,7 +56,7 @@ class CoordHost:
         )
         self.service.enroll(sid, controller_id, now)
         self.arm_expiry()
-        return lambda msg: self._on_request(sid, push, msg)
+        link.on_message = lambda msg: self._on_request(sid, push, msg)
 
     def _on_request(self, sid: int, push: Callable[[dict], None], msg: dict) -> None:
         op = msg["op"]
@@ -95,8 +99,8 @@ class CoordHost:
 class Controller:
     """One replica and its coordination client; implements ReplicaEnv.
 
-    The transport sets ``send_coord`` and fills ``switch_links`` with a send
-    function per switch, and defines ``fail()``, which crashes the node."""
+    The transport opens its links and hands each to ``bind_coord`` or
+    ``bind_switch``."""
 
     send_coord: Callable[[dict], None]
 
@@ -125,9 +129,28 @@ class Controller:
         self.switch_links: dict[str, Callable] = {}
         self._append_cbs: dict[int, Callable[[str | None], None]] = {}
         self._next_req = itertools.count(1)
+        self.dead = False
 
-    def fail(self) -> None:
-        raise NotImplementedError
+    def bind_coord(self, link) -> None:
+        self.send_coord = link.send
+        link.on_message = self.guard(self.on_coord_msg)
+
+    def bind_switch(self, sid: str, link) -> None:
+        # the replica's handlers are looked up per message, so a wrapper
+        # installed after the world is built sees every one
+        self.switch_links[sid] = link.send
+        link.on_message = self.guard(lambda msg: self.replica.on_switch_message(sid, msg))
+        link.on_close = self.guard(lambda: self.replica.on_switch_disconnect(sid))
+        self.replica.attach_switch(sid)
+
+    def crash(self, reason: str = "killed") -> None:
+        """Kill the node: its links close and its timers stop. Crashing a
+        dead node does nothing."""
+        if self.dead:
+            return
+        self.dead = True
+        self.exec.stop()
+        self.trace.emit("controller-crashed", self.cid, detail={"reason": reason})
 
     def guard(self, fn: Callable[..., None]) -> Callable[..., None]:
         """Wrap a handler: a broken protocol invariant is recorded and
@@ -138,7 +161,7 @@ class Controller:
                 fn(*args)
             except FatalProtocolError as exc:
                 self.trace.emit("replica-fatal", self.cid, detail={"error": str(exc)})
-                self.fail()
+                self.crash("fatal")
 
         return run
 
@@ -190,13 +213,14 @@ class World:
     with a ``switch``), ``ctrls`` (Controllers), the quiescence test and the
     fault injector.
 
-    A world supplies ``at(time_ms, fn)``, which runs ``fn`` at ``time_ms`` of
-    the run; ``crash_controller(cid, reason)``; ``crash_switch(sid)``;
-    ``stall(cid, pause_ms)``, which freezes a controller without killing it;
-    ``inject(sid, payload, in_port)``; and ``run(deadline_ms)``, which returns
-    whether the world reached quiescence by the deadline. It builds each
-    controller with ``fault_hook(cid)`` and calls ``_arm_timed_faults()`` once
-    every node is connected."""
+    The core binds every link and owns the controller crash. A world supplies
+    executors, links and how they open; ``at(time_ms, fn)``, which runs
+    ``fn`` at ``time_ms`` of the run; ``crash_switch(sid)``; ``stall(cid,
+    pause_ms)``, which freezes a controller without killing it; ``inject(sid,
+    payload, in_port)``; and ``run(deadline_ms)``, which returns whether the
+    world reached quiescence by the deadline. It builds each Controller with
+    ``fault_hook(cid)`` and calls ``_arm_timed_faults()`` once every node is
+    connected."""
 
     coord: CoordHost
     switches: dict
@@ -255,7 +279,7 @@ class World:
                     "harness",
                     detail={"target": cid, "point": point, "trigger_event": fault.trigger_event},
                 )
-                self.crash_controller(cid, reason=point)
+                self.ctrls[cid].crash(point)
                 raise Crashed()
 
         return hook
@@ -282,7 +306,7 @@ class World:
             return
         if fault.point == AT_TIME:
             self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": AT_TIME})
-            self.crash_controller(leader, reason=AT_TIME)
+            self.ctrls[leader].crash(AT_TIME)
             return
         pause = fault.pause_ms if fault.pause_ms is not None else 3 * self.cfg.session_timeout_ms
         # a stalled process: everything queued runs only after the pause,
@@ -300,3 +324,12 @@ class SwitchConn:
         self.controller_id = controller_id
         self.uid = next(SwitchConn._uids)
         self.send = send
+
+
+def bind_controller(switch, controller_id: str, link) -> None:
+    """Attach controller ``controller_id``'s connection on ``link`` to
+    ``switch``, whose handlers are looked up per message."""
+    conn = SwitchConn(controller_id, link.send)
+    link.on_message = lambda msg: switch.on_message(conn, msg)
+    link.on_close = lambda: switch.on_conn_closed(conn.uid)
+    switch.attach(conn)

@@ -105,6 +105,7 @@ class Executor:
         self.busy_until = 0.0
         self._cursor: float | None = None  # virtual time while inside a handler
         self._outbox: list[tuple[Channel, int]] = []  # directions holding this handler's sends
+        self.links: list[Endpoint] = []  # this actor's channel ends, in the order they were made
 
     def now(self) -> float:
         return self._cursor if self._cursor is not None else self.sched.now
@@ -142,6 +143,13 @@ class Executor:
 
     def kill(self) -> None:
         self.alive = False
+
+    def stop(self) -> None:
+        """Kill this actor, then close its channel ends in the order they were
+        made; each peer hears of the close after what was already sent."""
+        self.kill()
+        for end in self.links:
+            end.close()
 
 
 class Endpoint:
@@ -187,6 +195,8 @@ class Channel:
         self.execs = (exec_a, exec_b)
         self.latency = latency
         self.ends = (Endpoint(self, 0), Endpoint(self, 1))
+        exec_a.links.append(self.ends[0])
+        exec_b.links.append(self.ends[1])
         self._last_arrival = [0.0, 0.0]  # per direction (indexed by receiving side)
         self._held: list[list] = [[], []]  # per direction: sends waiting for their handler to end
         self._last_send = [0.0, 0.0]  # per direction: when the latest held send left

@@ -27,7 +27,7 @@ from ..coord import LogEntry, body_from_json
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
-from .core import Controller, CoordHost, Crashed, SwitchConn, World
+from .core import Controller, CoordHost, Crashed, World, bind_controller
 
 
 class SocketExecutor:
@@ -141,12 +141,13 @@ class _Link(asyncio.Protocol):
     not decode is recorded and closes the connection. ``on_close`` runs when
     the connection closes, at either end."""
 
-    def __init__(self, executor: SocketExecutor, buf, encode, on_message=None, on_close=None) -> None:
+    on_message = None
+    on_close = None
+
+    def __init__(self, executor: SocketExecutor, buf, encode) -> None:
         self.exec = executor
         self.buf = buf
         self.encode = encode
-        self.on_message = on_message
-        self.on_close = on_close
         self.closed = False
 
     def connection_made(self, transport: asyncio.Transport) -> None:
@@ -221,8 +222,9 @@ def _encode_json(msg: dict) -> bytes:
 
 class _JsonBuffer:
     """Incremental splitter for the coordination link: each message is a
-    4-byte length, then that many bytes of JSON. A read that is exactly one
-    heartbeat, with nothing buffered before it, skips the JSON decoder."""
+    4-byte length, at most ``ofwire.MAX_FRAME_BODY``, then that many bytes of
+    JSON. A read that is exactly one heartbeat, with nothing buffered before
+    it, skips the JSON decoder."""
 
     def __init__(self) -> None:
         self._buf = b""
@@ -235,6 +237,8 @@ class _JsonBuffer:
         off = 0
         while len(buf) - off >= 4:
             (length,) = struct.unpack_from(">I", buf, off)
+            if length > ofwire.MAX_FRAME_BODY:
+                raise ofwire.ProtocolError(f"declared message of {length} bytes exceeds limit")
             end = off + 4 + length
             if len(buf) < end:
                 break
@@ -265,7 +269,7 @@ class CoordServer(CoordHost):
             if msg["op"] != "hello":
                 link.close()
                 return
-            link.on_message = self.open_session(msg["controller_id"], msg["timeout_ms"], link.send)
+            self.bind_controller(msg["controller_id"], msg["timeout_ms"], link)
 
         link.on_message = hello
         return link
@@ -286,10 +290,7 @@ class SwitchServer:
             if not isinstance(msg, ofwire.RoleAnnounce):
                 link.close()
                 return
-            conn = SwitchConn(msg.controller_id, link.send)
-            link.on_message = lambda m: self.switch.on_message(conn, m)
-            link.on_close = lambda: self.switch.on_conn_closed(conn.uid)
-            self.switch.attach(conn)
+            bind_controller(self.switch, msg.controller_id, link)
 
         link.on_message = identify
         return link
@@ -302,44 +303,6 @@ class SwitchServer:
         controller sees its connection drop."""
         self.exec.post(self.switch.crash)
         self.exec.post(self.exec.stop)
-
-
-class SocketController(Controller):
-    """A replica wired to the coordination server and every switch over TCP."""
-
-    def __init__(self, cid: str, cfg: ScenarioConfig, coord_port: int, switch_ports: dict[str, int],
-                 trace: TraceLog, fault_hook) -> None:
-        super().__init__(cid, SocketExecutor(cid, trace), cfg, None, trace, fault_hook)
-        self.dead = False
-        socks = {sid: socket.create_connection(("127.0.0.1", port)) for sid, port in switch_ports.items()}
-        for sock in socks.values():
-            sock.sendall(_encode_frame(ofwire.RoleAnnounce(cid, 0)))
-        coord = socket.create_connection(("127.0.0.1", coord_port))
-        coord.sendall(_encode_json({"op": "hello", "controller_id": cid, "timeout_ms": cfg.session_timeout_ms}))
-        # every later send runs on the loop, once it owns the sockets
-        asyncio.run_coroutine_threadsafe(self._adopt(socks, coord), self.exec.loop).result()
-        self.exec.post(self.start_heartbeat)
-
-    async def _adopt(self, socks: dict[str, socket.socket], coord: socket.socket) -> None:
-        for sid, sock in socks.items():
-            self.replica.attach_switch(sid)
-            on_message = self.guard(lambda msg, sid=sid: self.replica.on_switch_message(sid, msg))
-            link = _Link(self.exec, ofwire.FrameBuffer(), _encode_frame, on_message,
-                         self.guard(partial(self.replica.on_switch_disconnect, sid)))
-            self.switch_links[sid] = (await self.exec.adopt(sock, link)).send
-        link = _Link(self.exec, _JsonBuffer(), _encode_json, self.guard(self.on_coord_msg))
-        self.send_coord = (await self.exec.adopt(coord, link)).send
-
-    def crash(self, reason: str = "killed") -> None:
-        """Kill the process model: sockets close, timers stop."""
-        if self.dead:
-            return
-        self.dead = True
-        self.exec.stop()
-        self.trace.emit("controller-crashed", self.cid, detail={"reason": reason})
-
-    def fail(self) -> None:
-        self.crash("fatal")
 
 
 class SocketWorld(World):
@@ -356,14 +319,36 @@ class SocketWorld(World):
         self.switches: dict[str, SwitchServer] = {
             f"s{i}": SwitchServer(f"s{i}", self.trace) for i in range(cfg.n_switches)
         }
-        ports = {sid: node.port for sid, node in self.switches.items()}
-        self.ctrls: dict[str, SocketController] = {}
+        self.ctrls: dict[str, Controller] = {}
         for i in range(cfg.n_controllers):
             cid = f"c{i}"
-            self.ctrls[cid] = SocketController(cid, cfg, self.coord.port, ports, self.trace, self.fault_hook(cid))
+            ctrl = Controller(cid, SocketExecutor(cid, self.trace), cfg, None, self.trace, self.fault_hook(cid))
+            self.ctrls[cid] = ctrl
+            self._connect(ctrl)
             if i == 0:
                 self._await_master(cid)
         self._arm_timed_faults()
+
+    def _connect(self, ctrl: Controller) -> None:
+        """Join a controller to every switch and the coordination server over
+        TCP, then start its heartbeat."""
+        socks = {sid: socket.create_connection(("127.0.0.1", node.port)) for sid, node in self.switches.items()}
+        for sock in socks.values():
+            sock.sendall(_encode_frame(ofwire.RoleAnnounce(ctrl.cid, 0)))
+        coord = socket.create_connection(("127.0.0.1", self.coord.port))
+        hello = {"op": "hello", "controller_id": ctrl.cid, "timeout_ms": self.cfg.session_timeout_ms}
+        coord.sendall(_encode_json(hello))
+        # every later send runs on the loop, once it owns the sockets
+        asyncio.run_coroutine_threadsafe(self._adopt(ctrl, socks, coord), ctrl.exec.loop).result()
+        ctrl.exec.post(ctrl.start_heartbeat)
+
+    @staticmethod
+    async def _adopt(ctrl: Controller, socks: dict[str, socket.socket], coord: socket.socket) -> None:
+        # adopt() returns before the loop first reads the socket, so each link is bound in time
+        ex = ctrl.exec
+        for sid, sock in socks.items():
+            ctrl.bind_switch(sid, await ex.adopt(sock, _Link(ex, ofwire.FrameBuffer(), _encode_frame)))
+        ctrl.bind_coord(await ex.adopt(coord, _Link(ex, _JsonBuffer(), _encode_json)))
 
     def _await_master(self, cid: str, timeout_s: float = 5.0) -> None:
         deadline = time.monotonic() + timeout_s
@@ -380,9 +365,6 @@ class SocketWorld(World):
 
     def at(self, time_ms: float, fn) -> None:
         self._timeline.append((time_ms, fn))
-
-    def crash_controller(self, cid: str, reason: str) -> None:
-        self.ctrls[cid].crash(reason)
 
     def crash_switch(self, sid: str) -> None:
         self.switches[sid].crash()

@@ -523,8 +523,6 @@ class CommitMarker:
     master_epoch: int
     event_ids: tuple[int, ...]
 
-    MAGIC = MARKER_MAGIC
-
 
 def make_commit_marker(epoch: int, event_ids: list[int] | tuple[int, ...]) -> PacketOut:
     if not event_ids:

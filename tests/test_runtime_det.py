@@ -272,3 +272,30 @@ def test_a_delivery_leaves_with_its_last_send():
     sched.run(until=100.0)
     # b's messages leave after their 4 ms of send cost, not when the handler ends at 9 ms
     assert got == [("b1", 5.0), ("b2", 5.0), ("c1", 10.0)]
+
+
+def test_stop_closes_each_link_after_what_was_sent_and_twice_is_once():
+    sched = Scheduler(seed=1)
+    a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
+    to_b = Channel(sched, a, b, fixed_latency(3.0))
+    to_c = Channel(sched, a, c, fixed_latency(1.0))
+    assert a.links == [to_b.ends[0], to_c.ends[0]]
+    seen = []
+    for name, chan in (("b", to_b), ("c", to_c)):
+        chan.ends[1].on_message = lambda msg, name=name: seen.append((name, msg, sched.now))
+        chan.ends[1].on_close = lambda name=name: seen.append((name, "close", sched.now))
+
+    def sends_then_stops() -> None:
+        to_b.ends[0].send("m1")
+        to_c.ends[0].send("m2")
+        a.stop()
+        a.stop()
+        to_b.ends[0].send("dropped")
+
+    a.post(sends_then_stops, arrive=0.0)
+    sched.run(until=100.0)
+    assert not a.alive
+    assert seen == [("c", "m2", 1.0), ("c", "close", 1.0 + 1e-6), ("b", "m1", 3.0), ("b", "close", 3.0 + 1e-6)]
+    a.stop()
+    assert sched.run(until=200.0)
+    assert len(seen) == 4

@@ -96,16 +96,25 @@ def test_heartbeats_come_back_whole_however_the_reads_split_them():
 def test_a_coordination_message_that_does_not_parse_closes_its_connection():
     trace = TraceLog(clock=time.time_ns)
     server = CoordServer(trace)
-    sock = socket.create_connection(("127.0.0.1", server.port))
-    sock.settimeout(1.0)
+    bad = [
+        struct.pack(">I", 5) + b"{oops",
+        struct.pack(">I", 2**32 - 1) + b"{",  # a length no message may declare: refused, not buffered
+    ]
     try:
-        sock.sendall(struct.pack(">I", 5) + b"{oops")
-        assert sock.recv(1) == b""
+        for data in bad:
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            sock.settimeout(1.0)
+            try:
+                sock.sendall(data)
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
     finally:
-        sock.close()
         server.exec.stop()
         server.exec.thread.join(2.0)
-    assert [(r["kind"], r["actor"]) for r in trace.as_dicts()] == [("executor-error", "coord")]
+    errors = [(r["kind"], r["actor"]) for r in trace.as_dicts()]
+    assert errors == [("executor-error", "coord")] * 2
+    assert "exceeds limit" in trace.as_dicts()[1]["detail"]["error"]
 
 
 def test_what_a_switch_sent_before_it_crashed_reaches_a_controller_that_writes_to_it():

@@ -9,10 +9,12 @@ import time
 import pytest
 
 from ftsdn import ofwire
-from ftsdn.ctrl import FatalProtocolError
+from ftsdn.ctrl import FatalProtocolError, Replica
 from ftsdn.harness.config import FaultInjection, ScenarioConfig
 from ftsdn.harness.runtime_socket import SocketWorld
 from ftsdn.harness.scenario import run_scenario
+from ftsdn.harness.world_det import DetWorld
+from ftsdn.switchsim import Switch
 
 
 def base_cfg(**kw):
@@ -411,23 +413,69 @@ def test_socket_world_fires_no_fault_without_run():
     assert "fault-injected" not in kinds and "controller-crashed" not in kinds
 
 
-def test_socket_protocol_error_crashes_the_replica():
-    world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=1, n_controllers=2, session_timeout_ms=200.0))
+@pytest.mark.parametrize("transport", ["deterministic", "sockets"])
+def test_a_protocol_error_crashes_the_replica(transport):
+    cfg = ScenarioConfig(transport=transport, n_switches=1, n_controllers=2, session_timeout_ms=200.0)
+    world = SocketWorld(cfg) if transport == "sockets" else DetWorld(cfg)
     slave = world.ctrls["c1"]
 
     def broken(entry):
         raise FatalProtocolError("injected")
 
     slave.replica.on_log_entry = broken
+    payload = ofwire.ether_payload("02:00:00:00:00:02", "02:00:00:00:00:01", b"x")
+    world.at(20.0, lambda: world.inject("s0", payload, 1))
     try:
-        world.switches["s0"].inject(ofwire.ether_payload("02:00:00:00:00:02", "02:00:00:00:00:01", b"x"), 1)
-        quiescent = world.wait_quiescent(5.0)
+        quiescent = world.run(5000.0)
     finally:
         world.stop()
-    fatal = [r for r in world.trace.as_dicts() if r["kind"] == "replica-fatal"]
-    assert [r["actor"] for r in fatal] == ["c1"]
+    records = world.trace.as_dicts()
+    assert [r["actor"] for r in records if r["kind"] == "replica-fatal"] == ["c1"]
+    crashed = [(r["actor"], r["detail"]) for r in records if r["kind"] == "controller-crashed"]
+    assert crashed == [("c1", {"reason": "fatal"})]
     assert slave.dead
     assert quiescent
+
+
+@pytest.mark.parametrize("transport", ["deterministic", "sockets"])
+def test_wrappers_installed_after_the_world_is_built_see_every_message(transport, monkeypatch):
+    # perfbench's probes wrap the classes; the model bench and the mutations wrap one switch
+    at_switch = []  # (switch, controller) per message a switch handled
+    at_replica = []  # (controller, switch) per message a replica handled
+    at_s0 = []  # controller per message the wrapper on s0 alone saw
+
+    def wrap(world):
+        switch_on_message = Switch.on_message
+        on_switch_message = Replica.on_switch_message
+
+        def switch_wrapper(self, conn, msg):
+            at_switch.append((self.switch_id, conn.controller_id))
+            switch_on_message(self, conn, msg)
+
+        def replica_wrapper(self, switch_id, msg):
+            at_replica.append((self.controller_id, switch_id))
+            on_switch_message(self, switch_id, msg)
+
+        monkeypatch.setattr(Switch, "on_message", switch_wrapper)
+        monkeypatch.setattr(Replica, "on_switch_message", replica_wrapper)
+        s0 = world.switches["s0"].switch
+        s0_on_message = s0.on_message
+
+        def instance_wrapper(conn, msg):
+            at_s0.append(conn.controller_id)
+            s0_on_message(conn, msg)
+
+        s0.on_message = instance_wrapper
+
+    cfg = base_cfg(transport=transport, n_controllers=3, packets_per_switch=10, inter_arrival_ms=3.0,
+                   session_timeout_ms=200.0)
+    result = run_scenario(cfg, mutate=wrap)
+    assert result.passed, result.report.format()
+    pairs = {(s, c) for s in ("s0", "s1") for c in ("c0", "c1", "c2")}
+    assert {s for s, _ in at_switch} == {"s0", "s1"}
+    assert {(s, c) for c, s in at_replica} == pairs
+    # the instance wrapper sits on top of the class wrapper, so both see each of s0's messages
+    assert at_s0 and at_s0 == [c for s, c in at_switch if s == "s0"]
 
 
 def test_socket_world_stop_ends_its_threads():
@@ -455,7 +503,7 @@ def test_each_replica_gets_one_entries_message_per_accepted_append():
 
         service.append = counted_append
         for cid, cnode in world.ctrls.items():
-            coord_end = cnode.endpoints[0]  # a controller connects to the coordination service first
+            coord_end = cnode.exec.links[0]  # a controller's first link is to the coordination service
             handler = coord_end.on_message
 
             def on_message(msg, cid=cid, handler=handler):
