@@ -155,10 +155,7 @@ class CoordService:
     def _expire(self, sess: Session) -> None:
         sess.expired = True
         self._trace("session-expired", detail={"controller": sess.owner})
-        before = self._candidates
-        self._candidates = [c for c in before if c[1] != sess.session_id]
-        if len(self._candidates) != len(before):
-            self._update_leader()
+        self.resign(sess.session_id)
 
     # -- election ----------------------------------------------------------
 

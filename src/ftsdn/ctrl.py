@@ -4,8 +4,9 @@ The master stamps every switch event with a monotonically increasing id,
 replicates batches of events to the shared log, feeds logged events to the
 application pipeline in id order, and pushes the resulting commands to each
 affected switch inside a bundle whose last message is a commit marker. Once
-every affected switch has acknowledged its bundle, the master logs an
-event-processed entry.
+every affected switch has acknowledged its bundle, shown its marker or
+died, the master logs an event-processed entry. ``pending_replies`` is the
+one record of what each unfinished event still waits on, per switch.
 
 Slaves buffer raw events (a logged copy takes its event out of the buffer),
 track commit markers, and deliver an event to their own applications only
@@ -16,8 +17,10 @@ On election a new master first replays logged-but-unfinished events to
 rebuild the old master's state, then decides per affected switch whether to
 resend: a recorded commit marker means the switch already executed the
 commands; otherwise a barrier round-trip proves no marker can still be in
-flight, so the commands are resent in a fresh bundle. Only then is the
-slave buffer drained into the log and normal operation resumed.
+flight, so the commands are resent in a fresh bundle. Until a switch's
+barrier reply, a held event waits on that switch for the probe; after it,
+only for the resent bundle. Once no held event waits on anything, the slave
+buffer is drained into the log and normal operation resumes.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ class ReplicaConfig:
 class ReplicaEnv(Protocol):
     """Runtime services a replica needs; implemented per transport."""
 
-    def now(self) -> float: ...
-
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> object: ...
 
     def cancel(self, handle: object) -> None: ...
@@ -111,14 +112,12 @@ class AppContext:
 
 @dataclass
 class _Promotion:
-    """Book-keeping for one slave-to-master transition."""
+    """Book-keeping for one slave-to-master transition, from election on."""
 
-    epoch: int
-    held: dict[int, dict[str, list[ofwire.OfMessage]]] = field(default_factory=dict)
-    waiting: dict[int, set[str]] = field(default_factory=dict)  # event -> switches to probe
+    watermark: int  # catch-up starts once the local log is this long
+    # unfinished events' commands per switch; None until catch-up starts
+    held: dict[int, dict[str, list[ofwire.OfMessage]]] | None = None
     barrier_waits: dict[str, int] = field(default_factory=dict)  # switch -> xid
-    finished: set[int] = field(default_factory=set)
-    outstanding: int = 0
 
 
 def _noop_hook(point: str, **kw) -> None:
@@ -170,7 +169,9 @@ class Replica:
         # bundle manager state
         self._next_bundle_id = 1
         self._next_xid = 1
-        self._bundle_owner: dict[int, tuple[int, str]] = {}
+        self._bundle_owner: dict[int, int] = {}  # bundle -> event
+        # unfinished event -> switches it waits on: for a bundle reply, or,
+        # during a promotion, for that switch's barrier probe
         self.pending_replies: dict[int, set[str]] = {}
         self._processed_sent: set[int] = set()
 
@@ -179,8 +180,6 @@ class Replica:
 
         self._ps_counts: dict[str, int] = {}
         self._promo: _Promotion | None = None
-        self._promo_waiting = False
-        self._promo_watermark = 0
 
     def _trace(
         self,
@@ -208,21 +207,14 @@ class Replica:
             return
         self.live_switches.discard(switch_id)
         self._trace("conn-lost", switch_id=switch_id)
-        # the failed switch satisfies anything still waiting on it
+        # the failed switch satisfies anything still waiting on it; while its
+        # barrier is outstanding, what waits on it is the probe
+        probing = self._promo is not None and self._promo.barrier_waits.pop(switch_id, None) is not None
         for eid in sorted(self.pending_replies):
-            waiting = self.pending_replies[eid]
-            if switch_id in waiting:
-                waiting.discard(switch_id)
-                if not waiting:
-                    del self.pending_replies[eid]
-                    self._held_or_finish(eid)
-        if self._promo is not None:
-            self._promo.barrier_waits.pop(switch_id, None)
-            for eid in sorted(self._promo.waiting):
-                if switch_id in self._promo.waiting[eid]:
-                    self._promo.waiting[eid].discard(switch_id)
+            if switch_id in self.pending_replies.get(eid, ()):
+                if probing:
                     self._trace("probe-switch-dead", event_id=eid, switch_id=switch_id)
-                    self._maybe_finish_held(eid)
+                self._switch_done(eid, switch_id)
         ev = SwitchEvent(switch_id, SWITCH_FAILURE_SEQ, KIND_SWITCH_FAILURE, None)
         self._ingest(ev)
 
@@ -348,26 +340,24 @@ class Replica:
             if self.role == ROLE_MASTER:
                 self._trace("processed-logged", event_id=body.event_id)
         self._advance()
-        if self._promo_waiting and self.log_len >= self._promo_watermark:
-            self._promo_waiting = False
-            self._start_promotion_work()
+        promo = self._promo
+        if promo is not None and promo.held is None and self.log_len >= promo.watermark:
+            self._start_promotion_work(promo)
 
     def _advance(self) -> None:
-        if self.role == ROLE_MASTER and self._promo is None:
-            while True:
-                ev = self.events_by_id.get(self.delivered_upto + 1)
-                if ev is None:
-                    break
-                staged = self._deliver(ev, discard=False)
+        # a promotion's catch-up delivers on its own once it has started
+        if self._promo is not None and self._promo.held is not None:
+            return
+        # slaves replay an event only once its transaction is known complete;
+        # both roles go strictly in id order, so every replica delivers the same sequence
+        master = self.role == ROLE_MASTER
+        while True:
+            ev = self.events_by_id.get(self.delivered_upto + 1)
+            if ev is None or not (master or ev.event_id in self.processed_logged):
+                break
+            staged = self._deliver(ev, discard=not master)
+            if master:
                 self._finalize(ev, staged)
-        elif self._promo is None:
-            # slaves replay an event only once its transaction is known complete,
-            # and strictly in id order so every replica delivers the same sequence
-            while True:
-                ev = self.events_by_id.get(self.delivered_upto + 1)
-                if ev is None or ev.event_id not in self.processed_logged:
-                    break
-                self._deliver(ev, discard=True)
 
     # ------------------------------------------------------------------
     # application pipeline
@@ -438,7 +428,7 @@ class Replica:
     def _send_bundle(self, eid: int, switch_id: str, cmds: list[ofwire.OfMessage]) -> None:
         bid = self._next_bundle_id
         self._next_bundle_id += 1
-        self._bundle_owner[bid] = (eid, switch_id)
+        self._bundle_owner[bid] = eid
         self.env.send_switch(switch_id, BundleOpen(bid))
         for msg in self._bundle_contents(eid, cmds):
             self.env.send_switch(switch_id, BundleAdd(bid, msg))
@@ -453,25 +443,29 @@ class Replica:
             self._trace("bundle-refused", switch_id=switch_id, bundle_id=msg.bundle_id)
             self._deposed()
             return
-        owner = self._bundle_owner.pop(msg.bundle_id, None)
-        if owner is None:
+        eid = self._bundle_owner.pop(msg.bundle_id, None)
+        if eid is None:
             self._trace("stray-bundle-reply", switch_id=switch_id, bundle_id=msg.bundle_id)
             return
-        eid, _ = owner
         self._trace("bundle-committed", event_id=eid, switch_id=switch_id, bundle_id=msg.bundle_id)
+        self._switch_done(eid, switch_id)
+
+    def _switch_done(self, eid: int, switch_id: str) -> None:
+        """Event ``eid`` no longer waits on ``switch_id``: the switch replied,
+        showed its marker or died. The last wait settled finishes the event."""
         waiting = self.pending_replies.get(eid)
         if waiting is None:
             return
         waiting.discard(switch_id)
         if not waiting:
             del self.pending_replies[eid]
-            self._held_or_finish(eid)
+            self._finish(eid)
 
-    def _held_or_finish(self, eid: int) -> None:
-        if self._promo is not None and eid in self._promo.held:
-            self._maybe_finish_held(eid)
-        else:
-            self._enqueue_processed(eid)
+    def _finish(self, eid: int) -> None:
+        self._enqueue_processed(eid)
+        # during a promotion only held events wait, so this was the last one
+        if self._promo is not None and not self.pending_replies:
+            self._drain_and_resume()
 
     def _enqueue_processed(self, eid: int) -> None:
         if eid in self._processed_sent:
@@ -492,18 +486,15 @@ class Replica:
                 return
             self.role = ROLE_ELECT
             self._trace("role-changed", detail={"role": ROLE_MASTER})
-            self._promo_watermark = log_len
+            self._promo = _Promotion(watermark=log_len)
             if self.log_len >= log_len:
-                self._start_promotion_work()
-            else:
-                self._promo_waiting = True
+                self._start_promotion_work(self._promo)
         else:
             if self.role != ROLE_SLAVE:
                 self._deposed()
 
-    def _start_promotion_work(self) -> None:
-        promo = _Promotion(epoch=self.epoch)
-        self._promo = promo
+    def _start_promotion_work(self, promo: _Promotion) -> None:
+        promo.held = {}
         # 0. fence: from here on each switch refuses commands from any other
         #    controller, so a deposed master that has not noticed yet cannot
         #    commit behind the probe below (OpenFlow 1.3 master/slave roles)
@@ -518,30 +509,28 @@ class Replica:
             else:
                 staged = self._deliver(ev, discard=False)
                 promo.held[eid] = {s: list(cmds) for s, cmds in staged.items()}
-                promo.outstanding += 1
         # 2. probe: one barrier per affected switch settles whether a marker
-        #    from the old master can still be in flight on this connection
-        to_probe: set[str] = set()
+        #    from the old master can still be in flight on this connection;
+        #    until it replies, the held event waits on that switch
         for eid in sorted(promo.held):
-            waits: set[str] = set()
             for switch_id in promo.held[eid]:
                 if (eid, switch_id) in self.processed_at_switch:
                     self._trace("probe-no-resend", event_id=eid, switch_id=switch_id)
                 elif switch_id not in self.live_switches:
                     self._trace("probe-switch-dead", event_id=eid, switch_id=switch_id)
                 else:
-                    waits.add(switch_id)
-                    to_probe.add(switch_id)
-            promo.waiting[eid] = waits
-        for switch_id in sorted(to_probe):
+                    self.pending_replies.setdefault(eid, set()).add(switch_id)
+        for switch_id in sorted(set().union(*self.pending_replies.values())):
             xid = self._next_xid
             self._next_xid += 1
             promo.barrier_waits[switch_id] = xid
             self.env.send_switch(switch_id, BarrierRequest(xid))
             self._trace("barrier-sent", switch_id=switch_id, detail={"xid": xid})
+        # 3. what needs no probe is finished now
         for eid in sorted(promo.held):
-            self._maybe_finish_held(eid)
-        if self._promo is promo and promo.outstanding == 0:
+            if eid not in self.pending_replies:
+                self._enqueue_processed(eid)
+        if not self.pending_replies:
             self._drain_and_resume()
 
     def _on_barrier_reply(self, switch_id: str, xid: int) -> None:
@@ -550,30 +539,18 @@ class Replica:
             self._trace("stray-barrier-reply", switch_id=switch_id, detail={"xid": xid})
             return
         del promo.barrier_waits[switch_id]
-        for eid in sorted(promo.waiting):
-            if switch_id not in promo.waiting[eid]:
+        # every wait on this switch is the probe; a resend makes it a bundle wait
+        for eid in sorted(self.pending_replies):
+            if switch_id not in self.pending_replies.get(eid, ()):
                 continue
-            promo.waiting[eid].discard(switch_id)
             if (eid, switch_id) in self.processed_at_switch:
                 # the old master committed; the marker arrived before this reply
                 self._trace("probe-no-resend", event_id=eid, switch_id=switch_id)
+                self._switch_done(eid, switch_id)
             else:
                 # nothing committed and nothing can still be in flight: resend
                 self._trace("probe-resend", event_id=eid, switch_id=switch_id)
                 self._send_bundle(eid, switch_id, promo.held[eid][switch_id])
-            self._maybe_finish_held(eid)
-
-    def _maybe_finish_held(self, eid: int) -> None:
-        promo = self._promo
-        if promo is None or eid not in promo.held or eid in promo.finished:
-            return
-        if promo.waiting.get(eid) or self.pending_replies.get(eid):
-            return
-        promo.finished.add(eid)
-        self._enqueue_processed(eid)
-        promo.outstanding -= 1
-        if promo.outstanding == 0:
-            self._drain_and_resume()
 
     def _drain_and_resume(self) -> None:
         promo = self._promo
@@ -592,7 +569,7 @@ class Replica:
             self.pending_batch.append(EventBody(ev))
         if self.pending_batch:
             self._flush("promotion")
-        self._trace("promotion-complete", detail={"held": len(promo.finished)})
+        self._trace("promotion-complete", detail={"held": len(promo.held)})
         self._advance()
 
     def _deposed(self) -> None:
@@ -602,7 +579,6 @@ class Replica:
             self._trace("role-changed", detail={"role": ROLE_SLAVE})
         self.role = ROLE_SLAVE
         self._promo = None
-        self._promo_waiting = False
         if self._batch_timer is not None:
             self.env.cancel(self._batch_timer)
             self._batch_timer = None
@@ -628,8 +604,6 @@ class Replica:
 
     def is_quiescent(self) -> bool:
         if self.pending_batch or self._inflight or self.pending_replies or self._promo is not None:
-            return False
-        if self._promo_waiting:
             return False
         if self.role == ROLE_MASTER:
             return self.delivered_upto == self.max_logged_id

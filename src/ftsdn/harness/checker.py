@@ -16,6 +16,9 @@ Properties:
       appear exactly once in that switch's executed log, contiguous, in
       order, inside a marker-terminated bundle.
   T4  per-switch FIFO: event ids respect each switch's packet sequence.
+
+A field the checker reads that holds a value of the wrong type is a
+``CheckError`` naming the record and the field, not a crash.
 """
 
 from __future__ import annotations
@@ -30,6 +33,20 @@ from ..trace import TraceParseError, load_jsonl
 
 class CheckError(Exception):
     pass
+
+
+_NONE = type(None)
+
+
+def _field(holder: dict, path: str, idx: int, types, default):
+    """The value at the last key of ``path`` in ``holder``, which record
+    ``idx`` holds at ``path``, or ``default`` if the key is absent. A value
+    that is not one of ``types`` raises CheckError, so a required field
+    passes a default of None and leaves None out of its types."""
+    value = holder.get(path.rpartition(".")[2], default)
+    if not isinstance(value, types):
+        raise CheckError(f"record {idx}: bad {path}: {value!r}")
+    return value
 
 
 @dataclass
@@ -92,18 +109,19 @@ def check_trace(path: str) -> CheckReport:
 
 
 def check_records(records: list[dict]) -> CheckReport:
-    meta = None
-    for rec in records:
-        if rec.get("kind") == "run-meta":
-            meta = rec.get("detail", {}).get("config", {})
-            break
-    if meta is None:
+    idx = next((i for i, rec in enumerate(records) if rec.get("kind") == "run-meta"), None)
+    if idx is None:
         raise CheckError("trace has no run-meta record")
-
-    controllers = [f"c{i}" for i in range(meta.get("n_controllers", 0))]
-    crashed_ctrls = {r["actor"] for r in records if r.get("kind") == "controller-crashed"}
-    crashed_switches = {r["actor"] for r in records if r.get("kind") == "switch-crashed"}
-    survivors = [c for c in controllers if c not in crashed_ctrls]
+    meta = _field(_field(records[idx], "detail", idx, dict, {}), "detail.config", idx, dict, {})
+    controllers = [f"c{i}" for i in range(_field(meta, "detail.config.n_controllers", idx, int, 0))]
+    app_name = _field(meta, "detail.config.app", idx, str, "forwarding")
+    app_params = _field(meta, "detail.config.app_params", idx, (dict, _NONE), None)
+    try:
+        app = apps_mod.make_app(app_name, app_params)
+    except (TypeError, ValueError) as exc:
+        raise CheckError(f"record {idx}: the configured app cannot be built: {exc}") from exc
+    crashed_ctrls: set[str] = set()
+    crashed_switches: set[str] = set()
 
     t1 = PropertyResult("T1", "total order: delivered sequences are prefix-consistent")
     t2 = PropertyResult("T2", "exactly-once events: logged once, delivered once, none lost")
@@ -119,34 +137,44 @@ def check_records(records: list[dict]) -> CheckReport:
 
     for idx, rec in enumerate(records):
         kind = rec.get("kind")
-        actor = rec.get("actor")
         if kind == "log-append":
-            body = rec.get("detail", {}).get("body", {})
+            body = _field(_field(rec, "detail", idx, dict, {}), "detail.body", idx, dict, {})
             if body.get("kind") == "event":
-                ev = body.get("event", {})
+                ev = _field(body, "detail.body.event", idx, dict, None)
                 logged.append(
                     _LoggedEvent(
-                        event_id=ev.get("event_id"),
-                        switch_id=ev.get("switch_id"),
-                        switch_seq=ev.get("switch_seq"),
+                        event_id=_field(ev, "detail.body.event.event_id", idx, int, None),
+                        switch_id=_field(ev, "detail.body.event.switch_id", idx, (str, _NONE), None),
+                        switch_seq=_field(ev, "detail.body.event.switch_seq", idx, (int, _NONE), None),
                         kind=ev.get("kind"),
                         record_idx=idx,
                         event_json=ev,
                     )
                 )
             elif body.get("kind") == "processed":
-                processed_entries.setdefault(body.get("event_id"), []).append(idx)
-        elif kind == "delivered" and actor in delivered:
-            delivered[actor].append((idx, rec.get("event_id")))
+                processed_entries.setdefault(_field(body, "detail.body.event_id", idx, int, None), []).append(idx)
+        elif kind == "delivered":
+            actor = _field(rec, "actor", idx, str, None)
+            if actor in delivered:
+                delivered[actor].append((idx, _field(rec, "event_id", idx, int, None)))
         elif kind == "event-emitted":
-            detail = rec.get("detail", {})
+            detail = _field(rec, "detail", idx, dict, {})
             origin = detail.get("origin")
             if origin == "dataplane":
-                emitted.append((idx, actor, rec.get("switch_seq"), detail.get("conns", [])))
+                seq = _field(rec, "switch_seq", idx, int, None)
             elif origin == "port-status":
-                emitted.append((idx, actor, port_status_seq(detail.get("index", 0)), detail.get("conns", [])))
+                seq = port_status_seq(_field(detail, "detail.index", idx, int, 0))
+            else:
+                continue
+            conns = _field(detail, "detail.conns", idx, list, [])
+            emitted.append((idx, _field(rec, "actor", idx, str, None), seq, conns))
         elif kind == "switch-exec":
-            execs.setdefault(actor, []).append((idx, rec))
+            execs.setdefault(_field(rec, "actor", idx, str, None), []).append((idx, rec))
+        elif kind == "controller-crashed":
+            crashed_ctrls.add(_field(rec, "actor", idx, str, None))
+        elif kind == "switch-crashed":
+            crashed_switches.add(_field(rec, "actor", idx, str, None))
+    survivors = [c for c in controllers if c not in crashed_ctrls]
 
     # -- T1 ------------------------------------------------------------------
     seqs = {c: [eid for _, eid in delivered[c]] for c in controllers}
@@ -209,7 +237,7 @@ def check_records(records: list[dict]) -> CheckReport:
                 t2.fail(f"surviving replica {c} never delivered finished event {eid}")
 
     # -- T3 ------------------------------------------------------------------
-    expected = _oracle_commands(meta, logged, t3)
+    expected = _oracle_commands(app, logged, t3)
     n_commands = 0
     bundles_by_event: dict[tuple[int, str], list[dict]] = {}
     for switch_id, recs in execs.items():
@@ -277,10 +305,8 @@ def _group_bundles(switch_id: str, recs: list[tuple[int, dict]], t3: PropertyRes
     current: dict | None = None
     seen_bundle_keys: set[tuple] = set()
     for idx, rec in recs:
-        detail = rec.get("detail", {})
+        detail = _field(rec, "detail", idx, dict, {})
         origin = detail.get("origin")
-        # bundle ids are per-controller counters, so key on the owner as well
-        key = (detail.get("controller"), rec.get("bundle_id"))
         if origin != "bundle":
             if origin == "direct":
                 t3.fail(f"command executed outside any bundle on {switch_id}", [idx])
@@ -288,6 +314,11 @@ def _group_bundles(switch_id: str, recs: list[tuple[int, dict]], t3: PropertyRes
                 _finish_bundle(switch_id, current, bundles, t3)
                 current = None
             continue
+        # bundle ids are per-controller counters, so key on the owner as well
+        key = (
+            _field(detail, "detail.controller", idx, (str, _NONE), None),
+            _field(rec, "bundle_id", idx, (int, _NONE), None),
+        )
         if current is not None and current["key"] != key:
             _finish_bundle(switch_id, current, bundles, t3)
             current = None
@@ -355,13 +386,9 @@ class _OracleCtx:
 
 
 def _oracle_commands(
-    meta: dict, logged: list[_LoggedEvent], t3: PropertyResult
+    app: apps_mod.App, logged: list[_LoggedEvent], t3: PropertyResult
 ) -> dict[tuple[int, str], list[dict]]:
     """Replay the deterministic app pipeline over the logged event order."""
-    try:
-        app = apps_mod.make_app(meta.get("app", "forwarding"), meta.get("app_params") or {})
-    except ValueError as exc:
-        raise CheckError(str(exc)) from exc
     expected: dict[tuple[int, str], list[dict]] = {}
     for ev in sorted(logged, key=lambda e: e.event_id):
         try:

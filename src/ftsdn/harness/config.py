@@ -6,6 +6,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from ..apps import make_app
+
 F1 = "F1"  # before the event's log append
 F2 = "F2"  # after the log append, before the bundle commit send
 F3 = "F3"  # after the bundle commit send, before the processed append
@@ -23,9 +25,14 @@ class FaultInjection:
     at_time_ms: float | None = None  # for at-time / zombie
     pause_ms: float | None = None  # zombie stall duration
 
-    def validate(self) -> None:
+    def validate(self, n_switches: int) -> None:
         if self.point not in _POINTS:
             raise ValueError(f"unknown fault point {self.point!r}")
+        if self.target != "master":
+            if self.target not in {f"switch:s{i}" for i in range(n_switches)}:
+                raise ValueError(f"fault target {self.target!r} is not master or switch:s<i> with i < {n_switches}")
+            if self.point != AT_TIME:
+                raise ValueError(f"a switch fault needs point {AT_TIME}, got {self.point}")
         if self.point in (F1, F2, F3) and self.trigger_event is None:
             raise ValueError(f"fault point {self.point} needs trigger_event")
         if self.point in (AT_TIME, ZOMBIE) and self.at_time_ms is None:
@@ -66,7 +73,11 @@ class ScenarioConfig:
         if self.transport == "deterministic" and self.seed is None:
             raise ValueError("deterministic transport requires a seed")
         for fault in self.fault_plan:
-            fault.validate()
+            fault.validate(self.n_switches)
+        try:
+            make_app(self.app, self.app_params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"app {self.app!r} with app_params {self.app_params!r}: {exc}") from exc
 
     def to_json(self) -> dict:
         """Every field, plus the derived ``f``; ``config_from_dict`` reads it back."""

@@ -167,9 +167,6 @@ class Controller:
 
     # -- ReplicaEnv ---------------------------------------------------------
 
-    def now(self) -> float:
-        return self.exec.now()
-
     def call_later(self, delay_ms: float, fn: Callable[[], None]):
         return self.exec.call_later(delay_ms, self.guard(fn), False)
 
@@ -313,6 +310,12 @@ class World:
         # including its own heartbeats, so the session expires underneath it
         self.stall(leader, pause)
         self.trace.emit("fault-injected", "harness", detail={"target": leader, "point": ZOMBIE, "pause_ms": pause})
+
+    def record_unfired(self) -> None:
+        """Once the run is over, write each planned fault that never fired as a miss."""
+        for fault in self._unfired:
+            detail = {"target": fault.target, "point": fault.point, "reason": "never-reached"}
+            self.trace.emit("fault-missed", "harness", detail=detail)
 
 
 class SwitchConn:

@@ -60,7 +60,7 @@ class ScenarioResult:
 
     @property
     def missed_faults(self) -> list[dict]:
-        """The planned faults that found no live node to hit."""
+        """The planned faults that found no live node to hit or never fired."""
         return [r for r in self.records if r["kind"] == "fault-missed"]
 
     @property
@@ -88,6 +88,7 @@ def run_scenario(cfg: ScenarioConfig, mutate=None) -> ScenarioResult:
             world.trace.emit("quiescence-timeout", "harness", detail={"deadline_ms": deadline})
     finally:
         world.stop()
+    world.record_unfired()
     records = world.trace.as_dicts()
     report = check_records(records)
     return ScenarioResult(records, report, quiescent, world)

@@ -5,10 +5,11 @@ import pytest
 
 from ftsdn import ofwire
 from ftsdn.harness.checker import CheckError, check_records, check_trace
+from ftsdn.harness.cli import main
 from ftsdn.harness.config import ScenarioConfig
 from ftsdn.harness.mutations import by_name
 from ftsdn.harness.scenario import run_scenario
-from ftsdn.trace import TraceParseError
+from ftsdn.trace import TraceParseError, dump_jsonl
 
 
 def _meta(n_controllers=2, app="forwarding"):
@@ -186,3 +187,91 @@ def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt):
     assert not report.all_pass
     cited = {i for p in report.properties for c in p.counterexamples for i in c.records}
     assert idx in cited
+
+
+def _is_event_append(rec):
+    return rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "event"
+
+
+def _is_processed_append(rec):
+    return rec["kind"] == "log-append" and rec["detail"]["body"]["kind"] == "processed"
+
+
+def _kind_is(kind):
+    return lambda rec: rec["kind"] == kind
+
+
+def _is_port_status(rec):
+    return rec["kind"] == "event-emitted" and rec["detail"]["origin"] == "port-status"
+
+
+# every field the checker reads, by the record that holds it
+_READ_FIELDS = [
+    (_kind_is("run-meta"), "detail"),
+    (_kind_is("run-meta"), "detail.config"),
+    (_kind_is("run-meta"), "detail.config.n_controllers"),
+    (_kind_is("run-meta"), "detail.config.app"),
+    (_kind_is("run-meta"), "detail.config.app_params"),
+    (_kind_is("delivered"), "kind"),
+    (_kind_is("delivered"), "actor"),
+    (_kind_is("delivered"), "event_id"),
+    (_kind_is("controller-crashed"), "actor"),
+    (_kind_is("switch-crashed"), "actor"),
+    (_is_event_append, "detail"),
+    (_is_event_append, "detail.body"),
+    (_is_event_append, "detail.body.kind"),
+    (_is_event_append, "detail.body.event"),
+    (_is_event_append, "detail.body.event.event_id"),
+    (_is_event_append, "detail.body.event.switch_id"),
+    (_is_event_append, "detail.body.event.switch_seq"),
+    (_is_event_append, "detail.body.event.kind"),
+    (_is_event_append, "detail.body.event.message"),
+    (_is_processed_append, "detail.body.event_id"),
+    (_kind_is("event-emitted"), "actor"),
+    (_kind_is("event-emitted"), "switch_seq"),
+    (_kind_is("event-emitted"), "detail"),
+    (_kind_is("event-emitted"), "detail.origin"),
+    (_kind_is("event-emitted"), "detail.conns"),
+    (_is_port_status, "detail.index"),
+    (_is_port_status, "detail.conns"),
+    (_kind_is("switch-exec"), "actor"),
+    (_kind_is("switch-exec"), "bundle_id"),
+    (_kind_is("switch-exec"), "detail"),
+    (_kind_is("switch-exec"), "detail.origin"),
+    (_kind_is("switch-exec"), "detail.controller"),
+    (_kind_is("switch-exec"), "detail.command"),
+]
+
+
+@pytest.mark.parametrize("value", [None, "x", -1, [], {}], ids=["null", "str", "neg", "list", "dict"])
+@pytest.mark.parametrize("select,path", _READ_FIELDS, ids=[f"{i}-{p}" for i, (_, p) in enumerate(_READ_FIELDS)])
+def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, path, value):
+    records = copy.deepcopy(clean_records) + [
+        {"kind": "controller-crashed", "actor": "c1", "timestamp": 90.0},
+        {"kind": "switch-crashed", "actor": "s0", "timestamp": 91.0},
+        {"kind": "event-emitted", "actor": "s0", "timestamp": 92.0,
+         "detail": {"origin": "port-status", "index": 0, "conns": ["c0"]}},
+    ]
+    idx = next(i for i, rec in enumerate(records) if select(rec))
+    *parents, name = path.split(".")
+    holder = records[idx]
+    for key in parents:
+        holder = holder[key]
+    holder[name] = value
+    try:
+        report = check_records(records)
+    except CheckError as exc:
+        assert f"record {idx}" in str(exc)
+    else:
+        assert report.properties
+
+
+def test_check_reports_a_bad_field_as_one_error_line(clean_records, tmp_path, capsys):
+    records = copy.deepcopy(clean_records)
+    idx = next(i for i, rec in enumerate(records) if rec["kind"] == "log-append")
+    records[idx]["detail"] = None
+    path = tmp_path / "bad.jsonl"
+    dump_jsonl(records, str(path))
+    assert main(["check", "--trace", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: record {idx}: bad detail: None\n"

@@ -123,6 +123,11 @@ def test_json_takes_an_int_for_a_float_and_none_where_allowed():
         {"n_switches": "2", "packets_per_switch": 5},
         {"n_switchez": 2},
         {"fault_plan": [{"point": "F9", "trigger_event": 3}]},
+        {"app": "nope"},
+        {"app_params": {"port_map": [1, 2]}},
+        {"fault_plan": [{"target": "switch:s9", "point": "at-time", "at_time_ms": 50}]},
+        {"fault_plan": [{"target": "mastr", "point": "at-time", "at_time_ms": 50}]},
+        {"fault_plan": [{"target": "switch:s0", "point": "F2", "trigger_event": 3}]},
         "{not json",
         None,
     ],

@@ -6,6 +6,7 @@ from ftsdn.ctrl import AppContext, AppWriteError, Replica, ReplicaConfig, ROLE_M
 from ftsdn.events import KIND_PACKET_IN, SwitchEvent
 from ftsdn.ofwire import (
     Action,
+    BarrierReply,
     BarrierRequest,
     BundleAdd,
     BundleCommit,
@@ -14,6 +15,7 @@ from ftsdn.ofwire import (
     PacketIn,
     PacketOut,
     PortStatus,
+    RoleAnnounce,
 )
 
 
@@ -23,9 +25,6 @@ class FakeEnv:
         self.timers = []
         self.sent = []
         self.appends = []
-
-    def now(self):
-        return self.t
 
     def call_later(self, delay_ms, fn):
         handle = [self.t + delay_ms, fn]
@@ -67,6 +66,16 @@ class BoomApp:
     def on_event(self, event, ctx):
         ctx.write(event.switch_id, PacketOut((Action.drop(),), b""))
         raise RuntimeError("app bug")
+
+
+class TwoSwitchApp:
+    name = "two"
+
+    def on_event(self, event, ctx):
+        if event.kind != KIND_PACKET_IN:
+            return
+        ctx.write("s0", PacketOut((Action.output(1),), b"a"))
+        ctx.write("s1", PacketOut((Action.output(2),), b"b"))
 
 
 def packet_in(sw="s0", seq=1):
@@ -228,15 +237,6 @@ def test_zero_command_event_processed_immediately():
 
 
 def test_multi_switch_event_gets_one_bundle_per_switch():
-    class TwoSwitchApp:
-        name = "two"
-
-        def on_event(self, event, ctx):
-            if event.kind != KIND_PACKET_IN:
-                return
-            ctx.write("s0", PacketOut((Action.output(1),), b"a"))
-            ctx.write("s1", PacketOut((Action.output(2),), b"b"))
-
     replica, env = make_master(TwoSwitchApp(), batch_size=1)
     replica.on_switch_message("s0", packet_in(seq=1))
     feed_log(replica, env)
@@ -340,3 +340,141 @@ def test_refused_bundle_deposes_master_without_a_fatal_error():
     assert not replica.pending_replies
     replica.on_switch_message("s0", BundleReply(bid, False))  # one refusal per bundle message
     assert replica.role == ROLE_SLAVE
+
+
+# -- promotion: catch-up, barrier probe, resend ---------------------------------
+
+
+def log_events(replica, *occurrences):
+    """Append one logged event per (switch, seq) behind the replica's log."""
+    for sw, seq in occurrences:
+        ev = SwitchEvent(sw, seq, KIND_PACKET_IN, packet_in(sw, seq), event_id=replica.max_logged_id + 1)
+        replica.on_log_entry(LogEntry(replica.log_len + 1, EventBody(ev)))
+
+
+def marker(replica, sw, eid):
+    """``sw`` shows the replica the old master's (epoch 1) commit marker for ``eid``."""
+    msg = ofwire.make_commit_marker(1, [eid])
+    replica.on_switch_message(sw, PacketIn(sw, 1000 + eid, 0, ofwire.CONTROLLER_PORT, msg.payload))
+
+
+def promote(app=None, occurrences=(("s0", 1),), markers=()):
+    """A slave that logged ``occurrences`` (none finished) and saw ``markers``
+    is elected; returns it with its env and its (kind, fields) trace."""
+    traced = []
+    replica, env = make_replica(app, trace=lambda kind, **kw: traced.append((kind, kw)))
+    log_events(replica, *occurrences)
+    for sw, eid in markers:
+        marker(replica, sw, eid)
+    replica.on_leadership("c0", 2, replica.log_len)
+    return replica, env, traced
+
+
+def barrier_xids(env):
+    return {sid: m.xid for sid, m in env.sent if isinstance(m, BarrierRequest)}
+
+
+def bundle_ids(env):
+    return {sid: m.bundle_id for sid, m in env.sent if isinstance(m, BundleOpen)}
+
+
+def processed(replica, env):
+    bodies = [b for _, batch, _ in env.appends for b in batch] + replica.pending_batch
+    return [b.event_id for b in bodies if isinstance(b, ProcessedBody)]
+
+
+def probes(traced):
+    return [(kind, kw["event_id"], kw["switch_id"]) for kind, kw in traced if kind.startswith("probe-")]
+
+
+def test_barrier_reply_without_marker_resends_and_finishes_on_the_bundle_reply():
+    replica, env, traced = promote()
+    assert replica.role != ROLE_MASTER and processed(replica, env) == []
+    replica.on_switch_message("s0", BarrierReply(barrier_xids(env)["s0"]))
+    assert probes(traced) == [("probe-resend", 1, "s0")]
+    assert list(bundle_ids(env)) == ["s0"] and len([m for _, m in env.sent if isinstance(m, BundleOpen)]) == 1
+    assert processed(replica, env) == [] and replica.role != ROLE_MASTER
+    replica.on_switch_message("s0", BundleReply(bundle_ids(env)["s0"], True))
+    assert processed(replica, env) == [1]
+    assert replica.role == ROLE_MASTER and not replica.pending_replies
+
+
+def test_marker_before_the_barrier_reply_means_no_resend():
+    replica, env, traced = promote()
+    marker(replica, "s0", 1)
+    replica.on_switch_message("s0", BarrierReply(barrier_xids(env)["s0"]))
+    assert probes(traced) == [("probe-no-resend", 1, "s0")]
+    assert bundle_ids(env) == {}
+    assert processed(replica, env) == [1] and replica.role == ROLE_MASTER
+
+
+def test_switch_lost_mid_probe_finishes_the_event():
+    replica, env, traced = promote()
+    replica.on_switch_disconnect("s0")
+    assert probes(traced) == [("probe-switch-dead", 1, "s0")]
+    assert processed(replica, env) == [1] and replica.role == ROLE_MASTER
+    replica.on_switch_message("s0", BarrierReply(barrier_xids(env)["s0"]))  # too late: stray
+    assert bundle_ids(env) == {} and processed(replica, env) == [1]
+
+
+def test_switch_lost_while_its_resend_is_pending_finishes_the_event_once():
+    replica, env, traced = promote()
+    replica.on_switch_message("s0", BarrierReply(barrier_xids(env)["s0"]))
+    replica.on_switch_disconnect("s0")
+    assert probes(traced) == [("probe-resend", 1, "s0")]  # the barrier had replied: no probe-switch-dead
+    assert processed(replica, env) == [1] and replica.role == ROLE_MASTER
+    replica.on_switch_message("s0", BundleReply(bundle_ids(env)["s0"], True))
+    assert processed(replica, env) == [1]
+
+
+def test_partly_committed_two_switch_event_finishes_once_after_the_resend_reply():
+    replica, env, traced = promote(TwoSwitchApp(), markers=[("s0", 1)])
+    assert probes(traced) == [("probe-no-resend", 1, "s0")]
+    assert list(barrier_xids(env)) == ["s1"]
+    replica.on_switch_message("s1", BarrierReply(barrier_xids(env)["s1"]))
+    assert probes(traced)[1:] == [("probe-resend", 1, "s1")]
+    assert list(bundle_ids(env)) == ["s1"] and processed(replica, env) == []
+    replica.on_switch_message("s1", BundleReply(bundle_ids(env)["s1"], True))
+    assert processed(replica, env) == [1] and replica.role == ROLE_MASTER
+
+
+def test_election_ahead_of_the_local_log_waits_for_the_watermark():
+    app = RecordingApp()
+    replica, env = make_replica(app)
+    log_events(replica, ("s0", 1), ("s0", 2))
+    replica.on_log_entry(LogEntry(3, ProcessedBody(1)))
+    assert app.seen == [1]
+    replica.on_leadership("c0", 2, 5)
+    assert env.sent == [] and replica.role != ROLE_MASTER and not replica.is_quiescent()
+    replica.on_log_entry(LogEntry(4, ProcessedBody(2)))  # still a slave delivery: writes discarded
+    assert app.seen == [1, 2] and env.sent == []
+    log_events(replica, ("s0", 3))  # seq 5 reaches the watermark: catch-up holds event 3
+    assert app.seen == [1, 2, 3]
+    assert [type(m) for _, m in env.sent] == [RoleAnnounce, RoleAnnounce, BarrierRequest]
+    assert list(barrier_xids(env)) == ["s0"]
+
+
+def test_promotion_complete_counts_the_held_events():
+    traced = []
+    replica, env = make_replica(trace=lambda kind, **kw: traced.append((kind, kw)))
+    log_events(replica, ("s0", 1), ("s1", 1), ("s0", 2), ("s1", 2))
+    replica.on_log_entry(LogEntry(5, ProcessedBody(2)))  # finished: replayed, not held
+    marker(replica, "s0", 1)
+    marker(replica, "s0", 3)
+    replica.on_leadership("c0", 2, replica.log_len)
+    assert probes(traced) == [("probe-no-resend", 1, "s0"), ("probe-no-resend", 3, "s0")]
+    replica.on_switch_message("s1", BarrierReply(barrier_xids(env)["s1"]))
+    assert [kind for kind, _ in traced].count("promotion-complete") == 0
+    replica.on_switch_message("s1", BundleReply(bundle_ids(env)["s1"], True))
+    assert [kw["detail"] for kind, kw in traced if kind == "promotion-complete"] == [{"held": 3}]
+    assert processed(replica, env) == [1, 3, 4]
+
+
+def test_switch_lost_mid_probe_may_finish_the_promotion_ahead_of_later_events():
+    # event 2 finishes first; losing s0 then finishes event 1, the last one held
+    replica, env, traced = promote(occurrences=[("s0", 1), ("s1", 1)])
+    marker(replica, "s1", 2)
+    replica.on_switch_message("s1", BarrierReply(barrier_xids(env)["s1"]))
+    replica.on_switch_disconnect("s0")
+    assert probes(traced) == [("probe-no-resend", 2, "s1"), ("probe-switch-dead", 1, "s0")]
+    assert sorted(processed(replica, env)) == [1, 2] and replica.role == ROLE_MASTER

@@ -10,6 +10,7 @@ import pytest
 
 from ftsdn import ofwire
 from ftsdn.ctrl import FatalProtocolError, Replica
+from ftsdn.harness.cli import main
 from ftsdn.harness.config import FaultInjection, ScenarioConfig
 from ftsdn.harness.runtime_socket import SocketWorld
 from ftsdn.harness.scenario import run_scenario
@@ -334,6 +335,22 @@ def test_timed_fault_without_a_leader_is_missed():
     missed = [r["detail"] for r in result.missed_faults]
     assert missed == [{"target": None, "point": "zombie", "reason": "no-leader"}]
     assert not result.passed
+
+
+def test_fault_that_never_fires_is_missed(capsys, tmp_path):
+    # the run logs 10 events, so event 10,000 never reaches the F1 point
+    fault = FaultInjection(point="F1", trigger_event=10_000)
+    cfg = base_cfg(n_switches=1, packets_per_switch=10, fault_plan=[fault])
+    result = run_scenario(cfg)
+    missed = [r["detail"] for r in result.missed_faults]
+    assert missed == [{"target": "master", "point": "F1", "reason": "never-reached"}]
+    assert records_of(result, "fault-injected") == []
+    assert result.quiescent and result.report.all_pass
+    assert not result.passed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "planned fault missed its target" in capsys.readouterr().out
 
 
 def test_socket_transport_smoke():
