@@ -68,15 +68,6 @@ class AppWriteError(Exception):
     pass
 
 
-@dataclass
-class ReplicaConfig:
-    batch_size: int = 1000
-    batch_time_ms: float = 50.0
-    # consistency toggles used by the benchmark's per-guarantee modes
-    replicate_events: bool = True
-    use_bundles: bool = True
-
-
 class ReplicaEnv(Protocol):
     """Runtime services a replica needs; implemented per transport."""
 
@@ -128,14 +119,16 @@ class Replica:
     def __init__(
         self,
         controller_id: str,
-        config: ReplicaConfig,
         apps: list[App],
         env: ReplicaEnv,
         trace: Callable[..., None] | None = None,
         fault_hook: Callable[..., None] | None = None,
+        batch_size: int = 1000,
+        batch_time_ms: float = 50.0,
     ) -> None:
         self.controller_id = controller_id
-        self.cfg = config
+        self.batch_size = batch_size
+        self.batch_time_ms = batch_time_ms
         self.apps = apps
         self.env = env
         self._trace_fn = trace or (lambda kind, **kw: None)
@@ -258,11 +251,6 @@ class Replica:
             ev.event_id = self.next_event_id
             self.next_event_id += 1
             self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-            if not self.cfg.replicate_events:
-                # consistency toggle: skip the shared log, deliver immediately
-                staged = self._deliver(ev, discard=False)
-                self._finalize(ev, staged)
-                return
             self._pending_keys.add(key)
             self.pending_batch.append(EventBody(ev))
             self._arm_or_flush()
@@ -274,17 +262,17 @@ class Replica:
     # replication batching
 
     def _arm_or_flush(self) -> None:
-        if len(self.pending_batch) >= self.cfg.batch_size:
-            self._flush("size")
+        if len(self.pending_batch) >= self.batch_size:
+            self._flush()
         elif self._batch_timer is None:
-            self._batch_timer = self.env.call_later(self.cfg.batch_time_ms, self._flush_timer)
+            self._batch_timer = self.env.call_later(self.batch_time_ms, self._flush_timer)
 
     def _flush_timer(self) -> None:
         self._batch_timer = None
         if self.pending_batch:
-            self._flush("time")
+            self._flush()
 
-    def _flush(self, reason: str) -> None:
+    def _flush(self) -> None:
         if not self.pending_batch:
             return
         if self._batch_timer is not None:
@@ -292,7 +280,7 @@ class Replica:
             self._batch_timer = None
         bodies = self.pending_batch
         self.pending_batch = []
-        size = max(1, self.cfg.batch_size)
+        size = max(1, self.batch_size)
         for i in range(0, len(bodies), size):
             chunk = bodies[i : i + size]
             ids = [b.event.event_id for b in chunk if isinstance(b, EventBody)]
@@ -400,15 +388,6 @@ class Replica:
     def _finalize(self, ev: SwitchEvent, staged: dict[str, list[ofwire.OfMessage]]) -> None:
         eid = ev.event_id
         assert eid is not None
-        if not self.cfg.use_bundles:
-            # consistency toggle: plain commands, no transactional envelope
-            for switch_id, cmds in staged.items():
-                if switch_id not in self.live_switches:
-                    continue
-                for cmd in cmds:
-                    self.env.send_switch(switch_id, cmd)
-            self._enqueue_processed(eid)
-            return
         sent_any = False
         for switch_id, cmds in staged.items():
             if switch_id not in self.live_switches:
@@ -471,8 +450,6 @@ class Replica:
         if eid in self._processed_sent:
             return
         self._processed_sent.add(eid)
-        if not self.cfg.replicate_events:
-            return
         self.pending_batch.append(ProcessedBody(eid))
         self._arm_or_flush()
 
@@ -568,7 +545,7 @@ class Replica:
             self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             self.pending_batch.append(EventBody(ev))
         if self.pending_batch:
-            self._flush("promotion")
+            self._flush()
         self._trace("promotion-complete", detail={"held": len(promo.held)})
         self._advance()
 

@@ -11,16 +11,21 @@ protocol's message flows rather than host noise.
 The cost constants put the coordination round trips and the per-message
 work of the bundle envelope where a real deployment pays them; absolute
 numbers are not meaningful, trends are.
+
+The whole model lives here. Each built node's channel ends charge the
+costs below, and a mode that drops a guarantee patches each built replica,
+as the seeded mutations do: events mode sends plain commands instead of
+bundles, and commands mode keeps the shared log out of the event path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ctrl import ReplicaConfig
+from ..coord import EventBody
+from ..ctrl import Replica
 from ..ofwire import BundleCommit, FlowMod, PacketOut, ether_payload
 from .config import ScenarioConfig
-from .runtime_det import CostModel
 from .world_det import DetWorld
 
 MODE_EVENTS = "events"
@@ -35,6 +40,18 @@ WARMUP_RESPONSES = 800
 DEADLINE_MS = 60_000.0  # simulated time
 _RESPONSES = (BundleCommit, PacketOut, FlowMod)  # commit requests and plain commands
 
+# service costs in ms of simulated time, charged to the node that does the work
+COORD_REQUEST_MS = 0.050  # the service, per append request
+COORD_PER_ENTRY_MS = 0.003  # the service, per appended entry
+CTRL_FLUSH_FIXED_MS = 0.150  # a controller, per append it sends
+CTRL_FLUSH_PER_ENTRY_MS = 0.002  # a controller, per entry it appends
+CTRL_RECV_LOG_EVENT_MS = 0.003  # a controller, per event entry pushed to it
+CTRL_RECV_LOG_PROCESSED_MS = 0.002  # a controller, per processed entry pushed to it
+CTRL_SEND_MS = 0.001  # a controller, per message to a switch
+CTRL_RECV_MS = 0.00005  # a controller, per message from a switch
+SWITCH_SEND_MS = 0.001
+SWITCH_RECV_MS = 0.002
+
 
 class _NullTrace:
     def emit(self, kind: str, actor: str, **kw) -> None:
@@ -44,19 +61,67 @@ class _NullTrace:
         return lambda kind, **kw: None
 
 
-def bench_cost_model() -> CostModel:
-    return CostModel(
-        coord_request=0.050,
-        coord_per_entry=0.003,
-        ctrl_recv=0.00005,
-        ctrl_recv_log_event=0.003,
-        ctrl_recv_log_processed=0.002,
-        ctrl_send=0.001,
-        ctrl_flush_fixed=0.150,
-        ctrl_flush_per_entry=0.002,
-        switch_recv=0.002,
-        switch_send=0.001,
-    )
+def _ctrl_send_cost(msg) -> float:
+    # a controller's coordination link carries dicts, its switch links OpenFlow messages
+    if not isinstance(msg, dict):
+        return CTRL_SEND_MS
+    return CTRL_FLUSH_FIXED_MS + CTRL_FLUSH_PER_ENTRY_MS * len(msg["bodies"]) if msg["op"] == "append" else 0.0
+
+
+def _ctrl_recv_cost(msg) -> float:
+    if not isinstance(msg, dict):
+        return CTRL_RECV_MS
+    entries = msg["entries"] if msg["op"] == "entries" else ()
+    return sum(CTRL_RECV_LOG_EVENT_MS if isinstance(e.body, EventBody) else CTRL_RECV_LOG_PROCESSED_MS for e in entries)
+
+
+def _coord_recv_cost(msg: dict) -> float:
+    return COORD_REQUEST_MS + COORD_PER_ENTRY_MS * len(msg["bodies"]) if msg["op"] == "append" else 0.0
+
+
+def _charge_costs(world: DetWorld) -> None:
+    for end in world.coord.exec.links:
+        end.recv_cost = _coord_recv_cost
+    for ctrl in world.ctrls.values():
+        for end in ctrl.exec.links:
+            end.send_cost = _ctrl_send_cost
+            end.recv_cost = _ctrl_recv_cost
+    for node in world.switches.values():
+        for end in node.exec.links:
+            end.send_cost = lambda msg: SWITCH_SEND_MS
+            end.recv_cost = lambda msg: SWITCH_RECV_MS
+
+
+def no_log(replica: Replica) -> None:
+    """Commands mode: the master delivers each event as it assigns its id and
+    appends nothing, neither the event nor its processed entry."""
+
+    def deliver_now() -> None:
+        batch, replica.pending_batch = replica.pending_batch, []
+        for body in batch:
+            if isinstance(body, EventBody):
+                ev = body.event
+                replica._pending_keys.discard(ev.occurrence)
+                replica._finalize(ev, replica._deliver(ev, discard=False))
+
+    replica._arm_or_flush = deliver_now
+
+
+def no_bundles(replica: Replica) -> None:
+    """Events mode: the master sends an event's commands plain, with no bundle
+    and no commit marker, then logs its processed entry."""
+
+    def send_plain(ev, staged) -> None:
+        for switch_id, cmds in staged.items():
+            if switch_id in replica.live_switches:
+                for cmd in cmds:
+                    replica.env.send_switch(switch_id, cmd)
+        replica._enqueue_processed(ev.event_id)
+
+    replica._finalize = send_plain
+
+
+_VARIANTS = {MODE_EVENTS: no_bundles, MODE_COMMANDS: no_log, MODE_BOTH: lambda replica: None}
 
 
 @dataclass
@@ -83,15 +148,6 @@ class BenchResult:
     saturated: bool
 
 
-def _replica_cfg(cfg: BenchConfig) -> ReplicaConfig:
-    return ReplicaConfig(
-        batch_size=cfg.batch_size,
-        batch_time_ms=cfg.batch_time_ms,
-        replicate_events=cfg.mode in (MODE_EVENTS, MODE_BOTH),
-        use_bundles=cfg.mode in (MODE_COMMANDS, MODE_BOTH),
-    )
-
-
 def bench(cfg: BenchConfig) -> BenchResult:
     cfg.validate()
     scenario = ScenarioConfig(
@@ -104,7 +160,10 @@ def bench(cfg: BenchConfig) -> BenchResult:
         session_timeout_ms=10_000.0,  # no failure detection on the hot path
         heartbeat_interval_ms=1_000.0,
     )
-    world = DetWorld(scenario, trace=_NullTrace(), costs=bench_cost_model(), replica_cfg=_replica_cfg(cfg))
+    world = DetWorld(scenario, trace=_NullTrace())
+    _charge_costs(world)
+    for ctrl in world.ctrls.values():
+        _VARIANTS[cfg.mode](ctrl.replica)
 
     response_times: list[float] = []
     for node in world.switches.values():

@@ -18,7 +18,8 @@ Properties:
   T4  per-switch FIFO: event ids respect each switch's packet sequence.
 
 A field the checker reads that holds a value of the wrong type is a
-``CheckError`` naming the record and the field, not a crash.
+``CheckError`` naming the record and the field, not a crash, and so is a
+``delivered`` record from an actor outside run-meta's replica set.
 """
 
 from __future__ import annotations
@@ -109,19 +110,19 @@ def check_trace(path: str) -> CheckReport:
 
 
 def check_records(records: list[dict]) -> CheckReport:
-    idx = next((i for i, rec in enumerate(records) if rec.get("kind") == "run-meta"), None)
-    if idx is None:
+    meta_idx = next((i for i, rec in enumerate(records) if rec.get("kind") == "run-meta"), None)
+    if meta_idx is None:
         raise CheckError("trace has no run-meta record")
-    meta = _field(_field(records[idx], "detail", idx, dict, {}), "detail.config", idx, dict, {})
-    controllers = [f"c{i}" for i in range(_field(meta, "detail.config.n_controllers", idx, int, 0))]
-    app_name = _field(meta, "detail.config.app", idx, str, "forwarding")
-    app_params = _field(meta, "detail.config.app_params", idx, (dict, _NONE), None)
+    meta = _field(_field(records[meta_idx], "detail", meta_idx, dict, {}), "detail.config", meta_idx, dict, {})
+    controllers = [f"c{i}" for i in range(_field(meta, "detail.config.n_controllers", meta_idx, int, 0))]
+    app_name = _field(meta, "detail.config.app", meta_idx, str, "forwarding")
+    app_params = _field(meta, "detail.config.app_params", meta_idx, (dict, _NONE), None)
     try:
         app = apps_mod.make_app(app_name, app_params)
     except (TypeError, ValueError) as exc:
-        raise CheckError(f"record {idx}: the configured app cannot be built: {exc}") from exc
+        raise CheckError(f"record {meta_idx}: the configured app cannot be built: {exc}") from exc
     crashed_ctrls: set[str] = set()
-    crashed_switches: set[str] = set()
+    crashed_switches: dict[str, int] = {}  # switch -> its first switch-crashed record
 
     t1 = PropertyResult("T1", "total order: delivered sequences are prefix-consistent")
     t2 = PropertyResult("T2", "exactly-once events: logged once, delivered once, none lost")
@@ -155,8 +156,10 @@ def check_records(records: list[dict]) -> CheckReport:
                 processed_entries.setdefault(_field(body, "detail.body.event_id", idx, int, None), []).append(idx)
         elif kind == "delivered":
             actor = _field(rec, "actor", idx, str, None)
-            if actor in delivered:
-                delivered[actor].append((idx, _field(rec, "event_id", idx, int, None)))
+            if actor not in delivered:
+                raise CheckError(f"record {idx}: delivered by {actor!r}, not among the "
+                                 f"{len(controllers)} replicas of run-meta record {meta_idx}")
+            delivered[actor].append((idx, _field(rec, "event_id", idx, int, None)))
         elif kind == "event-emitted":
             detail = _field(rec, "detail", idx, dict, {})
             origin = detail.get("origin")
@@ -173,7 +176,7 @@ def check_records(records: list[dict]) -> CheckReport:
         elif kind == "controller-crashed":
             crashed_ctrls.add(_field(rec, "actor", idx, str, None))
         elif kind == "switch-crashed":
-            crashed_switches.add(_field(rec, "actor", idx, str, None))
+            crashed_switches.setdefault(_field(rec, "actor", idx, str, None), idx)
     survivors = [c for c in controllers if c not in crashed_ctrls]
 
     # -- T1 ------------------------------------------------------------------
@@ -265,7 +268,9 @@ def check_records(records: list[dict]) -> CheckReport:
     for (eid, switch_id), want in expected.items():
         if not want:
             continue
-        if switch_id in crashed_switches:
+        # the master logs processed only once the switch replied, showed its
+        # marker or was lost, so only a switch lost before that is excused
+        if crashed_switches.get(switch_id, len(records)) < processed_entries.get(eid, [-1])[0]:
             continue
         if (eid, switch_id) not in bundles_by_event:
             t3.fail(f"commands for event {eid} never executed on {switch_id}")

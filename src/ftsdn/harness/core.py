@@ -23,7 +23,7 @@ from typing import Callable
 
 from .. import apps as apps_mod
 from ..coord import CoordError, CoordService, EmptyAppend, NotLeader, SessionExpired
-from ..ctrl import FatalProtocolError, Replica, ReplicaConfig
+from ..ctrl import FatalProtocolError, Replica
 from .config import AT_TIME, ZOMBIE, FaultInjection, ScenarioConfig
 
 # how long after a session's deadline the expiry check runs, in ms
@@ -109,7 +109,6 @@ class Controller:
         cid: str,
         executor,
         cfg: ScenarioConfig,
-        replica_cfg: ReplicaConfig | None,
         trace,
         fault_hook: Callable[..., None] | None,
     ) -> None:
@@ -117,14 +116,14 @@ class Controller:
         self.exec = executor
         self.trace = trace
         self.heartbeat_interval_ms = cfg.heartbeat_interval_ms
-        rcfg = replica_cfg or ReplicaConfig(batch_size=cfg.batch_size, batch_time_ms=cfg.batch_time_ms)
         self.replica = Replica(
             cid,
-            rcfg,
             [apps_mod.make_app(cfg.app, cfg.app_params)],
             env=self,
             trace=trace.emitter(cid),
             fault_hook=fault_hook,
+            batch_size=cfg.batch_size,
+            batch_time_ms=cfg.batch_time_ms,
         )
         self.switch_links: dict[str, Callable] = {}
         self._append_cbs: dict[int, Callable[[str | None], None]] = {}

@@ -14,7 +14,7 @@ from typing import Callable
 
 from ..ctrl import ROLE_MASTER
 from ..ofwire import RoleAnnounce
-from .config import FaultInjection, ScenarioConfig
+from .config import AT_TIME, FaultInjection, ScenarioConfig
 from .world_det import DetWorld
 
 
@@ -62,6 +62,21 @@ def _duplicate_commit(world: DetWorld) -> None:
                 orig(eid, switch_id, cmds)
 
         replica._send_bundle = wrapped
+
+
+def _skipped_bundle(world: DetWorld) -> None:
+    # the master never sends the bundle of the first s1 event from id 5 on, nor waits for it
+    state = {"fired": False}
+    for node in world.ctrls.values():
+        orig = node.replica._send_bundle
+
+        def wrapped(eid, switch_id, cmds, orig=orig):
+            if switch_id == "s1" and eid >= 5 and not state["fired"]:
+                state["fired"] = True
+                return
+            orig(eid, switch_id, cmds)
+
+        node.replica._send_bundle = wrapped
 
 
 def _skipped_marker(world: DetWorld) -> None:
@@ -223,6 +238,14 @@ def catalog() -> list[Mutation]:
             # the woken master commits behind the probe only when the latency
             # draws queue an entries push ahead of the leader change
             seeds=range(20),
+        ),
+        Mutation(
+            "skipped-bundle",
+            "master drops one bundle to a switch that crashes long after",
+            _base_cfg(n_switches=2, packets_per_switch=40, inter_arrival_ms=3.0, seed=0,
+                      fault_plan=[FaultInjection(target="switch:s1", point=AT_TIME, at_time_ms=250.0)]),
+            ("T3",),
+            _skipped_bundle,
         ),
     ]
 

@@ -15,9 +15,10 @@ of its own. Crashing a node delivers its held and in-flight messages before
 the peers observe the disconnect, matching TCP semantics for an abruptly
 killed process.
 
-Actors can be given service costs (per received message and per sent
-message) so that throughput experiments have a real bottleneck resource;
-scenario runs leave all costs at zero.
+Each channel end can charge its actor a service cost per message it sends
+and per message it receives, so that a throughput experiment has a real
+bottleneck resource. The model bench (``bench.py``) sets these costs;
+scenario runs leave them at zero.
 
 A scheduled event is a plain list ``[time, seq, fn, maintenance, cancelled]``.
 Lists compare element by element in C, and ``(time, seq)`` is unique, so heap
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -47,9 +47,6 @@ class Scheduler:
         self._heap: list[Event] = []
         self._seq = 0
         self._live_work = 0  # scheduled non-maintenance events
-
-    def schedule(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
-        return self.schedule_at(self.now + max(0.0, delay_ms), fn, maintenance)
 
     def schedule_at(self, when: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         self._seq += 1
@@ -130,10 +127,8 @@ class Executor:
             self.busy_until = self._cursor
             self._cursor = None
 
-    def post(self, fn: Callable[[], None], arrive: float | None = None, cost_ms: float = 0.0,
-             maintenance: bool = False) -> Event:
-        when = self.sched.now if arrive is None else arrive
-        return self.sched.schedule_at(when, partial(self._run, fn, cost_ms), maintenance)
+    def post(self, fn: Callable[[], None], arrive: float, maintenance: bool = False) -> Event:
+        return self.sched.schedule_at(arrive, partial(self._run, fn, 0.0), maintenance)
 
     def call_later(self, delay_ms: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         return self.post(fn, arrive=self.now() + max(0.0, delay_ms), maintenance=maintenance)
@@ -160,7 +155,7 @@ class Endpoint:
         self._side = side
         self.on_message: Callable[[object], None] | None = None
         self.on_close: Callable[[], None] | None = None
-        # cost hooks, assigned by the world builder
+        # service-cost hooks, zero unless the model bench assigns them
         self.send_cost: Callable[[object], float] = lambda msg: 0.0
         self.recv_cost: Callable[[object], float] = lambda msg: 0.0
 
@@ -254,22 +249,6 @@ class Channel:
                 dst.on_close()
 
         self.execs[to_side].post(notify, arrive=when)
-
-
-@dataclass
-class CostModel:
-    """Service times in milliseconds; all zero outside benchmarks."""
-
-    coord_request: float = 0.0
-    coord_per_entry: float = 0.0
-    ctrl_recv: float = 0.0
-    ctrl_recv_log_event: float = 0.0
-    ctrl_recv_log_processed: float = 0.0
-    ctrl_send: float = 0.0
-    ctrl_flush_fixed: float = 0.0
-    ctrl_flush_per_entry: float = 0.0
-    switch_recv: float = 0.0
-    switch_send: float = 0.0
 
 
 def default_latency(rng: random.Random, lo: float = 0.2, hi: float = 1.5) -> Callable[[int], float]:

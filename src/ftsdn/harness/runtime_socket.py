@@ -322,7 +322,7 @@ class SocketWorld(World):
         self.ctrls: dict[str, Controller] = {}
         for i in range(cfg.n_controllers):
             cid = f"c{i}"
-            ctrl = Controller(cid, SocketExecutor(cid, self.trace), cfg, None, self.trace, self.fault_hook(cid))
+            ctrl = Controller(cid, SocketExecutor(cid, self.trace), cfg, self.trace, self.fault_hook(cid))
             self.ctrls[cid] = ctrl
             self._connect(ctrl)
             if i == 0:

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..coord import EventBody
-from ..ctrl import ReplicaConfig
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
 from .core import Controller, CoordHost, World, bind_controller
-from .runtime_det import Channel, CostModel, Executor, Scheduler, default_latency, fixed_latency
+from .runtime_det import Channel, Executor, Scheduler, default_latency, fixed_latency
 
 
 class SwitchNode:
@@ -21,22 +19,15 @@ class SwitchNode:
 
 
 class DetWorld(World):
-    def __init__(
-        self,
-        cfg: ScenarioConfig,
-        trace: TraceLog | None = None,
-        costs: CostModel | None = None,
-        replica_cfg: ReplicaConfig | None = None,
-    ) -> None:
+    def __init__(self, cfg: ScenarioConfig, trace: TraceLog | None = None) -> None:
         cfg.validate()
         self.sched = Scheduler(cfg.seed)
         super().__init__(cfg, trace if trace is not None else TraceLog(clock=lambda: self.sched.now))
-        self.costs = costs or CostModel()
         self.coord = CoordHost(Executor(self.sched, "coord"), self.trace)
         self.switches = {f"s{i}": SwitchNode(self.sched, f"s{i}", self.trace) for i in range(cfg.n_switches)}
         cids = [f"c{i}" for i in range(cfg.n_controllers)]
         self.ctrls = {
-            cid: Controller(cid, Executor(self.sched, cid), cfg, replica_cfg, self.trace, self.fault_hook(cid))
+            cid: Controller(cid, Executor(self.sched, cid), cfg, self.trace, self.fault_hook(cid))
             for cid in cids
         }
         for ctrl in self.ctrls.values():
@@ -56,23 +47,15 @@ class DetWorld(World):
     def _connect(self, ctrl: Controller) -> None:
         """Join a controller to the coordination service and every switch,
         then open its session."""
-        costs = self.costs
         cid = ctrl.cid
         chan = Channel(self.sched, ctrl.exec, self.coord.exec, self._latency_fn(cid, "coord"))
         ctrl_end, coord_end = chan.ends
         ctrl.bind_coord(ctrl_end)
-        ctrl_end.send_cost = _ctrl_to_coord_cost(costs)
-        ctrl_end.recv_cost = _coord_to_ctrl_recv_cost(costs)
-        coord_end.recv_cost = _coord_recv_cost(costs)
         for sid, snode in self.switches.items():
             chan = Channel(self.sched, ctrl.exec, snode.exec, self._latency_fn(cid, sid))
             ctrl_end, sw_end = chan.ends
             bind_controller(snode.switch, cid, sw_end)
             ctrl.bind_switch(sid, ctrl_end)
-            ctrl_end.send_cost = lambda msg: costs.ctrl_send
-            ctrl_end.recv_cost = lambda msg: costs.ctrl_recv
-            sw_end.send_cost = lambda msg: costs.switch_send
-            sw_end.recv_cost = lambda msg: costs.switch_recv
         self.coord.bind_controller(cid, self.cfg.session_timeout_ms, coord_end)
         ctrl.start_heartbeat()
 
@@ -100,32 +83,3 @@ class DetWorld(World):
     def run(self, deadline_ms: float) -> bool:
         return self.sched.run(deadline_ms, self.quiescent)
 
-
-def _ctrl_to_coord_cost(costs: CostModel):
-    def cost(msg: dict) -> float:
-        if msg.get("op") == "append":
-            return costs.ctrl_flush_fixed + costs.ctrl_flush_per_entry * len(msg["bodies"])
-        return 0.0
-
-    return cost
-
-
-def _coord_recv_cost(costs: CostModel):
-    def cost(msg: dict) -> float:
-        if msg.get("op") == "append":
-            return costs.coord_request + costs.coord_per_entry * len(msg["bodies"])
-        return 0.0
-
-    return cost
-
-
-def _coord_to_ctrl_recv_cost(costs: CostModel):
-    def cost(msg: dict) -> float:
-        if msg.get("op") == "entries":
-            return sum(
-                costs.ctrl_recv_log_event if isinstance(e.body, EventBody) else costs.ctrl_recv_log_processed
-                for e in msg["entries"]
-            )
-        return 0.0
-
-    return cost

@@ -281,7 +281,7 @@ def test_criterion_9_checker_soundness():
             problems.append(f"{m.name}: checker missed the defect")
     verdict(
         9,
-        len(mutations) >= 8 and not problems,
+        len(mutations) >= 9 and not problems,
         f"checker soundness: {len(mutations)} seeded defects each caught with a counterexample, "
         f"clean twins all pass ({problems or 'no problems'})",
     )

@@ -275,3 +275,32 @@ def test_check_reports_a_bad_field_as_one_error_line(clean_records, tmp_path, ca
     assert main(["check", "--trace", str(path)]) == 2
     out = capsys.readouterr().out
     assert out == f"error: record {idx}: bad detail: None\n"
+
+
+def test_delivered_by_a_replica_outside_run_meta_is_a_check_error(tmp_path, capsys):
+    result = run_scenario(ScenarioConfig(n_switches=1, n_controllers=2, packets_per_switch=5, seed=0))
+    assert result.report.all_pass
+    records = copy.deepcopy(result.records)
+    idx = next(i for i, rec in enumerate(records) if rec["kind"] == "delivered")
+    records.insert(idx + 1, copy.deepcopy(records[idx]))
+    assert not check_records(records).result("T2").passed
+    # a smaller replica count must not make T1 and T2 vacuous
+    meta = next(rec for rec in records if rec["kind"] == "run-meta")
+    meta["detail"]["config"]["n_controllers"] = 0
+    with pytest.raises(CheckError, match=f"record {idx}: delivered by 'c"):
+        check_records(records)
+    path = tmp_path / "shrunk.jsonl"
+    dump_jsonl(records, str(path))
+    assert main(["check", "--trace", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"error: record {idx}: ") and out.count("\n") == 1
+
+
+def test_a_switch_crash_after_the_event_finished_excuses_no_command():
+    # the dropped bundle's event finishes long before s1 crashes at 250 ms
+    mutation = by_name("skipped-bundle")
+    assert run_scenario(mutation.config).report.all_pass
+    report = run_scenario(mutation.config, mutate=mutation.apply).report
+    t3 = report.result("T3")
+    assert not t3.passed
+    assert any("never executed on s1" in c.message for c in t3.counterexamples)

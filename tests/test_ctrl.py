@@ -2,8 +2,9 @@ import pytest
 
 from ftsdn import ofwire
 from ftsdn.coord import EventBody, LogEntry, ProcessedBody
-from ftsdn.ctrl import AppContext, AppWriteError, Replica, ReplicaConfig, ROLE_MASTER, ROLE_SLAVE
+from ftsdn.ctrl import AppContext, AppWriteError, Replica, ROLE_MASTER, ROLE_SLAVE
 from ftsdn.events import KIND_PACKET_IN, SwitchEvent
+from ftsdn.harness.bench import no_bundles, no_log
 from ftsdn.ofwire import (
     Action,
     BarrierReply,
@@ -82,16 +83,16 @@ def packet_in(sw="s0", seq=1):
     return PacketIn(sw, seq, ofwire.NO_BUFFER, 1, b"payload-%d" % seq)
 
 
-def make_replica(app=None, trace=None, **cfg_kw):
+def make_replica(app=None, trace=None, **batching):
     env = FakeEnv()
-    replica = Replica("c0", ReplicaConfig(**cfg_kw), [app or RecordingApp()], env, trace=trace)
+    replica = Replica("c0", [app or RecordingApp()], env, trace=trace, **batching)
     replica.attach_switch("s0")
     replica.attach_switch("s1")
     return replica, env
 
 
-def make_master(app=None, trace=None, **cfg_kw):
-    replica, env = make_replica(app, trace, **cfg_kw)
+def make_master(app=None, trace=None, **batching):
+    replica, env = make_replica(app, trace, **batching)
     replica.on_leadership("c0", 1, 0)
     assert replica.role == ROLE_MASTER
     env.sent.clear()  # drop the promotion's role announcements
@@ -225,6 +226,36 @@ def test_master_delivers_and_bundles_commands():
     assert any(isinstance(b, ProcessedBody) for b in replica.pending_batch) or any(
         isinstance(b, ProcessedBody) for _, bodies, _ in env.appends for b in bodies
     )
+
+
+def test_no_log_variant_bundles_each_event_at_once_and_never_appends():
+    replica, env = make_master(batch_size=1)
+    no_log(replica)
+    env.coord_append = lambda *args: pytest.fail("the no-log variant appended")
+    for seq in (1, 2, 3):
+        replica.on_switch_message("s0", packet_in(seq=seq))
+    opens = [(sid, m.bundle_id) for sid, m in env.sent if isinstance(m, BundleOpen)]
+    assert [replica._bundle_owner[bid] for _, bid in opens] == [1, 2, 3]
+    assert replica.delivered_upto == 3
+    for sid, bid in opens:
+        replica.on_switch_message(sid, BundleReply(bid, True))
+    assert not replica.pending_replies
+    assert replica.pending_batch == []
+    assert replica._pending_keys == set()
+
+
+def test_no_bundles_variant_sends_plain_commands_then_logs_processed():
+    traced = []
+    replica, env = make_master(
+        TwoSwitchApp(), trace=lambda kind, **kw: traced.append((kind, kw.get("event_id"))), batch_size=1
+    )
+    no_bundles(replica)
+    for seq in (1, 2):
+        replica.on_switch_message("s0", packet_in(seq=seq))
+    feed_log(replica, env)
+    assert [(sid, type(m)) for sid, m in env.sent] == [("s0", PacketOut), ("s1", PacketOut)] * 2
+    assert not replica.pending_replies
+    assert [eid for kind, eid in traced if kind == "processed-logged"] == [1, 2]
 
 
 def test_zero_command_event_processed_immediately():

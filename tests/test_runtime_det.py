@@ -35,7 +35,7 @@ def test_maintenance_timers_do_not_stop_quiescence():
 
     def heartbeat() -> None:
         ticks.append(sched.now)
-        sched.schedule(1.0, heartbeat, maintenance=True)
+        sched.schedule_at(sched.now + 1.0, heartbeat, maintenance=True)
 
     sched.schedule_at(0.0, heartbeat, maintenance=True)
     sched.schedule_at(3.5, lambda: ticks.append("work"))
@@ -108,23 +108,27 @@ def test_channel_close_reaches_the_peer_after_in_flight_messages():
 
 def test_busy_until_follows_the_cost_model():
     sched = Scheduler(seed=1)
-    ex = Executor(sched, "x")
+    a, ex = Executor(sched, "a"), Executor(sched, "x")
+    chan = Channel(sched, a, ex, fixed_latency(1.0))
     starts = []
 
-    def handler(extra: float) -> None:
+    def handler(msg: tuple[float, float]) -> None:
         starts.append(ex.now())
-        ex.debit(extra)
+        ex.debit(msg[0])
 
-    ex.post(lambda: handler(1.0), arrive=0.0, cost_ms=2.0)
-    # arrives while the executor is still busy, so it starts at 3.0
-    ex.post(lambda: handler(0.0), arrive=1.0, cost_ms=3.0)
-    # arrives after the executor went idle, so it starts on arrival
-    ex.post(lambda: handler(0.0), arrive=10.0, cost_ms=0.5)
+    # each message is (extra work its handler debits, its receive cost)
+    chan.ends[1].recv_cost = lambda msg: msg[1]
+    chan.ends[1].on_message = handler
+    sched.schedule_at(0.0, lambda: chan.ends[0].send((1.0, 2.0)))
+    # arrives at 2.0 while the executor is still busy, so it starts at 4.0
+    sched.schedule_at(1.0, lambda: chan.ends[0].send((0.0, 3.0)))
+    # arrives at 11.0 after the executor went idle, so it starts on arrival
+    sched.schedule_at(10.0, lambda: chan.ends[0].send((0.0, 0.5)))
     sched.run(until=100.0)
     # inside a handler now() is its start plus the receive cost
-    assert starts == [2.0, 6.0, 10.5]
-    assert ex.busy_until == 10.5
-    assert ex.now() == sched.now == 10.0
+    assert starts == [3.0, 7.0, 11.5]
+    assert ex.busy_until == 11.5
+    assert ex.now() == sched.now == 11.0
 
 
 def test_send_cost_delays_departure_and_dead_executors_run_nothing():
