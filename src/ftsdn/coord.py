@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import ofwire
 from .events import KIND_SWITCH_FAILURE, SwitchEvent
 
 
@@ -217,13 +218,18 @@ class CoordService:
                 ev = body.event
                 if ev.kind != KIND_SWITCH_FAILURE:
                     self.n_switch_events += 1
+                # flat fields and the encoded message; TraceLog.as_dicts renders the body's JSON
                 self._trace(
                     "log-append",
                     epoch=self.epoch,
                     event_id=ev.event_id,
                     switch_id=ev.switch_id,
                     switch_seq=ev.switch_seq,
-                    detail={"seq": entry.seq, "body": body.to_json()},
+                    detail={
+                        "seq": entry.seq, "body": "event", "event_id": ev.event_id, "switch_id": ev.switch_id,
+                        "switch_seq": ev.switch_seq, "kind": ev.kind,
+                        "message": None if ev.message is None else ofwire.encode_body(ev.message),
+                    },
                 )
             else:
                 self.n_processed += 1
@@ -231,7 +237,7 @@ class CoordService:
                     "log-append",
                     epoch=self.epoch,
                     event_id=body.event_id,
-                    detail={"seq": entry.seq, "body": body.to_json()},
+                    detail={"seq": entry.seq, "body": "processed", "event_id": body.event_id},
                 )
         for watch in self._watches:
             self._pump(watch)

@@ -61,7 +61,12 @@ class CoordHost:
     def _on_request(self, sid: int, push: Callable[[dict], None], msg: dict) -> None:
         op = msg["op"]
         now = self.exec.now()
-        if op == "append":
+        if op == "heartbeat":  # the most frequent request, so tested first
+            try:
+                self.service.heartbeat(sid, now)
+            except CoordError:
+                pass  # dead session; the client learns through leadership changes
+        elif op == "append":
             error = None
             try:
                 self.service.append(sid, msg["epoch"], msg["bodies"], now)
@@ -72,11 +77,6 @@ class CoordHost:
             except EmptyAppend:
                 error = "rejected-empty"
             push({"op": "append-reply", "req": msg["req"], "error": error})
-        elif op == "heartbeat":
-            try:
-                self.service.heartbeat(sid, now)
-            except CoordError:
-                pass  # dead session; the client learns through leadership changes
         # No re-arm: a request only moves a deadline later, so the armed
         # timer is early at worst, and _check_expiry re-arms it.
 

@@ -18,7 +18,7 @@ killed process.
 Each channel end can charge its actor a service cost per message it sends
 and per message it receives, so that a throughput experiment has a real
 bottleneck resource. The model bench (``bench.py``) sets these costs;
-scenario runs leave them at zero.
+scenario runs leave them unset, and an unset cost is never called.
 
 A scheduled event is a plain list ``[time, seq, fn, maintenance, cancelled]``.
 Lists compare element by element in C, and ``(time, seq)`` is unique, so heap
@@ -155,9 +155,9 @@ class Endpoint:
         self._side = side
         self.on_message: Callable[[object], None] | None = None
         self.on_close: Callable[[], None] | None = None
-        # service-cost hooks, zero unless the model bench assigns them
-        self.send_cost: Callable[[object], float] = lambda msg: 0.0
-        self.recv_cost: Callable[[object], float] = lambda msg: 0.0
+        # service-cost hooks; None (no cost) unless the model bench assigns them
+        self.send_cost: Callable[[object], float] | None = None
+        self.recv_cost: Callable[[object], float] | None = None
 
     def send(self, msg: object) -> None:
         self._channel.send(self._side, msg)
@@ -203,7 +203,9 @@ class Channel:
         sender = self.execs[from_side]
         if not sender.alive:
             return
-        sender.debit(self.ends[from_side].send_cost(msg))
+        send_cost = self.ends[from_side].send_cost
+        if send_cost is not None:
+            sender.debit(send_cost(msg))
         to_side = 1 - from_side
         if sender._cursor is None:  # outside any handler: a harness injection
             self._dispatch(to_side, [msg], self.sched.now)
@@ -229,7 +231,7 @@ class Channel:
         self._last_arrival[to_side] = arrival
         dst = self.ends[to_side]
         recv_cost = dst.recv_cost
-        cost = sum([recv_cost(msg) for msg in msgs])
+        cost = 0.0 if recv_cost is None else sum([recv_cost(msg) for msg in msgs])
         self.sched.schedule_at(arrival, partial(self.execs[to_side]._run, dst.deliver, cost, msgs))
 
     def close(self, from_side: int) -> None:

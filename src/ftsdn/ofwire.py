@@ -367,7 +367,7 @@ def _tuple_of(codec: _Codec) -> _Codec:
 
 def _get_inner(data: bytes, off: int) -> tuple[OfMessage, int]:
     raw, off = _get_bytes(data, off)
-    return _decode_body(raw), off
+    return decode_body(raw), off
 
 
 # Keyed by annotation text: ``from __future__ import annotations`` keeps
@@ -380,7 +380,7 @@ _FIELD_CODECS: dict[str, _Codec] = {
     # A bundled message is a nested frame body; BundleAdd rejects other types.
     # The lambdas look up to_json/from_json, defined below, at call time.
     "PacketOut | FlowMod": _Codec(
-        lambda out, m: _put_bytes(out, _encode_body(m)),
+        lambda out, m: _put_bytes(out, encode_body(m)),
         _get_inner,
         lambda m: to_json(m),
         lambda d: from_json(d),
@@ -442,7 +442,9 @@ _BY_NAME: dict[str, type] = {cls.__name__: cls for cls in _TAGS}
 # message body codecs
 
 
-def _encode_body(msg: OfMessage) -> bytes:
+def encode_body(msg: OfMessage) -> bytes:
+    """A frame body: the variant tag, then the payload. The compact form of a
+    message that a trace record stores, too."""
     tag = _TAGS.get(type(msg))
     if tag is None:
         raise EncodeError(f"not an OfMessage: {msg!r}")
@@ -451,7 +453,8 @@ def _encode_body(msg: OfMessage) -> bytes:
     return bytes(out)
 
 
-def _decode_body(body: bytes) -> OfMessage:
+def decode_body(body: bytes) -> OfMessage:
+    """The message ``encode_body`` encoded; raises :class:`ProtocolError` on bad bytes."""
     if not body:
         raise ProtocolError("empty frame body")
     cls = _BY_TAG.get(body[0])
@@ -465,7 +468,7 @@ def _decode_body(body: bytes) -> OfMessage:
 
 def encode(msg: OfMessage) -> bytes:
     """Encode one message as a self-delimiting frame. Deterministic."""
-    body = _encode_body(msg)
+    body = encode_body(msg)
     if len(body) > MAX_FRAME_BODY:
         raise EncodeError(f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BODY}")
     return struct.pack(">I", len(body)) + body
@@ -485,7 +488,7 @@ def decode(data: bytes, offset: int = 0) -> tuple[OfMessage, int] | None:
     end = offset + 4 + length
     if len(data) < end:
         return None
-    return _decode_body(data[offset + 4 : end]), end
+    return decode_body(data[offset + 4 : end]), end
 
 
 class FrameBuffer:

@@ -92,6 +92,7 @@ class Switch:
         self._trace = trace or (lambda kind, **kw: None)
         self.flow_table = FlowTable()
         self.conns: dict[int, ControllerConn] = {}
+        self._conn_ids: tuple[str, ...] = ()  # the controllers of ``conns``, in order, for event-emitted records
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1
         self.master_id: str | None = None  # the last announced master; None: any controller may command
@@ -104,11 +105,13 @@ class Switch:
 
     def attach(self, conn: ControllerConn) -> None:
         self.conns[conn.uid] = conn
+        self._conns_changed()
 
     def on_conn_closed(self, conn_uid: int) -> None:
         conn = self.conns.pop(conn_uid, None)
         if conn is None:
             return
+        self._conns_changed()
         for key, bundle in list(self.bundles.items()):
             if bundle.conn_uid == conn_uid:
                 del self.bundles[key]
@@ -143,7 +146,7 @@ class Switch:
         msg = PortStatus(self.switch_id, port, up)
         self._trace(
             "event-emitted",
-            detail={"origin": "port-status", "index": self._port_status_count, "conns": self._conn_ids()},
+            detail={"origin": "port-status", "index": self._port_status_count, "conns": self._conn_ids},
         )
         for conn in list(self.conns.values()):
             conn.send(msg)
@@ -156,14 +159,16 @@ class Switch:
         self._trace(
             "event-emitted",
             switch_seq=seq,
-            detail={"origin": origin, "in_port": in_port, "conns": self._conn_ids()},
+            detail={"origin": origin, "in_port": in_port, "conns": self._conn_ids},
         )
         msg = PacketIn(self.switch_id, seq, ofwire.NO_BUFFER, in_port, payload)
         for conn in list(self.conns.values()):
             conn.send(msg)
 
-    def _conn_ids(self) -> list[str]:
-        return [c.controller_id for c in self.conns.values()]
+    def _conns_changed(self) -> None:
+        # One tuple of strings shared by every record until the next change:
+        # a detail holding it stays out of the garbage collector (see trace.py).
+        self._conn_ids = tuple(c.controller_id for c in self.conns.values())
 
     # -- controller-to-switch path ---------------------------------------------
 
@@ -228,9 +233,10 @@ class Switch:
 
     def _record_exec(self, cmd: ofwire.OfMessage, origin: str, bundle_id: int | None, controller_id: str | None) -> None:
         """Trace one applied command; origin is "bundle", "direct" or "table".
-        These records are the checker's ground truth."""
+        These records are the checker's ground truth. The command is stored
+        as its encoded body, which ``TraceLog.as_dicts`` renders as JSON."""
         self._trace(
             "switch-exec",
             bundle_id=bundle_id,
-            detail={"command": ofwire.to_json(cmd), "origin": origin, "controller": controller_id},
+            detail={"command": ofwire.encode_body(cmd), "origin": origin, "controller": controller_id},
         )

@@ -5,13 +5,22 @@ milliseconds in deterministic mode and wall-clock nanoseconds in socket mode.
 
 ``TraceLog`` holds no object per record: ``emit`` extends one flat list with
 the nine fields of a ``TraceRecord``, in field order. The fields are strings,
-numbers, ``None`` and ``detail`` dicts, and the collector tracks none of these
-but the dicts that hold other containers. A long run therefore adds one
-tracked list, not 10^5 tracked records that every full collection must walk
-and that push it to collect more often. ``as_dicts`` builds each record's dict
-straight from the list, with the function behind ``TraceRecord.to_dict``. One
-``list.extend`` with a tuple runs no Python code, so under the interpreter lock
-it lands all nine fields at once and socket threads emit without a lock.
+numbers, ``None`` and ``detail`` dicts. CPython's collector does not track a
+dict whose values are all atomic (strings, numbers, ``None``, bytes, tuples of
+strings, once the first collection has untracked the tuple), so a long run
+adds one tracked list, not 10^5 tracked objects that every full collection
+must walk and that push it to collect more often.
+
+The three kinds emitted per packet keep their details atomic by storing a
+compact form: ``switch-exec`` holds its command as the encoded OpenFlow body
+(``ofwire.encode_body``), ``event-emitted`` its connections as a tuple, and
+``log-append`` its body as flat fields with the event message's encoded body
+(``None`` for a switch failure). ``as_dicts`` builds each record's dict
+straight from the list, with the function behind ``TraceRecord.to_dict``,
+which renders these details to their JSON form through ``_RENDER``; every
+reader of records sees only JSON. One ``list.extend`` with a tuple runs no
+Python code, so under the interpreter lock it lands all nine fields at once
+and socket threads emit without a lock.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
+
+from . import ofwire
+from .coord import EventBody, ProcessedBody
+from .events import SwitchEvent
 
 
 class TraceParseError(Exception):
@@ -48,8 +61,37 @@ class TraceRecord:
 _WIDTH = len(TraceRecord.__slots__)
 
 
+def _switch_exec_json(detail: dict) -> dict:
+    return {**detail, "command": ofwire.to_json(ofwire.decode_body(detail["command"]))}
+
+
+def _event_emitted_json(detail: dict) -> dict:
+    return {**detail, "conns": list(detail["conns"])}
+
+
+def _log_append_json(detail: dict) -> dict:
+    if detail["body"] == "processed":
+        body = ProcessedBody(detail["event_id"])
+    else:
+        msg = detail["message"]
+        body = EventBody(SwitchEvent(
+            detail["switch_id"], detail["switch_seq"], detail["kind"],
+            None if msg is None else ofwire.decode_body(msg), detail["event_id"],
+        ))
+    return {"seq": detail["seq"], "body": body.to_json()}
+
+
+# the kinds whose detail is stored compact, each with the function that renders it as JSON
+_RENDER: dict[str, Callable[[dict], dict]] = {
+    "switch-exec": _switch_exec_json,
+    "event-emitted": _event_emitted_json,
+    "log-append": _log_append_json,
+}
+
+
 def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq, bundle_id, detail) -> dict:
-    """The JSON form of one record, in ``TraceRecord`` field order; unset fields are left out."""
+    """The JSON form of one record, in ``TraceRecord`` field order; unset fields are left out
+    and a compact detail is rendered."""
     d: dict = {"kind": kind, "actor": actor, "timestamp": timestamp}
     if epoch is not None:
         d["epoch"] = epoch
@@ -62,7 +104,8 @@ def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq,
     if bundle_id is not None:
         d["bundle_id"] = bundle_id
     if detail is not None:
-        d["detail"] = detail
+        render = _RENDER.get(kind)
+        d["detail"] = detail if render is None else render(detail)
     return d
 
 

@@ -16,6 +16,7 @@ from ftsdn.ofwire import (
     RoleAnnounce,
 )
 from ftsdn.switchsim import Switch
+from ftsdn.trace import TraceLog
 
 _uid = iter(range(1, 10_000))
 
@@ -34,19 +35,23 @@ def payload(dst="02:00:00:00:00:01", src="02:00:00:00:00:02", body=b"x"):
     return ofwire.ether_payload(dst, src, body)
 
 
-def make_switch(n_conns=2, execs=None):
-    """A switch with ``n_conns`` connections; the detail of every switch-exec
-    record it traces is appended to ``execs``."""
+@pytest.fixture
+def log():
+    return TraceLog(clock=lambda: 0.0)
 
-    def trace(kind, **kw):
-        if kind == "switch-exec" and execs is not None:
-            execs.append(kw["detail"])
 
-    sw = Switch("s0", trace=trace)
+def make_switch(n_conns=2, log=None):
+    """A switch with ``n_conns`` connections, tracing into ``log`` if one is given."""
+    sw = Switch("s0", trace=None if log is None else log.emitter("s0"))
     conns = [FakeConn(f"c{i}") for i in range(n_conns)]
     for c in conns:
         sw.attach(c)
     return sw, conns
+
+
+def exec_details(log):
+    """The detail of every switch-exec record in ``log``, as ``as_dicts`` renders it."""
+    return [r["detail"] for r in log.as_dicts() if r["kind"] == "switch-exec"]
 
 
 def test_unmatched_packet_fans_out_to_all_controllers():
@@ -66,16 +71,15 @@ def test_switch_seq_strictly_increases():
     assert seqs == [1, 2, 3, 4, 5]
 
 
-def test_matched_packet_executes_locally_without_packetin():
-    execs = []
-    sw, (c0, c1) = make_switch(execs=execs)
+def test_matched_packet_executes_locally_without_packetin(log):
+    sw, (c0, c1) = make_switch(log=log)
     fm = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(2),), 10)
     sw.on_message(c0, fm)  # plain FlowMod installs immediately
-    before = len(execs)
+    before = len(exec_details(log))
     sw.inject_packet(payload(), in_port=1)
     assert len(c0.inbox) == 0 and len(c1.inbox) == 0
-    assert len(execs) == before + 1
-    assert execs[-1]["origin"] == "table"
+    assert len(exec_details(log)) == before + 1
+    assert exec_details(log)[-1]["origin"] == "table"
 
 
 def test_fan_out_counts_live_connections_only():
@@ -114,9 +118,8 @@ def test_flow_table_add_with_same_match_and_priority_replaces_rule():
     assert len(sw.flow_table) == 3  # another priority is another rule
 
 
-def test_bundle_lifecycle_commit_order():
-    execs = []
-    sw, (c0, c1) = make_switch(execs=execs)
+def test_bundle_lifecycle_commit_order(log):
+    sw, (c0, c1) = make_switch(log=log)
     fm = FlowMod(MatchKey(eth_dst="02:00:00:00:00:01"), (Action.output(2),), 10)
     marker = ofwire.make_commit_marker(1, [7])
     sw.on_message(c0, BundleOpen(5))
@@ -132,16 +135,15 @@ def test_bundle_lifecycle_commit_order():
     assert BundleReply(5, True) in c0.inbox
     assert not any(isinstance(m, BundleReply) for m in c1.inbox)
     # the switch-exec records show the bundle contiguous and in order
-    kinds = [(e["origin"], e["command"]["type"]) for e in execs]
+    kinds = [(e["origin"], e["command"]["type"]) for e in exec_details(log)]
     assert kinds == [("bundle", "FlowMod"), ("bundle", "PacketOut")]
 
 
-def test_commit_unknown_bundle_fails():
-    execs = []
-    sw, (c0, _) = make_switch(execs=execs)
+def test_commit_unknown_bundle_fails(log):
+    sw, (c0, _) = make_switch(log=log)
     sw.on_message(c0, BundleCommit(99))
     assert c0.inbox == [BundleReply(99, False)]
-    assert execs == []
+    assert exec_details(log) == []
 
 
 def test_add_to_unknown_bundle_fails():
@@ -157,9 +159,8 @@ def test_duplicate_open_is_error_reply():
     assert c0.inbox == [BundleReply(5, False)]
 
 
-def test_switch_refuses_changes_from_a_controller_that_is_not_master():
-    execs = []
-    sw, (c0, c1) = make_switch(execs=execs)
+def test_switch_refuses_changes_from_a_controller_that_is_not_master(log):
+    sw, (c0, c1) = make_switch(log=log)
     sw.on_message(c1, RoleAnnounce("c1", 2))
     sw.on_message(c0, BundleOpen(1))
     sw.on_message(c0, BundleAdd(1, ofwire.make_commit_marker(1, [1])))
@@ -168,13 +169,13 @@ def test_switch_refuses_changes_from_a_controller_that_is_not_master():
     sw.on_message(c0, FlowMod(MatchKey(in_port=1), (Action.output(2),), 1))
     sw.on_message(c0, BarrierRequest(7))
     assert c0.inbox == [BundleReply(1, False), BundleReply(1, False), BundleReply(1, False), BarrierReply(7)]
-    assert execs == [] and sw.bundles == {}
+    assert exec_details(log) == [] and sw.bundles == {}
     # a stale announcement does not move the role back
     sw.on_message(c0, RoleAnnounce("c0", 1))
     sw.on_message(c0, PacketOut((Action.output(2),), payload()))
-    assert sw.master_id == "c1" and execs == []
+    assert sw.master_id == "c1" and exec_details(log) == []
     sw.on_message(c1, PacketOut((Action.output(2),), payload()))
-    assert len(execs) == 1
+    assert len(exec_details(log)) == 1
 
 
 def test_barrier_covers_processed_not_pending_bundles():
@@ -221,19 +222,17 @@ def test_reconnect_gets_fresh_bundle_namespace():
     assert BundleReply(5, True) in c0b.inbox
 
 
-def test_crash_stops_all_activity():
-    execs = []
-    sw, (c0, _) = make_switch(execs=execs)
+def test_crash_stops_all_activity(log):
+    sw, (c0, _) = make_switch(log=log)
     sw.crash()
     sw.inject_packet(payload(), in_port=1)
     sw.on_message(c0, BundleOpen(1))
     assert c0.inbox == []
-    assert execs == []
+    assert exec_details(log) == []
 
 
-def test_committed_bundles_are_contiguous_under_interleaving():
-    execs = []
-    sw, (c0, c1) = make_switch(execs=execs)
+def test_committed_bundles_are_contiguous_under_interleaving(log):
+    sw, (c0, c1) = make_switch(log=log)
     fm = lambda p: FlowMod(MatchKey(in_port=p), (Action.output(1),), 1)
     sw.on_message(c0, BundleOpen(1))
     sw.on_message(c1, BundleOpen(1))
@@ -243,6 +242,6 @@ def test_committed_bundles_are_contiguous_under_interleaving():
     sw.on_message(c1, BundleAdd(1, ofwire.make_commit_marker(1, [2])))
     sw.on_message(c1, BundleCommit(1))
     sw.on_message(c0, BundleCommit(1))
-    owners = [e["controller"] for e in execs]
+    owners = [e["controller"] for e in exec_details(log)]
     assert owners == ["c1", "c1", "c0", "c0"]
 

@@ -1,9 +1,22 @@
+import gc
 import sys
 import threading
 
+from ftsdn import ofwire
+from ftsdn.coord import CoordService, EventBody, ProcessedBody
+from ftsdn.events import (
+    KIND_PACKET_IN,
+    KIND_PORT_STATUS,
+    KIND_SWITCH_FAILURE,
+    SWITCH_FAILURE_SEQ,
+    SwitchEvent,
+    port_status_seq,
+)
 from ftsdn.harness.checker import check_trace
-from ftsdn.harness.config import FaultInjection, ScenarioConfig
+from ftsdn.harness.config import AT_TIME, F2, FaultInjection, ScenarioConfig
 from ftsdn.harness.scenario import run_scenario
+from ftsdn.ofwire import Action, BundleAdd, BundleCommit, BundleOpen, FlowMod, MatchKey, PacketIn, PacketOut, PortStatus
+from ftsdn.switchsim import Switch
 from ftsdn.trace import TraceLog, TraceRecord, dump_jsonl, load_jsonl
 
 THREADS = 8
@@ -82,3 +95,109 @@ def test_dumped_scenario_trace_loads_back_and_checks(tmp_path):
     assert load_jsonl(path) == records
     report = check_trace(path)
     assert report.all_pass and report.summary["events"] > 0
+
+
+# -- compact details: the three kinds emitted per packet ------------------------
+
+COMPACT_KINDS = ("switch-exec", "event-emitted", "log-append")
+DST, SRC = "02:00:00:00:00:01", "02:00:00:00:00:02"
+
+
+class Conn:
+    def __init__(self, controller_id: str, uid: int) -> None:
+        self.controller_id = controller_id
+        self.uid = uid
+
+    def send(self, msg) -> None:
+        pass
+
+
+def details(log: TraceLog, kind: str) -> list:
+    return [r["detail"] for r in log.as_dicts() if r["kind"] == kind]
+
+
+def test_switch_exec_renders_each_command_as_its_json():
+    log = TraceLog(clock=lambda: 0.0)
+    sw = Switch("s0", trace=log.emitter("s0"))
+    c0 = Conn("c0", 1)
+    sw.attach(c0)
+    pkt = ofwire.ether_payload(DST, SRC, b"p")
+    bundled = PacketOut((Action.output(2), Action.drop()), pkt)
+    sw.on_message(c0, BundleOpen(4))
+    sw.on_message(c0, BundleAdd(4, bundled))
+    sw.on_message(c0, BundleCommit(4))
+    direct = FlowMod(MatchKey(in_port=1, eth_dst=DST), (Action.output(3),), 7)
+    sw.on_message(c0, direct)
+    sw.inject_packet(pkt, in_port=1)  # hits the rule just installed
+    assert details(log, "switch-exec") == [
+        {"command": ofwire.to_json(bundled), "origin": "bundle", "controller": "c0"},
+        {"command": ofwire.to_json(direct), "origin": "direct", "controller": "c0"},
+        {"command": ofwire.to_json(PacketOut(direct.actions, pkt)), "origin": "table", "controller": None},
+    ]
+    assert [r.get("bundle_id") for r in log.as_dicts() if r["kind"] == "switch-exec"] == [4, None, None]
+
+
+def test_log_append_renders_each_body_as_its_json():
+    log = TraceLog(clock=lambda: 0.0)
+    coord = CoordService(trace=log.emitter("coord"))
+    sid = coord.open_session("c0", 100.0, 0.0)
+    coord.enroll(sid, "c0", 0.0)
+    pkt = ofwire.ether_payload(DST, SRC, b"q")
+    bodies = [
+        EventBody(SwitchEvent("s0", 3, KIND_PACKET_IN, PacketIn("s0", 3, ofwire.NO_BUFFER, 2, pkt), event_id=1)),
+        EventBody(SwitchEvent("s1", port_status_seq(0), KIND_PORT_STATUS, PortStatus("s1", 5, False), event_id=2)),
+        EventBody(SwitchEvent("s1", SWITCH_FAILURE_SEQ, KIND_SWITCH_FAILURE, None, event_id=3)),
+        ProcessedBody(1),
+    ]
+    coord.append(sid, coord.epoch, bodies, 0.0)
+    got = details(log, "log-append")
+    assert got == [{"seq": i, "body": body.to_json()} for i, body in enumerate(bodies, start=1)]
+    assert got[2]["body"]["event"]["message"] is None
+    assert got[3] == {"seq": 4, "body": {"kind": "processed", "event_id": 1}}
+
+
+def test_event_emitted_renders_the_connections_as_a_list():
+    log = TraceLog(clock=lambda: 0.0)
+    sw = Switch("s0", trace=log.emitter("s0"))
+    c0, c1 = Conn("c0", 1), Conn("c1", 2)
+    sw.attach(c0)
+    sw.attach(c1)
+    sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)
+    sw.set_port(2, False)
+    sw.on_conn_closed(c0.uid)
+    sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=1)
+    sw.attach(Conn("c0", 3))
+    sw.set_port(2, True)
+    assert details(log, "event-emitted") == [
+        {"origin": "dataplane", "in_port": 3, "conns": ["c0", "c1"]},
+        {"origin": "port-status", "index": 1, "conns": ["c0", "c1"]},
+        {"origin": "dataplane", "in_port": 1, "conns": ["c1"]},
+        {"origin": "port-status", "index": 2, "conns": ["c1", "c0"]},
+    ]
+
+
+def _small_run():
+    cfg = ScenarioConfig(
+        n_switches=2, n_controllers=2, packets_per_switch=20, session_timeout_ms=100.0, app="learning", seed=1,
+        fault_plan=[FaultInjection(point=F2, trigger_event=8),
+                    FaultInjection(target="switch:s1", point=AT_TIME, at_time_ms=40.0)],
+    )
+    result = run_scenario(cfg)
+    assert result.passed
+    return result
+
+
+def test_as_dicts_twice_gives_equal_lists():
+    log = _small_run().world.trace
+    first = log.as_dicts()
+    assert first == log.as_dicts()
+    assert set(COMPACT_KINDS) <= {r["kind"] for r in first}
+
+
+def test_stored_details_of_the_per_packet_kinds_are_not_tracked_by_the_collector():
+    log = _small_run().world.trace
+    gc.collect()
+    fields = log._fields  # the stored records, nine fields each; the kind first, the detail last
+    stored = [(kind, detail) for kind, detail in zip(fields[0::9], fields[8::9]) if kind in COMPACT_KINDS]
+    assert {kind for kind, _ in stored} == set(COMPACT_KINDS)
+    assert [kind for kind, detail in stored if gc.is_tracked(detail)] == []
