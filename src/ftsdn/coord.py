@@ -3,9 +3,10 @@
 A single-process stand-in for a replicated ensemble, exposing the contract
 the control plane depends on: an append-only shared log with atomic batched
 appends, watches that replay every entry in order (one push per append,
-carrying all of that append's entries), sessions with
+carrying the seq of its first entry and all of its bodies), sessions with
 timeout-based failure detection, and arrival-ordered leader election with
-fencing epochs.
+fencing epochs. A log entry is its body, a ``SwitchEvent`` or a
+``ProcessedBody``; the entry with seq n is ``log[n - 1]``.
 
 All methods must be invoked from one logical serializer (the owning actor or
 a lock); the service itself holds no threads. Time is passed in explicitly
@@ -14,7 +15,7 @@ so the harness clock can drive expiry deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import ofwire
@@ -42,43 +43,25 @@ class ElectionError(CoordError):
 
 
 @dataclass
-class EventBody:
-    event: SwitchEvent
-
-    def to_json(self) -> dict:
-        return {"kind": "event", "event": self.event.to_json()}
-
-
-@dataclass
 class ProcessedBody:
     event_id: int
 
-    def to_json(self) -> dict:
-        return {"kind": "processed", "event_id": self.event_id}
+
+LogBody = SwitchEvent | ProcessedBody
 
 
-LogBody = EventBody | ProcessedBody
+def body_to_json(body: LogBody) -> dict:
+    if isinstance(body, SwitchEvent):
+        return {"kind": "event", "event": body.to_json()}
+    return {"kind": "processed", "event_id": body.event_id}
 
 
 def body_from_json(d: dict) -> LogBody:
     if d["kind"] == "event":
-        return EventBody(SwitchEvent.from_json(d["event"]))
+        return SwitchEvent.from_json(d["event"])
     if d["kind"] == "processed":
         return ProcessedBody(d["event_id"])
     raise ValueError(f"unknown log body kind {d['kind']!r}")
-
-
-@dataclass
-class LogEntry:
-    seq: int
-    body: LogBody
-
-    def to_json(self) -> dict:
-        return {"seq": self.seq, "body": self.body.to_json()}
-
-    @staticmethod
-    def from_json(d: dict) -> "LogEntry":
-        return LogEntry(d["seq"], body_from_json(d["body"]))
 
 
 @dataclass
@@ -93,7 +76,7 @@ class Session:
 @dataclass
 class _Watch:
     cursor: int  # index into the log of the next entry to deliver
-    deliver: Callable[[list[LogEntry]], None]
+    deliver: Callable[[int, list[LogBody]], None]  # (seq of the first body, bodies)
 
 
 # leadership callback: (leader_id, epoch, log_length_at_change)
@@ -102,7 +85,7 @@ LeaderCallback = Callable[[str, int, int], None]
 
 class CoordService:
     def __init__(self, trace: Callable[..., None] | None = None) -> None:
-        self.log: list[LogEntry] = []
+        self.log: list[LogBody] = []
         self._trace = trace or (lambda kind, **kw: None)
         self._sessions: dict[int, Session] = {}
         self._next_session_id = 1
@@ -208,27 +191,23 @@ class CoordService:
             raise EmptyAppend("rejected-empty")
         self.fence(session_id, epoch, now)
         first = len(self.log) + 1
-        entries = []
-        for body in bodies:
-            entry = LogEntry(len(self.log) + 1, body)
-            self.log.append(entry)
-            entries.append(entry)
-            if isinstance(body, EventBody):
+        self.log.extend(bodies)
+        for seq, body in enumerate(bodies, start=first):
+            if isinstance(body, SwitchEvent):
                 self.n_events += 1
-                ev = body.event
-                if ev.kind != KIND_SWITCH_FAILURE:
+                if body.kind != KIND_SWITCH_FAILURE:
                     self.n_switch_events += 1
                 # flat fields and the encoded message; TraceLog.as_dicts renders the body's JSON
                 self._trace(
                     "log-append",
                     epoch=self.epoch,
-                    event_id=ev.event_id,
-                    switch_id=ev.switch_id,
-                    switch_seq=ev.switch_seq,
+                    event_id=body.event_id,
+                    switch_id=body.switch_id,
+                    switch_seq=body.switch_seq,
                     detail={
-                        "seq": entry.seq, "body": "event", "event_id": ev.event_id, "switch_id": ev.switch_id,
-                        "switch_seq": ev.switch_seq, "kind": ev.kind,
-                        "message": None if ev.message is None else ofwire.encode_body(ev.message),
+                        "seq": seq, "body": "event", "event_id": body.event_id, "switch_id": body.switch_id,
+                        "switch_seq": body.switch_seq, "kind": body.kind,
+                        "message": None if body.message is None else ofwire.encode_body(body.message),
                     },
                 )
             else:
@@ -237,14 +216,15 @@ class CoordService:
                     "log-append",
                     epoch=self.epoch,
                     event_id=body.event_id,
-                    detail={"seq": entry.seq, "body": "processed", "event_id": body.event_id},
+                    detail={"seq": seq, "body": "processed", "event_id": body.event_id},
                 )
         for watch in self._watches:
             self._pump(watch)
         return first, len(self.log)
 
-    def subscribe(self, from_seq: int, deliver: Callable[[list[LogEntry]], None]) -> None:
-        """Deliver every entry with seq >= from_seq exactly once, in order.
+    def subscribe(self, from_seq: int, deliver: Callable[[int, list[LogBody]], None]) -> None:
+        """Deliver every entry with seq >= from_seq exactly once, in order,
+        as ``deliver(first_seq, bodies)``.
 
         The backlog is replayed synchronously in one call; after that each
         append's entries are pushed in one call as they are appended.
@@ -257,13 +237,13 @@ class CoordService:
 
     def _pump(self, watch: _Watch) -> None:
         if watch.cursor < len(self.log):
-            entries = self.log[watch.cursor :]
+            first = watch.cursor + 1
             watch.cursor = len(self.log)
-            watch.deliver(entries)
+            watch.deliver(first, self.log[first - 1 :])
 
     @property
     def max_event_id(self) -> int:
-        for entry in reversed(self.log):
-            if isinstance(entry.body, EventBody):
-                return entry.body.event.event_id or 0
+        for body in reversed(self.log):
+            if isinstance(body, SwitchEvent):
+                return body.event_id or 0
         return 0

@@ -9,7 +9,7 @@ died, the master logs an event-processed entry. ``pending_replies`` is the
 one record of what each unfinished event still waits on, per switch.
 
 Slaves buffer raw events (a logged copy takes its event out of the buffer),
-track commit markers, and deliver an event to their own applications only
+track commit markers, and deliver an event to their own application only
 after its processed entry is logged, with all resulting writes discarded.
 A replica keeps a logged event only until it delivers it.
 
@@ -30,7 +30,7 @@ from typing import Callable, Protocol
 
 from . import ofwire
 from .apps import App
-from .coord import EventBody, LogBody, LogEntry, ProcessedBody
+from .coord import LogBody, ProcessedBody
 from .events import (
     KIND_PACKET_IN,
     KIND_PORT_STATUS,
@@ -119,7 +119,7 @@ class Replica:
     def __init__(
         self,
         controller_id: str,
-        apps: list[App],
+        app: App,
         env: ReplicaEnv,
         trace: Callable[..., None] | None = None,
         fault_hook: Callable[..., None] | None = None,
@@ -129,7 +129,7 @@ class Replica:
         self.controller_id = controller_id
         self.batch_size = batch_size
         self.batch_time_ms = batch_time_ms
-        self.apps = apps
+        self.app = app
         self.env = env
         self._trace_fn = trace or (lambda kind, **kw: None)
         self._fault_hook = fault_hook or _noop_hook
@@ -252,7 +252,7 @@ class Replica:
             self.next_event_id += 1
             self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             self._pending_keys.add(key)
-            self.pending_batch.append(EventBody(ev))
+            self.pending_batch.append(ev)
             self._arm_or_flush()
         else:
             self.slave_buffer[key] = ev
@@ -283,7 +283,7 @@ class Replica:
         size = max(1, self.batch_size)
         for i in range(0, len(bodies), size):
             chunk = bodies[i : i + size]
-            ids = [b.event.event_id for b in chunk if isinstance(b, EventBody)]
+            ids = [b.event_id for b in chunk if isinstance(b, SwitchEvent)]
             self._fault_hook("F1", event_ids=ids)
             self._inflight.append(chunk)
             self.env.coord_append(self.epoch, chunk, lambda err, c=chunk: self._append_done(c, err))
@@ -303,13 +303,12 @@ class Replica:
     # ------------------------------------------------------------------
     # shared-log input
 
-    def on_log_entry(self, entry: LogEntry) -> None:
-        if entry.seq != self.log_len + 1:
-            raise FatalProtocolError(f"log gap: expected seq {self.log_len + 1}, got {entry.seq}")
-        self.log_len = entry.seq
-        body = entry.body
-        if isinstance(body, EventBody):
-            ev = body.event
+    def on_log_entry(self, seq: int, body: LogBody) -> None:
+        if seq != self.log_len + 1:
+            raise FatalProtocolError(f"log gap: expected seq {self.log_len + 1}, got {seq}")
+        self.log_len = seq
+        if isinstance(body, SwitchEvent):
+            ev = body
             if ev.event_id is None or ev.event_id != self.max_logged_id + 1:
                 raise FatalProtocolError(f"non-dense event id {ev.event_id} after {self.max_logged_id}")
             self.max_logged_id = ev.event_id
@@ -319,7 +318,7 @@ class Replica:
             self._pending_keys.discard(key)
             if self.slave_buffer.pop(key, None) is not None:
                 self._trace("buffer-filtered", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-            self._trace("logged", event_id=ev.event_id, switch_id=ev.switch_id, detail={"seq": entry.seq})
+            self._trace("logged", event_id=ev.event_id, switch_id=ev.switch_id, detail={"seq": seq})
         else:
             if not 1 <= body.event_id <= self.max_logged_id:
                 raise FatalProtocolError(f"processed entry for unknown event {body.event_id}")
@@ -362,13 +361,11 @@ class Replica:
                 staged.setdefault(switch_id, []).append(message)
 
         ctx = AppContext(ev, sink)
-        for app in self.apps:
-            try:
-                app.on_event(ev, ctx)
-            except Exception as exc:  # app faults must not diverge the replicas
-                staged.clear()
-                self._trace("app-error", event_id=ev.event_id, detail={"app": app.name, "error": repr(exc)})
-                break
+        try:
+            self.app.on_event(ev, ctx)
+        except Exception as exc:  # app faults must not diverge the replicas
+            staged.clear()
+            self._trace("app-error", event_id=ev.event_id, detail={"app": self.app.name, "error": repr(exc)})
         ctx._close()
         self.delivered_upto = ev.event_id
         self.events_by_id.pop(ev.event_id, None)
@@ -543,7 +540,7 @@ class Replica:
             self.next_event_id += 1
             self._pending_keys.add(key)
             self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-            self.pending_batch.append(EventBody(ev))
+            self.pending_batch.append(ev)
         if self.pending_batch:
             self._flush()
         self._trace("promotion-complete", detail={"held": len(promo.held)})
@@ -561,8 +558,8 @@ class Replica:
             self._batch_timer = None
         moved: list[SwitchEvent] = []
         for chunk in self._inflight:
-            moved.extend(b.event for b in chunk if isinstance(b, EventBody))
-        moved.extend(b.event for b in self.pending_batch if isinstance(b, EventBody))
+            moved.extend(b for b in chunk if isinstance(b, SwitchEvent))
+        moved.extend(b for b in self.pending_batch if isinstance(b, SwitchEvent))
         self._inflight = []
         self.pending_batch = []
         for ev in moved:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..coord import EventBody
 from ..ctrl import Replica
+from ..events import SwitchEvent
 from ..ofwire import BundleCommit, FlowMod, PacketOut, ether_payload
 from .config import ScenarioConfig
 from .world_det import DetWorld
@@ -71,8 +71,8 @@ def _ctrl_send_cost(msg) -> float:
 def _ctrl_recv_cost(msg) -> float:
     if not isinstance(msg, dict):
         return CTRL_RECV_MS
-    entries = msg["entries"] if msg["op"] == "entries" else ()
-    return sum(CTRL_RECV_LOG_EVENT_MS if isinstance(e.body, EventBody) else CTRL_RECV_LOG_PROCESSED_MS for e in entries)
+    bodies = msg["bodies"] if msg["op"] == "entries" else ()
+    return sum(CTRL_RECV_LOG_EVENT_MS if isinstance(b, SwitchEvent) else CTRL_RECV_LOG_PROCESSED_MS for b in bodies)
 
 
 def _coord_recv_cost(msg: dict) -> float:
@@ -99,10 +99,9 @@ def no_log(replica: Replica) -> None:
     def deliver_now() -> None:
         batch, replica.pending_batch = replica.pending_batch, []
         for body in batch:
-            if isinstance(body, EventBody):
-                ev = body.event
-                replica._pending_keys.discard(ev.occurrence)
-                replica._finalize(ev, replica._deliver(ev, discard=False))
+            if isinstance(body, SwitchEvent):
+                replica._pending_keys.discard(body.occurrence)
+                replica._finalize(body, replica._deliver(body, discard=False))
 
     replica._arm_or_flush = deliver_now
 

@@ -19,7 +19,9 @@ Properties:
 
 A field the checker reads that holds a value of the wrong type is a
 ``CheckError`` naming the record and the field, not a crash, and so is a
-``delivered`` record from an actor outside run-meta's replica set.
+``delivered`` record from an actor outside run-meta's replica set. A JSON
+``true`` or ``false`` where the checker reads an int is a wrong type, though
+Python's ``bool`` subclasses ``int``.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ def _field(holder: dict, path: str, idx: int, types, default):
     """The value at the last key of ``path`` in ``holder``, which record
     ``idx`` holds at ``path``, or ``default`` if the key is absent. A value
     that is not one of ``types`` raises CheckError, so a required field
-    passes a default of None and leaves None out of its types."""
+    passes a default of None and leaves None out of its types. A JSON
+    boolean is not an int: it passes only where ``types`` names ``bool``."""
     value = holder.get(path.rpartition(".")[2], default)
-    if not isinstance(value, types):
+    allowed = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         raise CheckError(f"record {idx}: bad {path}: {value!r}")
     return value
 

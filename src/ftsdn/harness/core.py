@@ -8,10 +8,12 @@ which kills the node and closes its links; maintenance timers keep nothing
 alive in the deterministic scheduler. A link has ``send(msg)`` and the
 ``on_message(msg)`` and ``on_close()`` handlers that the ``bind_*`` helpers
 here set, so every node is wired the same way under both transports.
-Messages on the coordination link are dicts that carry log entries and
-bodies as objects; a transport that needs bytes converts them at its edge.
-The service pushes the log to each controller one push per append: an
-``entries`` message with all of that append's entries, in seq order.
+Messages on the coordination link are dicts that carry log bodies as
+objects; a transport that needs bytes converts them at its edge. The
+service pushes the log to each controller one push per append: an
+``entries`` message with the seq of the append's first entry (``first``)
+and all of its ``bodies``, in seq order, under the key an ``append``
+request uses.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class CoordHost:
         push = link.send
         now = self.exec.now()
         sid = self.service.open_session(controller_id, timeout_ms, now)
-        self.service.subscribe(1, lambda entries: push({"op": "entries", "entries": entries}))
+        self.service.subscribe(1, lambda first, bodies: push({"op": "entries", "first": first, "bodies": bodies}))
         self.service.watch_leadership(
             lambda leader, epoch, log_len: push({"op": "leader", "leader": leader, "epoch": epoch, "log_len": log_len})
         )
@@ -118,7 +120,7 @@ class Controller:
         self.heartbeat_interval_ms = cfg.heartbeat_interval_ms
         self.replica = Replica(
             cid,
-            [apps_mod.make_app(cfg.app, cfg.app_params)],
+            apps_mod.make_app(cfg.app, cfg.app_params),
             env=self,
             trace=trace.emitter(cid),
             fault_hook=fault_hook,
@@ -187,8 +189,8 @@ class Controller:
     def on_coord_msg(self, msg: dict) -> None:
         op = msg["op"]
         if op == "entries":
-            for entry in msg["entries"]:
-                self.replica.on_log_entry(entry)
+            for seq, body in enumerate(msg["bodies"], start=msg["first"]):
+                self.replica.on_log_entry(seq, body)
         elif op == "leader":
             self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
         elif op == "append-reply":

@@ -23,7 +23,7 @@ import time
 from functools import partial
 
 from .. import ofwire
-from ..coord import LogEntry, body_from_json
+from ..coord import body_from_json, body_to_json
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
@@ -208,15 +208,12 @@ _HEARTBEAT_FRAME = _json_frame({"op": "heartbeat"})
 
 
 def _encode_json(msg: dict) -> bytes:
-    """Coordination messages travel as length-prefixed JSON; log entries and
-    bodies become their JSON form."""
-    op = msg["op"]
-    if op == "heartbeat":
+    """Coordination messages travel as length-prefixed JSON; the log bodies
+    of an ``entries`` push or an ``append`` request become their JSON form."""
+    if msg["op"] == "heartbeat":
         return _HEARTBEAT_FRAME
-    if op == "entries":
-        msg = {"op": "entries", "entries": [e.to_json() for e in msg["entries"]]}
-    elif op == "append":
-        msg = {**msg, "bodies": [b.to_json() for b in msg["bodies"]]}
+    if "bodies" in msg:
+        msg = {**msg, "bodies": [body_to_json(b) for b in msg["bodies"]]}
     return _json_frame(msg)
 
 
@@ -243,9 +240,7 @@ class _JsonBuffer:
             if len(buf) < end:
                 break
             msg = json.loads(buf[off + 4 : end])
-            if msg["op"] == "entries":
-                msg["entries"] = [LogEntry.from_json(e) for e in msg["entries"]]
-            elif msg["op"] == "append":
+            if "bodies" in msg:
                 msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
             msgs.append(msg)
             off = end

@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Callable
 
 from . import ofwire
-from .coord import EventBody, ProcessedBody
+from .coord import ProcessedBody, body_to_json
 from .events import SwitchEvent
 
 
@@ -74,11 +74,11 @@ def _log_append_json(detail: dict) -> dict:
         body = ProcessedBody(detail["event_id"])
     else:
         msg = detail["message"]
-        body = EventBody(SwitchEvent(
+        body = SwitchEvent(
             detail["switch_id"], detail["switch_seq"], detail["kind"],
             None if msg is None else ofwire.decode_body(msg), detail["event_id"],
-        ))
-    return {"seq": detail["seq"], "body": body.to_json()}
+        )
+    return {"seq": detail["seq"], "body": body_to_json(body)}
 
 
 # the kinds whose detail is stored compact, each with the function that renders it as JSON

@@ -266,6 +266,17 @@ def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, 
         assert report.properties
 
 
+@pytest.mark.parametrize("kind,name", [("delivered", "event_id"), ("event-emitted", "switch_seq")])
+def test_a_json_boolean_where_an_int_is_read_is_a_check_error(kind, name):
+    result = run_scenario(ScenarioConfig(n_switches=1, n_controllers=2, packets_per_switch=5, seed=3))
+    assert result.report.all_pass
+    records = copy.deepcopy(result.records)
+    idx = next(i for i, rec in enumerate(records) if rec["kind"] == kind and rec.get(name) == 1)
+    records[idx][name] = True  # what json.loads makes of a true
+    with pytest.raises(CheckError, match=f"record {idx}: bad {name}: True"):
+        check_records(records)
+
+
 def test_check_reports_a_bad_field_as_one_error_line(clean_records, tmp_path, capsys):
     records = copy.deepcopy(clean_records)
     idx = next(i for i, rec in enumerate(records) if rec["kind"] == "log-append")

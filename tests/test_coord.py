@@ -4,17 +4,26 @@ from ftsdn.coord import (
     CoordService,
     ElectionError,
     EmptyAppend,
-    EventBody,
-    LogEntry,
     NotLeader,
     ProcessedBody,
     SessionExpired,
+    body_to_json,
 )
 from ftsdn.events import SwitchEvent
 
 
 def ev(i, sw="s0", seq=None):
-    return EventBody(SwitchEvent(sw, seq if seq is not None else i, "packet-in", None, event_id=i))
+    return SwitchEvent(sw, seq if seq is not None else i, "packet-in", None, event_id=i)
+
+
+def recorder(pushes):
+    """A watch callback that keeps each push as ``(first_seq, bodies)``."""
+    return lambda first, bodies: pushes.append((first, bodies))
+
+
+def seqs(pushes):
+    """The seq of every entry in a watch's pushes, one list per push."""
+    return [list(range(first, first + len(bodies))) for first, bodies in pushes]
 
 
 def make_leader(svc, owner="c0", timeout=500.0):
@@ -27,11 +36,25 @@ def test_append_batch_atomic_and_contiguous():
     svc = CoordService()
     sid = make_leader(svc)
     seen = []
-    svc.subscribe(1, seen.extend)
+    svc.subscribe(1, recorder(seen))
     lo, hi = svc.append(sid, svc.epoch, [ev(1), ev(2), ev(3)], now=1.0)
     assert (lo, hi) == (1, 3)
-    assert [e.seq for e in seen] == [1, 2, 3]
-    assert [e.body.event.event_id for e in seen] == [1, 2, 3]
+    assert seqs(seen) == [[1, 2, 3]]
+    assert [b.event_id for b in seen[0][1]] == [1, 2, 3]
+
+
+def test_the_log_holds_the_appended_bodies_and_a_watch_gets_the_first_seq():
+    svc = CoordService()
+    sid = make_leader(svc)
+    bodies = [ev(1), ProcessedBody(1), ev(2)]
+    svc.append(sid, svc.epoch, bodies, now=1.0)
+    assert len(svc.log) == len(bodies)
+    for i, body in enumerate(bodies):
+        assert svc.log[i] is body
+    pushes = []
+    svc.subscribe(2, recorder(pushes))
+    assert pushes == [(2, svc.log[1:])]
+    assert all(a is b for a, b in zip(pushes[0][1], bodies[1:]))
 
 
 def test_one_append_reaches_each_watch_as_one_call():
@@ -39,13 +62,13 @@ def test_one_append_reaches_each_watch_as_one_call():
     sid = make_leader(svc)
     svc.append(sid, 1, [ev(1), ev(2)], now=1.0)
     early, late = [], []
-    svc.subscribe(1, early.append)
+    svc.subscribe(1, recorder(early))
     svc.append(sid, 1, [ev(3), ProcessedBody(1), ev(4)], now=2.0)
-    svc.subscribe(2, late.append)  # a late watch gets its whole backlog at once
-    assert [[e.seq for e in call] for call in early] == [[1, 2], [3, 4, 5]]
-    assert [[e.seq for e in call] for call in late] == [[2, 3, 4, 5]]
+    svc.subscribe(2, recorder(late))  # a late watch gets its whole backlog at once
+    assert seqs(early) == [[1, 2], [3, 4, 5]]
+    assert seqs(late) == [[2, 3, 4, 5]]
     svc.append(sid, 1, [ev(5), ev(6)], now=3.0)
-    assert [e.seq for e in early[-1]] == [e.seq for e in late[-1]] == [6, 7]
+    assert seqs(early)[-1] == seqs(late)[-1] == [6, 7]
     assert len(early) == 3 and len(late) == 2
 
 
@@ -102,32 +125,32 @@ def test_watch_catch_up_then_live_tail():
     for i in range(1, 6):
         svc.append(sid, 1, [ev(i)], now=1.0)
     seen = []
-    svc.subscribe(1, seen.extend)
-    assert [e.seq for e in seen] == [1, 2, 3, 4, 5]
+    svc.subscribe(1, recorder(seen))
+    assert seqs(seen) == [[1, 2, 3, 4, 5]]
     svc.append(sid, 1, [ev(6)], now=2.0)
-    assert seen[-1].seq == 6
+    assert seqs(seen)[-1] == [6]
 
 
 def test_two_subscribers_identical_streams():
     svc = CoordService()
     sid = make_leader(svc)
     a, b = [], []
-    svc.subscribe(1, a.extend)
+    svc.subscribe(1, lambda first, bodies: a.extend(enumerate(bodies, start=first)))
     svc.append(sid, 1, [ev(1), ev(2)], now=1.0)
-    svc.subscribe(1, b.extend)
+    svc.subscribe(1, lambda first, bodies: b.extend(enumerate(bodies, start=first)))
     svc.append(sid, 1, [ev(3), ProcessedBody(1)], now=2.0)
-    assert [e.to_json() for e in a] == [e.to_json() for e in b]
-    assert [e.seq for e in a] == [1, 2, 3, 4]
+    assert [(seq, body_to_json(body)) for seq, body in a] == [(seq, body_to_json(body)) for seq, body in b]
+    assert [seq for seq, _ in a] == [1, 2, 3, 4]
 
 
 def test_slow_subscriber_sees_everything_in_order():
     svc = CoordService()
     sid = make_leader(svc)
-    queue: list[LogEntry] = []
-    svc.subscribe(1, queue.extend)  # consumer drains lazily; order must hold
+    queue: list[SwitchEvent] = []
+    svc.subscribe(1, lambda first, bodies: queue.extend(bodies))  # consumer drains lazily; order must hold
     for i in range(1, 21):
         svc.append(sid, 1, [ev(i)], now=float(i))
-    drained = [queue.pop(0).body.event.event_id for _ in range(len(queue))]
+    drained = [queue.pop(0).event_id for _ in range(len(queue))]
     assert drained == list(range(1, 21))
 
 
@@ -137,8 +160,8 @@ def test_watch_from_mid_sequence():
     for i in range(1, 6):
         svc.append(sid, 1, [ev(i)], now=1.0)
     seen = []
-    svc.subscribe(3, seen.extend)
-    assert [e.seq for e in seen] == [3, 4, 5]
+    svc.subscribe(3, recorder(seen))
+    assert seqs(seen) == [[3, 4, 5]]
 
 
 def test_expiry_fires_once_and_is_irrevocable():

@@ -1,7 +1,7 @@
 import pytest
 
 from ftsdn import ofwire
-from ftsdn.coord import EventBody, LogEntry, ProcessedBody
+from ftsdn.coord import ProcessedBody
 from ftsdn.ctrl import AppContext, AppWriteError, Replica, ROLE_MASTER, ROLE_SLAVE
 from ftsdn.events import KIND_PACKET_IN, SwitchEvent
 from ftsdn.harness.bench import no_bundles, no_log
@@ -85,7 +85,7 @@ def packet_in(sw="s0", seq=1):
 
 def make_replica(app=None, trace=None, **batching):
     env = FakeEnv()
-    replica = Replica("c0", [app or RecordingApp()], env, trace=trace, **batching)
+    replica = Replica("c0", app or RecordingApp(), env, trace=trace, **batching)
     replica.attach_switch("s0")
     replica.attach_switch("s1")
     return replica, env
@@ -107,15 +107,15 @@ def feed_log(replica, env):
         cb(None)
         for body in bodies:
             seq += 1
-            replica.on_log_entry(LogEntry(seq, body))
+            replica.on_log_entry(seq, body)
 
 
 def test_master_assigns_monotonic_ids_in_fifo_order():
     replica, env = make_master()
     replica.on_switch_message("s0", packet_in(seq=1))
     replica.on_switch_message("s0", packet_in(seq=2))
-    assert [b.event.event_id for b in replica.pending_batch] == [1, 2]
-    assert [b.event.switch_seq for b in replica.pending_batch] == [1, 2]
+    assert [b.event_id for b in replica.pending_batch] == [1, 2]
+    assert [b.switch_seq for b in replica.pending_batch] == [1, 2]
 
 
 def test_flush_on_batch_size():
@@ -124,7 +124,7 @@ def test_flush_on_batch_size():
         replica.on_switch_message("s0", packet_in(seq=seq))
     assert len(env.appends) == 1
     _, bodies, _ = env.appends[0]
-    assert [b.event.event_id for b in bodies] == [1, 2, 3]
+    assert [b.event_id for b in bodies] == [1, 2, 3]
 
 
 def test_flush_on_batch_time():
@@ -173,7 +173,7 @@ def test_slave_filters_buffer_on_log_entry():
     replica, env = make_replica()
     replica.on_switch_message("s0", packet_in(seq=1))
     ev = SwitchEvent("s0", 1, KIND_PACKET_IN, packet_in(seq=1), event_id=1)
-    replica.on_log_entry(LogEntry(1, EventBody(ev)))
+    replica.on_log_entry(1, ev)
     assert not replica.slave_buffer
     # arriving after the log entry is a duplicate, not a fresh buffering
     replica.on_switch_message("s0", packet_in(seq=1))
@@ -187,15 +187,15 @@ def test_promotion_drains_only_unlogged_events():
         replica.on_switch_message("s0", packet_in(seq=seq))
     for i in (1, 2):
         ev = SwitchEvent("s0", i, KIND_PACKET_IN, packet_in(seq=i), event_id=i)
-        replica.on_log_entry(LogEntry(i, EventBody(ev)))
-    replica.on_log_entry(LogEntry(3, ProcessedBody(1)))
-    replica.on_log_entry(LogEntry(4, ProcessedBody(2)))
+        replica.on_log_entry(i, ev)
+    replica.on_log_entry(3, ProcessedBody(1))
+    replica.on_log_entry(4, ProcessedBody(2))
     assert list(replica.slave_buffer) == [("s0", 3)]
     replica.on_leadership("c0", 2, 4)
     assert replica.role == ROLE_MASTER and not replica.slave_buffer
     filtered = [kw for kind, kw in traced if kind == "buffer-filtered"]
     assert [kw.get("event_id") for kw in filtered] == [1, 2]
-    assert [(b.event.switch_seq, b.event.event_id) for _, bodies, _ in env.appends for b in bodies] == [(3, 3)]
+    assert [(b.switch_seq, b.event_id) for _, bodies, _ in env.appends for b in bodies] == [(3, 3)]
 
 
 def test_slave_delivers_on_processed_in_id_order_with_writes_discarded():
@@ -203,10 +203,10 @@ def test_slave_delivers_on_processed_in_id_order_with_writes_discarded():
     replica, env = make_replica(app)
     for i in (1, 2):
         ev = SwitchEvent("s0", i, KIND_PACKET_IN, packet_in(seq=i), event_id=i)
-        replica.on_log_entry(LogEntry(i, EventBody(ev)))
-    replica.on_log_entry(LogEntry(3, ProcessedBody(2)))
+        replica.on_log_entry(i, ev)
+    replica.on_log_entry(3, ProcessedBody(2))
     assert app.seen == []  # event 1 not finished yet; order gate holds
-    replica.on_log_entry(LogEntry(4, ProcessedBody(1)))
+    replica.on_log_entry(4, ProcessedBody(1))
     assert app.seen == [1, 2]
     assert env.sent == []  # slave writes are discarded
     assert replica.delivered_upto == 2
@@ -291,10 +291,10 @@ def test_switch_failure_releases_pending_transaction():
     assert not replica.pending_replies
     # the disconnect itself became an event on the normal path
     assert any(
-        isinstance(b, EventBody) and b.event.kind == "switch-failure"
+        isinstance(b, SwitchEvent) and b.kind == "switch-failure"
         for _, bodies, _ in env.appends
         for b in bodies
-    ) or any(isinstance(b, EventBody) and b.event.kind == "switch-failure" for b in replica.pending_batch)
+    ) or any(isinstance(b, SwitchEvent) and b.kind == "switch-failure" for b in replica.pending_batch)
 
 
 def test_app_exception_aborts_writes_but_finishes_event():
@@ -380,7 +380,7 @@ def log_events(replica, *occurrences):
     """Append one logged event per (switch, seq) behind the replica's log."""
     for sw, seq in occurrences:
         ev = SwitchEvent(sw, seq, KIND_PACKET_IN, packet_in(sw, seq), event_id=replica.max_logged_id + 1)
-        replica.on_log_entry(LogEntry(replica.log_len + 1, EventBody(ev)))
+        replica.on_log_entry(replica.log_len + 1, ev)
 
 
 def marker(replica, sw, eid):
@@ -473,11 +473,11 @@ def test_election_ahead_of_the_local_log_waits_for_the_watermark():
     app = RecordingApp()
     replica, env = make_replica(app)
     log_events(replica, ("s0", 1), ("s0", 2))
-    replica.on_log_entry(LogEntry(3, ProcessedBody(1)))
+    replica.on_log_entry(3, ProcessedBody(1))
     assert app.seen == [1]
     replica.on_leadership("c0", 2, 5)
     assert env.sent == [] and replica.role != ROLE_MASTER and not replica.is_quiescent()
-    replica.on_log_entry(LogEntry(4, ProcessedBody(2)))  # still a slave delivery: writes discarded
+    replica.on_log_entry(4, ProcessedBody(2))  # still a slave delivery: writes discarded
     assert app.seen == [1, 2] and env.sent == []
     log_events(replica, ("s0", 3))  # seq 5 reaches the watermark: catch-up holds event 3
     assert app.seen == [1, 2, 3]
@@ -489,7 +489,7 @@ def test_promotion_complete_counts_the_held_events():
     traced = []
     replica, env = make_replica(trace=lambda kind, **kw: traced.append((kind, kw)))
     log_events(replica, ("s0", 1), ("s1", 1), ("s0", 2), ("s1", 2))
-    replica.on_log_entry(LogEntry(5, ProcessedBody(2)))  # finished: replayed, not held
+    replica.on_log_entry(5, ProcessedBody(2))  # finished: replayed, not held
     marker(replica, "s0", 1)
     marker(replica, "s0", 3)
     replica.on_leadership("c0", 2, replica.log_len)

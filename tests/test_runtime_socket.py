@@ -4,7 +4,7 @@ import threading
 import time
 
 from ftsdn import ofwire
-from ftsdn.coord import EventBody, LogEntry, ProcessedBody
+from ftsdn.coord import ProcessedBody
 from ftsdn.events import KIND_PACKET_IN, SwitchEvent
 from ftsdn.harness.config import ScenarioConfig
 from ftsdn.harness.core import Crashed
@@ -70,17 +70,13 @@ def test_a_malformed_frame_is_recorded_and_closes_its_connection():
 
 def test_an_entries_message_survives_the_json_link_byte_by_byte():
     packet_in = ofwire.PacketIn("s1", 4, 0, 2, ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03"))
-    entries = [
-        LogEntry(7, EventBody(SwitchEvent("s1", 4, KIND_PACKET_IN, packet_in, event_id=3))),
-        LogEntry(8, ProcessedBody(2)),
-        LogEntry(9, ProcessedBody(3)),
-    ]
-    frame = _encode_json({"op": "entries", "entries": entries})
+    bodies = [SwitchEvent("s1", 4, KIND_PACKET_IN, packet_in, event_id=3), ProcessedBody(2), ProcessedBody(3)]
+    frame = _encode_json({"op": "entries", "first": 7, "bodies": bodies})
     buf = _JsonBuffer()
     msgs = []
     for i in range(len(frame)):
         msgs.extend(buf.feed(frame[i : i + 1]))
-    assert msgs == [{"op": "entries", "entries": entries}]
+    assert msgs == [{"op": "entries", "first": 7, "bodies": bodies}]
 
 
 def test_heartbeats_come_back_whole_however_the_reads_split_them():

@@ -436,7 +436,7 @@ def test_a_protocol_error_crashes_the_replica(transport):
     world = SocketWorld(cfg) if transport == "sockets" else DetWorld(cfg)
     slave = world.ctrls["c1"]
 
-    def broken(entry):
+    def broken(seq, body):
         raise FatalProtocolError("injected")
 
     slave.replica.on_log_entry = broken
@@ -525,7 +525,7 @@ def test_each_replica_gets_one_entries_message_per_accepted_append():
 
             def on_message(msg, cid=cid, handler=handler):
                 if msg["op"] == "entries":
-                    received.setdefault(cid, []).append(msg["entries"])
+                    received.setdefault(cid, []).append((msg["first"], msg["bodies"]))
                 handler(msg)
 
             coord_end.on_message = on_message
@@ -536,5 +536,5 @@ def test_each_replica_gets_one_entries_message_per_accepted_append():
     assert any(hi > lo for lo, hi in accepted)  # some appends carried several entries
     assert sorted(received) == ["c0", "c1", "c2"]
     for calls in received.values():
-        assert [(call[0].seq, call[-1].seq) for call in calls] == accepted
-        assert [entry for call in calls for entry in call] == log
+        assert [(first, first + len(bodies) - 1) for first, bodies in calls] == accepted
+        assert [body for _, bodies in calls for body in bodies] == log

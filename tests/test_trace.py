@@ -3,7 +3,7 @@ import sys
 import threading
 
 from ftsdn import ofwire
-from ftsdn.coord import CoordService, EventBody, ProcessedBody
+from ftsdn.coord import CoordService, ProcessedBody, body_to_json
 from ftsdn.events import (
     KIND_PACKET_IN,
     KIND_PORT_STATUS,
@@ -144,14 +144,14 @@ def test_log_append_renders_each_body_as_its_json():
     coord.enroll(sid, "c0", 0.0)
     pkt = ofwire.ether_payload(DST, SRC, b"q")
     bodies = [
-        EventBody(SwitchEvent("s0", 3, KIND_PACKET_IN, PacketIn("s0", 3, ofwire.NO_BUFFER, 2, pkt), event_id=1)),
-        EventBody(SwitchEvent("s1", port_status_seq(0), KIND_PORT_STATUS, PortStatus("s1", 5, False), event_id=2)),
-        EventBody(SwitchEvent("s1", SWITCH_FAILURE_SEQ, KIND_SWITCH_FAILURE, None, event_id=3)),
+        SwitchEvent("s0", 3, KIND_PACKET_IN, PacketIn("s0", 3, ofwire.NO_BUFFER, 2, pkt), event_id=1),
+        SwitchEvent("s1", port_status_seq(0), KIND_PORT_STATUS, PortStatus("s1", 5, False), event_id=2),
+        SwitchEvent("s1", SWITCH_FAILURE_SEQ, KIND_SWITCH_FAILURE, None, event_id=3),
         ProcessedBody(1),
     ]
     coord.append(sid, coord.epoch, bodies, 0.0)
     got = details(log, "log-append")
-    assert got == [{"seq": i, "body": body.to_json()} for i, body in enumerate(bodies, start=1)]
+    assert got == [{"seq": i, "body": body_to_json(body)} for i, body in enumerate(bodies, start=1)]
     assert got[2]["body"]["event"]["message"] is None
     assert got[3] == {"seq": 4, "body": {"kind": "processed", "event_id": 1}}
 
