@@ -26,6 +26,7 @@ buffer is drained into the log and normal operation resumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Protocol
 
 from . import ofwire
@@ -174,6 +175,13 @@ class Replica:
         self._ps_counts: dict[str, int] = {}
         self._promo: _Promotion | None = None
 
+        # one read-only detail per value for the kinds traced per event, shared
+        # by every record that carries it (see trace.py)
+        self._collected_detail = cache(lambda kind: {"kind": kind})
+        self._delivered_detail = cache(lambda discarded, writes: {"discarded": discarded, "writes": writes})
+        self._marker_detail = cache(lambda marker_epoch: {"marker_epoch": marker_epoch})
+        self._commit_detail = cache(lambda commands: {"commands": commands})
+
     def _trace(
         self,
         kind: str,
@@ -223,7 +231,7 @@ class Replica:
                         "marker-received",
                         event_id=eid,
                         switch_id=switch_id,
-                        detail={"marker_epoch": marker.master_epoch},
+                        detail=self._marker_detail(marker.master_epoch),
                     )
                 return
             self._ingest(SwitchEvent(switch_id, msg.switch_seq, KIND_PACKET_IN, msg))
@@ -243,7 +251,9 @@ class Replica:
 
     def _ingest(self, ev: SwitchEvent) -> None:
         key = ev.occurrence
-        self._trace("event-collected", switch_id=ev.switch_id, switch_seq=ev.switch_seq, detail={"kind": ev.kind})
+        self._trace(
+            "event-collected", switch_id=ev.switch_id, switch_seq=ev.switch_seq, detail=self._collected_detail(ev.kind)
+        )
         if key in self._logged_keys or key in self._pending_keys or key in self.slave_buffer:
             self._trace("duplicate-dropped", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             return
@@ -375,7 +385,7 @@ class Replica:
             event_id=ev.event_id,
             switch_id=ev.switch_id,
             switch_seq=ev.switch_seq,
-            detail={"discarded": discard, "writes": writes},
+            detail=self._delivered_detail(discard, writes),
         )
         return staged
 
@@ -411,7 +421,9 @@ class Replica:
         self._fault_hook("F2", event_id=eid, switch_id=switch_id)
         self.env.send_switch(switch_id, BundleCommit(bid))
         self.pending_replies.setdefault(eid, set()).add(switch_id)
-        self._trace("commit-sent", event_id=eid, switch_id=switch_id, bundle_id=bid, detail={"commands": len(cmds)})
+        self._trace(
+            "commit-sent", event_id=eid, switch_id=switch_id, bundle_id=bid, detail=self._commit_detail(len(cmds))
+        )
 
     def _on_bundle_reply(self, switch_id: str, msg: BundleReply) -> None:
         if not msg.success:

@@ -66,8 +66,11 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.n_controllers < 1:
             raise ValueError("need at least one controller (n_controllers = f + 1)")
-        if self.n_switches < 1:
-            raise ValueError("need at least one switch")
+        # a workload host's MAC holds its switch's index and its own number in one byte each
+        if not 1 <= self.n_switches <= 256:
+            raise ValueError("need 1 to 256 switches")
+        if not 2 <= self.hosts_per_switch <= 255:
+            raise ValueError("need 2 to 255 hosts per switch: each packet goes from one host to another")
         if self.transport not in ("deterministic", "sockets"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "deterministic" and self.seed is None:

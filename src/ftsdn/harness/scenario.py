@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 
 from .. import ofwire
 from .checker import CheckReport, check_records
@@ -19,7 +20,7 @@ def host_mac(switch_index: int, host_index: int) -> str:
     return f"02:00:00:{switch_index:02x}:00:{host_index + 1:02x}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Injection:
     time_ms: float
     switch_id: str
@@ -32,22 +33,22 @@ def build_workload(cfg: ScenarioConfig) -> list[Injection]:
 
     Switches start in lockstep so that cross-switch races are exercised; the
     inter-switch interleaving seen by each controller is then decided by the
-    seeded channel latencies.
+    seeded channel latencies. The plan is sorted stably by time, then by
+    switch id as a string (``s10`` before ``s2``).
     """
     rng = random.Random((cfg.seed << 8) ^ 0x5EED)
+    hosts = list(range(cfg.hosts_per_switch))
+    others = [[h for h in hosts if h != src] for src in hosts]  # each source's destinations
     plan: list[Injection] = []
     for si in range(cfg.n_switches):
         sid = f"s{si}"
-        hosts = list(range(cfg.hosts_per_switch))
+        macs = [ofwire.mac_bytes(host_mac(si, h)) for h in hosts]
         for pi in range(cfg.packets_per_switch):
             src = rng.choice(hosts)
-            dst = rng.choice([h for h in hosts if h != src])
-            payload = ofwire.ether_payload(
-                host_mac(si, dst), host_mac(si, src), b"pkt-%d-%d" % (si, pi)
-            )
+            dst = rng.choice(others[src])
             t = cfg.workload_start_ms + pi * cfg.inter_arrival_ms
-            plan.append(Injection(t, sid, payload, in_port=src + 1))
-    plan.sort(key=lambda inj: (inj.time_ms, inj.switch_id))
+            plan.append(Injection(t, sid, macs[dst] + macs[src] + b"pkt-%d-%d" % (si, pi), src + 1))
+    plan.sort(key=attrgetter("time_ms", "switch_id"))
     return plan
 
 

@@ -12,6 +12,7 @@ from any other controller are refused (OpenFlow 1.3 master/slave roles).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Protocol
 
 from . import ofwire
@@ -92,7 +93,7 @@ class Switch:
         self._trace = trace or (lambda kind, **kw: None)
         self.flow_table = FlowTable()
         self.conns: dict[int, ControllerConn] = {}
-        self._conn_ids: tuple[str, ...] = ()  # the controllers of ``conns``, in order, for event-emitted records
+        self._conns_changed()  # sets the event-emitted records' ``_conn_ids`` and ``_emitted_detail``
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1
         self.master_id: str | None = None  # the last announced master; None: any controller may command
@@ -156,19 +157,18 @@ class Switch:
         self.next_switch_seq += 1
         if origin == "dataplane":
             self.events_emitted += 1
-        self._trace(
-            "event-emitted",
-            switch_seq=seq,
-            detail={"origin": origin, "in_port": in_port, "conns": self._conn_ids},
-        )
+        self._trace("event-emitted", switch_seq=seq, detail=self._emitted_detail(origin, in_port))
         msg = PacketIn(self.switch_id, seq, ofwire.NO_BUFFER, in_port, payload)
         for conn in list(self.conns.values()):
             conn.send(msg)
 
     def _conns_changed(self) -> None:
-        # One tuple of strings shared by every record until the next change:
-        # a detail holding it stays out of the garbage collector (see trace.py).
-        self._conn_ids = tuple(c.controller_id for c in self.conns.values())
+        # The controllers of ``conns``, in order: one tuple of strings shared by
+        # every record until the next change, so a detail holding it stays out of
+        # the garbage collector (see trace.py). A packet-in's detail is shared
+        # too: one read-only dict per (origin, in_port) until the next change.
+        conns = self._conn_ids = tuple(c.controller_id for c in self.conns.values())
+        self._emitted_detail = cache(lambda origin, in_port: {"origin": origin, "in_port": in_port, "conns": conns})
 
     # -- controller-to-switch path ---------------------------------------------
 

@@ -11,21 +11,30 @@ strings, once the first collection has untracked the tuple), so a long run
 adds one tracked list, not 10^5 tracked objects that every full collection
 must walk and that push it to collect more often.
 
+An emitted detail is read-only and may be shared: the trace keeps the dict
+it is given, and a detail that takes few values (``event-collected``,
+``delivered``, ``marker-received``, ``commit-sent``, a packet-in's
+``event-emitted``) is one dict per value, reused by its emitter for every
+record that carries it.
+
 The three kinds emitted per packet keep their details atomic by storing a
 compact form: ``switch-exec`` holds its command as the encoded OpenFlow body
 (``ofwire.encode_body``), ``event-emitted`` its connections as a tuple, and
 ``log-append`` its body as flat fields with the event message's encoded body
-(``None`` for a switch failure). ``as_dicts`` builds each record's dict
-straight from the list, with the function behind ``TraceRecord.to_dict``,
-which renders these details to their JSON form through ``_RENDER``; every
-reader of records sees only JSON. One ``list.extend`` with a tuple runs no
-Python code, so under the interpreter lock it lands all nine fields at once
-and socket threads emit without a lock.
+(``None`` for a switch failure). ``as_dicts`` renders each compact detail to
+its JSON form through ``_RENDER`` once, in place: the rendered dict replaces
+the compact one in the list, and a detail shared by several records stays
+shared. The trace then holds one form of every detail, and each record
+``as_dicts`` returns shares its detail with the trace; every reader of
+records sees only JSON. One ``list.extend`` with a tuple runs no Python
+code, so under the interpreter lock it lands all nine fields at once and
+socket threads emit without a lock.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
@@ -90,8 +99,8 @@ _RENDER: dict[str, Callable[[dict], dict]] = {
 
 
 def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq, bundle_id, detail) -> dict:
-    """The JSON form of one record, in ``TraceRecord`` field order; unset fields are left out
-    and a compact detail is rendered."""
+    """The JSON form of one record whose detail is JSON, in ``TraceRecord`` field order;
+    unset fields are left out."""
     d: dict = {"kind": kind, "actor": actor, "timestamp": timestamp}
     if epoch is not None:
         d["epoch"] = epoch
@@ -104,8 +113,7 @@ def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq,
     if bundle_id is not None:
         d["bundle_id"] = bundle_id
     if detail is not None:
-        render = _RENDER.get(kind)
-        d["detail"] = detail if render is None else render(detail)
+        d["detail"] = detail
     return d
 
 
@@ -115,6 +123,8 @@ class TraceLog:
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._fields: list = []  # _WIDTH fields per record, in TraceRecord order
+        self._rendered = 0  # the fields below this index hold no compact detail
+        self._render_lock = threading.Lock()
 
     def emit(
         self,
@@ -155,10 +165,30 @@ class TraceLog:
         return emit
 
     def as_dicts(self) -> list[dict]:
-        # Records emitted by other threads after this line are left out. One
-        # iterator zipped with itself walks the list in place, a record at a time.
-        fields = islice(self._fields, len(self._fields))
+        # Records emitted by other threads after this line are left out, and
+        # rendered by the next call. One iterator zipped with itself walks the
+        # list in place, a record at a time.
+        end = len(self._fields)
+        self._render(end)
+        fields = islice(self._fields, end)
         return [_record_dict(*rec) for rec in zip(*[fields] * _WIDTH)]
+
+    def _render(self, end: int) -> None:
+        """Write the JSON form of each compact detail below field ``end`` over it.
+        Every detail there was alive at once when ``end`` was taken, so no two
+        share an id, and a detail held by several records is rendered once."""
+        with self._render_lock:
+            fields = self._fields
+            rendered: dict[int, dict] = {}  # id of a compact detail -> its JSON form
+            for i in range(self._rendered, end, _WIDTH):
+                render = _RENDER.get(fields[i])
+                detail = fields[i + _WIDTH - 1]
+                if render is not None and detail is not None:
+                    json_form = rendered.get(id(detail))
+                    if json_form is None:
+                        json_form = rendered[id(detail)] = render(detail)
+                    fields[i + _WIDTH - 1] = json_form
+            self._rendered = max(self._rendered, end)
 
 
 def dump_jsonl(records: list[dict], path: str) -> None:

@@ -128,6 +128,9 @@ def test_json_takes_an_int_for_a_float_and_none_where_allowed():
         {"fault_plan": [{"target": "switch:s9", "point": "at-time", "at_time_ms": 50}]},
         {"fault_plan": [{"target": "mastr", "point": "at-time", "at_time_ms": 50}]},
         {"fault_plan": [{"target": "switch:s0", "point": "F2", "trigger_event": 3}]},
+        {"hosts_per_switch": 1},
+        {"hosts_per_switch": 256},
+        {"n_switches": 257},
         "{not json",
         None,
     ],

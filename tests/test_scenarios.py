@@ -2,6 +2,7 @@
 runs. These exercise the full stack: switches, replicas, coordination,
 fault injection, and the checker."""
 
+import hashlib
 import json
 import threading
 import time
@@ -13,7 +14,7 @@ from ftsdn.ctrl import FatalProtocolError, Replica
 from ftsdn.harness.cli import main
 from ftsdn.harness.config import FaultInjection, ScenarioConfig
 from ftsdn.harness.runtime_socket import SocketWorld
-from ftsdn.harness.scenario import run_scenario
+from ftsdn.harness.scenario import build_workload, run_scenario
 from ftsdn.harness.world_det import DetWorld
 from ftsdn.switchsim import Switch
 
@@ -30,6 +31,29 @@ def base_cfg(**kw):
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+# The sha256 of each plan's (time_ms, switch_id, payload, in_port) reprs, in plan order, for
+# the det-forward and det-learn-failover benchmark configs (the fault plan does not change
+# the packets), 12 switches (s10 sorts before s2) with every packet at one time, and a
+# negative gap.
+PLAN_SHA256 = {
+    (8, 1000, 4, 2.0, 1): "c0b613d4edded1fd3e9f6f87d89930b994beb0c8d9e4544ed92e0207dae612c1",
+    (8, 2000, 4, 2.0, 1): "e1e2b592167e2642f6ff07708e4b566b4765618841c5dd6c2466382730e52667",
+    (12, 40, 3, 0.0, 7): "ccf2f025b8f24192d9bf68e3b247b20e1ae2f6f20cdc8df285f6e7446b7182f7",
+    (3, 30, 2, -1.5, 2): "ce5453d11ee03a3fb3548e7cdf0b5ef6baf4c90d19547fb5d909b36d247cd2a0",
+}
+
+
+@pytest.mark.parametrize("params", PLAN_SHA256)
+def test_the_packet_plan_is_pinned(params):
+    n_switches, packets_per_switch, hosts_per_switch, inter_arrival_ms, seed = params
+    cfg = ScenarioConfig(n_switches=n_switches, packets_per_switch=packets_per_switch,
+                         hosts_per_switch=hosts_per_switch, inter_arrival_ms=inter_arrival_ms, seed=seed)
+    h = hashlib.sha256()
+    for inj in build_workload(cfg):
+        h.update(repr((inj.time_ms, inj.switch_id, inj.payload, inj.in_port)).encode())
+    assert h.hexdigest() == PLAN_SHA256[params]
 
 
 def records_of(result, kind, **match):

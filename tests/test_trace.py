@@ -1,8 +1,9 @@
 import gc
 import sys
 import threading
+from functools import partial
 
-from ftsdn import ofwire
+from ftsdn import ofwire, trace
 from ftsdn.coord import CoordService, ProcessedBody, body_to_json
 from ftsdn.events import (
     KIND_PACKET_IN,
@@ -14,7 +15,8 @@ from ftsdn.events import (
 )
 from ftsdn.harness.checker import check_trace
 from ftsdn.harness.config import AT_TIME, F2, FaultInjection, ScenarioConfig
-from ftsdn.harness.scenario import run_scenario
+from ftsdn.harness.scenario import _inject, build_workload, run_scenario
+from ftsdn.harness.world_det import DetWorld
 from ftsdn.ofwire import Action, BundleAdd, BundleCommit, BundleOpen, FlowMod, MatchKey, PacketIn, PacketOut, PortStatus
 from ftsdn.switchsim import Switch
 from ftsdn.trace import TraceLog, TraceRecord, dump_jsonl, load_jsonl
@@ -176,28 +178,97 @@ def test_event_emitted_renders_the_connections_as_a_list():
     ]
 
 
-def _small_run():
-    cfg = ScenarioConfig(
+def test_records_emitted_after_a_read_are_rendered_by_the_next():
+    log = TraceLog(clock=lambda: 0.0)
+    sw = Switch("s0", trace=log.emitter("s0"))
+    sw.attach(Conn("c0", 1))
+    sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)
+    first = log.as_dicts()
+    sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)  # the switch's shared compact detail again
+    second = log.as_dicts()
+    assert second[0] == first[0] and second[0]["detail"] is first[0]["detail"]
+    assert second[1]["detail"] == {"origin": "dataplane", "in_port": 3, "conns": ["c0"]}
+
+
+def _small_cfg() -> ScenarioConfig:
+    return ScenarioConfig(
         n_switches=2, n_controllers=2, packets_per_switch=20, session_timeout_ms=100.0, app="learning", seed=1,
         fault_plan=[FaultInjection(point=F2, trigger_event=8),
                     FaultInjection(target="switch:s1", point=AT_TIME, at_time_ms=40.0)],
     )
-    result = run_scenario(cfg)
+
+
+def _small_run():
+    result = run_scenario(_small_cfg())
     assert result.passed
     return result
 
 
-def test_as_dicts_twice_gives_equal_lists():
+def _holds_bytes_or_tuple(value) -> bool:
+    if isinstance(value, (bytes, tuple)):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_bytes_or_tuple(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_holds_bytes_or_tuple(v) for v in value)
+    return False
+
+
+def _stored(log: TraceLog) -> list[tuple[str, dict]]:
+    """The kind and detail of each stored record of a compact kind."""
+    fields = log._fields  # the stored records, nine fields each; the kind first, the detail last
+    return [(kind, detail) for kind, detail in zip(fields[0::9], fields[8::9]) if kind in COMPACT_KINDS]
+
+
+def test_as_dicts_leaves_no_compact_detail_stored():
+    log = _small_run().world.trace
+    stored = _stored(log)
+    assert {kind for kind, _ in stored} == set(COMPACT_KINDS)
+    assert [kind for kind, detail in stored if _holds_bytes_or_tuple(detail)] == []
+
+
+def test_as_dicts_twice_gives_equal_lists(monkeypatch):
     log = _small_run().world.trace
     first = log.as_dicts()
-    assert first == log.as_dicts()
+    renders = []
+    for kind, render in list(trace._RENDER.items()):
+        monkeypatch.setitem(trace._RENDER, kind, lambda detail, render=render: renders.append(detail) or render(detail))
+    second = log.as_dicts()
+    assert second == first and renders == []  # the second call renders nothing again
+    assert all(a.get("detail") is b.get("detail") for a, b in zip(first, second))
     assert set(COMPACT_KINDS) <= {r["kind"] for r in first}
 
 
+def _distinct_details(packets_per_switch: int) -> dict[str, int]:
+    cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=packets_per_switch, seed=1)
+    result = run_scenario(cfg)
+    assert result.passed
+    ids: dict[str, set[int]] = {}
+    for r in result.records:
+        kind = r["kind"]
+        if kind == "event-emitted" and r["detail"]["origin"] != "dataplane":
+            continue
+        if kind in ("event-collected", "delivered", "marker-received", "commit-sent", "event-emitted"):
+            ids.setdefault(kind, set()).add(id(r["detail"]))
+    return {kind: len(s) for kind, s in ids.items()}
+
+
+def test_repeated_details_are_shared_however_many_packets_run():
+    small, large = _distinct_details(20), _distinct_details(200)
+    assert set(small) == {"event-collected", "delivered", "marker-received", "commit-sent", "event-emitted"}
+    assert large == small
+
+
 def test_stored_details_of_the_per_packet_kinds_are_not_tracked_by_the_collector():
-    log = _small_run().world.trace
+    # the trace as a run leaves it, before any as_dicts renders it
+    cfg = _small_cfg()
+    world = DetWorld(cfg)
+    for inj in build_workload(cfg):
+        world.at(inj.time_ms, partial(_inject, world, inj))
+    assert world.run(2_000.0)
+    world.stop()
     gc.collect()
-    fields = log._fields  # the stored records, nine fields each; the kind first, the detail last
-    stored = [(kind, detail) for kind, detail in zip(fields[0::9], fields[8::9]) if kind in COMPACT_KINDS]
+    stored = _stored(world.trace)
     assert {kind for kind, _ in stored} == set(COMPACT_KINDS)
+    assert {kind for kind, detail in stored if _holds_bytes_or_tuple(detail)} == set(COMPACT_KINDS)  # not rendered
     assert [kind for kind, detail in stored if gc.is_tracked(detail)] == []
