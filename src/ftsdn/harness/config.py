@@ -37,6 +37,8 @@ class FaultInjection:
             raise ValueError(f"fault point {self.point} needs trigger_event")
         if self.point in (AT_TIME, ZOMBIE) and self.at_time_ms is None:
             raise ValueError(f"fault point {self.point} needs at_time_ms")
+        if self.pause_ms is not None and self.pause_ms <= 0:  # a stall of no time would expire nothing
+            raise ValueError(f"pause_ms must be positive, got {self.pause_ms}")
 
 
 @dataclass
@@ -71,6 +73,9 @@ class ScenarioConfig:
             raise ValueError("need 1 to 256 switches")
         if not 2 <= self.hosts_per_switch <= 255:
             raise ValueError("need 2 to 255 hosts per switch: each packet goes from one host to another")
+        if self.heartbeat_interval_ms <= 0:
+            # a heartbeat due at once re-arms at the same instant, so simulated time never moves
+            raise ValueError(f"heartbeat_interval_ms must be positive, got {self.heartbeat_interval_ms}")
         if self.transport not in ("deterministic", "sockets"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "deterministic" and self.seed is None:

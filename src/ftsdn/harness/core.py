@@ -1,13 +1,15 @@
 """The protocol wiring both transports share.
 
-A transport supplies executors and links, and opens the links: the
-deterministic one a scheduler with in-memory channels, the socket one an
-event loop per node with TCP connections. Both give an executor ``now()``,
-``call_later(delay_ms, fn, maintenance)``, ``cancel(handle)`` and ``stop()``,
-which kills the node and closes its links; maintenance timers keep nothing
-alive in the deterministic scheduler. A link has ``send(msg)`` and the
-``on_message(msg)`` and ``on_close()`` handlers that the ``bind_*`` helpers
-here set, so every node is wired the same way under both transports.
+A transport supplies executors and one way to open a link,
+``_link(a, b, bind_a, bind_b)``: the deterministic one an in-memory channel
+on one scheduler, the socket one a TCP connection between two nodes' event
+loops. ``World._connect`` opens every link of a controller through it, so a
+controller is wired the same way under both transports. Both give an
+executor ``now()``, ``call_later(delay_ms, fn, maintenance)``,
+``cancel(handle)`` and ``stop()``, which kills the node and closes its
+links; maintenance timers keep nothing alive in the deterministic
+scheduler. A link has ``send(msg)`` and the ``on_message(msg)`` and
+``on_close()`` handlers that the ``bind_*`` helpers here set.
 Messages on the coordination link are dicts that carry log bodies as
 objects; a transport that needs bytes converts them at its edge. The
 service pushes the log to each controller one push per append: an
@@ -101,8 +103,8 @@ class CoordHost:
 class Controller:
     """One replica and its coordination client; implements ReplicaEnv.
 
-    The transport opens its links and hands each to ``bind_coord`` or
-    ``bind_switch``."""
+    ``World._connect`` hands each of its links to ``bind_switch`` or
+    ``bind_coord``; binding the coordination link starts the heartbeat."""
 
     send_coord: Callable[[dict], None]
 
@@ -135,6 +137,7 @@ class Controller:
     def bind_coord(self, link) -> None:
         self.send_coord = link.send
         link.on_message = self.guard(self.on_coord_msg)
+        self.start_heartbeat()
 
     def bind_switch(self, sid: str, link) -> None:
         # the replica's handlers are looked up per message, so a wrapper
@@ -211,14 +214,17 @@ class World:
     with a ``switch``), ``ctrls`` (Controllers), the quiescence test and the
     fault injector.
 
-    The core binds every link and owns the controller crash. A world supplies
-    executors, links and how they open; ``at(time_ms, fn)``, which runs
-    ``fn`` at ``time_ms`` of the run; ``crash_switch(sid)``; ``stall(cid,
-    pause_ms)``, which freezes a controller without killing it; ``inject(sid,
-    payload, in_port)``; and ``run(deadline_ms)``, which returns whether the
-    world reached quiescence by the deadline. It builds each Controller with
-    ``fault_hook(cid)`` and calls ``_arm_timed_faults()`` once every node is
-    connected."""
+    The core opens and binds every link and owns the controller crash. A
+    world supplies executors; ``_link(a, b, bind_a, bind_b)``, which opens
+    one link between nodes ``a`` and ``b`` and runs ``bind_a`` and
+    ``bind_b`` on its two ends, each on the node that owns the end;
+    ``at(time_ms, fn)``, which runs ``fn`` at ``time_ms`` of the run;
+    ``crash_switch(sid)``; ``stall(cid, pause_ms)``, which freezes a
+    controller without killing it; ``inject(sid, payload, in_port)``; and
+    ``run(deadline_ms)``, which returns whether the world reached
+    quiescence by the deadline. It builds each Controller with
+    ``fault_hook(cid)`` and connects it with ``_connect``, then calls
+    ``_arm_timed_faults()`` once every node is connected."""
 
     coord: CoordHost
     switches: dict
@@ -232,6 +238,16 @@ class World:
 
     def stop(self) -> None:
         """End every thread the world started; a world without threads has nothing to do."""
+
+    def _connect(self, ctrl: Controller) -> None:
+        """Link a controller to every switch, then to the coordination
+        service, whose bind opens its session. The session comes last: a
+        controller elected before it holds its switches would announce its
+        role to none of them and leave them unfenced."""
+        for sid, node in self.switches.items():
+            self._link(ctrl, node, partial(ctrl.bind_switch, sid), partial(bind_controller, node.switch, ctrl.cid))
+        open_session = partial(self.coord.bind_controller, ctrl.cid, self.cfg.session_timeout_ms)
+        self._link(ctrl, self.coord, ctrl.bind_coord, open_session)
 
     def quiescent(self) -> bool:
         """Every switch event is logged and finished, and every live replica

@@ -1,23 +1,26 @@
 """Socket transport: the same protocol cores over TCP loopback.
 
 Each node (coordination server, switch, controller replica) runs on one
-thread, running an asyncio event loop. Each TCP connection is an asyncio
-protocol on the loop of the node that owns it, which splits the byte stream
-into messages and hands each to the node's handler; a message that fails to
-decode is recorded as an ``executor-error`` and closes its connection.
-Controller-switch connections carry binary frames, the coordination
-connection length-prefixed JSON. Killing a controller closes its sockets, so
-peers observe an orderly disconnect while the coordination session keeps
-running until its timeout expires, exactly like an abruptly killed process
-behind a kernel TCP stack.
+thread, running an asyncio event loop. A link is one TCP connection:
+``SocketWorld._link`` dials the far node's listener and accepts on the
+world's thread, then hands each socket to the loop of the node that owns
+it, which binds it before its first read. There it is an asyncio protocol,
+which splits the byte stream into messages and hands each to the node's
+handler; a message that fails to decode is recorded as an
+``executor-error`` and closes its connection. Every link carries
+``ofwire`` frames, a 4-byte length and a body: an OpenFlow message between
+a controller and a switch, a JSON message on the coordination link. Killing
+a controller closes its sockets, so peers observe an orderly disconnect
+while the coordination session keeps running until its timeout expires,
+exactly like an abruptly killed process behind a kernel TCP stack.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import socket
-import struct
 import threading
 import time
 from functools import partial
@@ -27,14 +30,15 @@ from ..coord import body_from_json, body_to_json
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
-from .core import Controller, CoordHost, Crashed, World, bind_controller
+from .core import Controller, CoordHost, Crashed, World
 
 
 class SocketExecutor:
-    """One node's thread, running an asyncio event loop. ``post`` and
-    ``stop`` may be called from any thread, ``call_later`` and ``cancel``
-    only on the loop's own. An exception that escapes a task is written to
-    the trace as an ``executor-error`` record, and the executor carries on."""
+    """One node's thread, running an asyncio event loop. ``post``, ``adopt``
+    and ``stop`` may be called from any thread, ``call_later`` and
+    ``cancel`` only on the loop's own. An exception that escapes a task is
+    written to the trace as an ``executor-error`` record, and the executor
+    carries on."""
 
     def __init__(self, name: str, trace: TraceLog) -> None:
         self.name = name
@@ -46,7 +50,6 @@ class SocketExecutor:
         self._stopped = self.loop.create_future()
         self._listener: socket.socket | None = None
         self._links: set[_Link] = set()
-        self._adopting: set[asyncio.Task] = set()  # the loop holds tasks weakly
         self.thread = threading.Thread(target=self._run, name=f"exec-{name}", daemon=True)
         self.thread.start()
 
@@ -70,32 +73,20 @@ class SocketExecutor:
         self.alive = False
         self._soon(self._shutdown)
 
-    def serve(self, make_link) -> socket.socket:
-        """Accept connections on a new loopback listener, each read by ``make_link()``."""
+    def listen(self) -> socket.socket:
+        """A loopback listener that links to this node are dialled on. The
+        node does not accept on it; ``SocketWorld._link`` does."""
         self._listener = socket.create_server(("127.0.0.1", 0))
-        self._listener.setblocking(False)
-        self._soon(self.loop.add_reader, self._listener, self._accept, make_link)
         return self._listener
 
-    async def adopt(self, sock: socket.socket, link: _Link) -> _Link:
-        """Hand a connected socket to this loop, read by ``link``."""
+    def adopt(self, sock: socket.socket, wire, bind) -> concurrent.futures.Future:
+        """Hand a connected socket to this loop as a link that speaks
+        ``wire`` and is passed to ``bind`` before its first read. The
+        future is done once the link is bound."""
         # asyncio sets this only on sockets made with proto TCP, and accept() gives proto 0
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        link.sock = sock
-        await self.loop.create_connection(lambda: link, sock=sock)
-        return link
-
-    def _accept(self, make_link) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except BlockingIOError:
-            return
-        except OSError:  # the listener was shut down: accept no more
-            self.loop.remove_reader(self._listener)
-            return
-        task = self.loop.create_task(self.adopt(sock, make_link()))
-        self._adopting.add(task)
-        task.add_done_callback(self._adopting.discard)
+        link = _Link(self, sock, wire, bind)
+        return asyncio.run_coroutine_threadsafe(self.loop.create_connection(lambda: link, sock=sock), self.loop)
 
     def _soon(self, *callback) -> None:
         try:
@@ -120,7 +111,6 @@ class SocketExecutor:
         if self._stopped.done():
             return
         if self._listener is not None:
-            self.loop.remove_reader(self._listener)
             self._listener.close()
         for link in list(self._links):
             link.close()
@@ -129,25 +119,27 @@ class SocketExecutor:
     def _run(self) -> None:
         try:
             self.loop.run_until_complete(self._stopped)
-            if self._adopting:  # let the connections still being handed over finish
-                self.loop.run_until_complete(asyncio.gather(*self._adopting, return_exceptions=True))
         finally:
             self.loop.close()
 
 
 class _Link(asyncio.Protocol):
-    """One TCP connection on its node's loop. ``buf.feed`` splits the byte
-    stream into messages and each goes to ``on_message``; a stream that does
-    not decode is recorded and closes the connection. ``on_close`` runs when
-    the connection closes, at either end."""
+    """One TCP connection on its node's loop, carrying ``ofwire`` frames;
+    ``wire`` is how a message becomes a frame and a frame's body a message.
+    ``bind`` gets the link once it is connected, before its first read.
+    Each message read goes to ``on_message``; a stream that does not decode
+    is recorded and closes the connection. ``on_close`` runs when the
+    connection closes, at either end."""
 
     on_message = None
     on_close = None
 
-    def __init__(self, executor: SocketExecutor, buf, encode) -> None:
+    def __init__(self, executor: SocketExecutor, sock: socket.socket, wire, bind) -> None:
         self.exec = executor
-        self.buf = buf
-        self.encode = encode
+        self.sock = sock
+        self.encode, decode_body = wire
+        self.buf = ofwire.FrameBuffer(decode_body)
+        self.bind = bind
         self.closed = False
 
     def connection_made(self, transport: asyncio.Transport) -> None:
@@ -155,6 +147,8 @@ class _Link(asyncio.Protocol):
         self.exec._links.add(self)
         if not self.exec.alive:
             self.close()
+            return
+        self.exec._safe(self.bind, self)
 
     def data_received(self, data: bytes) -> None:
         if self.closed:
@@ -198,97 +192,46 @@ def _encode_frame(msg: ofwire.OfMessage) -> bytes:
     return ofwire.encode(msg)  # looked up per call, so a wrapper installed later sees every frame
 
 
-def _json_frame(msg: dict) -> bytes:
-    raw = json.dumps(msg, separators=(",", ":")).encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
-
-
 # a heartbeat carries nothing but its op, so every one is the same frame
-_HEARTBEAT_FRAME = _json_frame({"op": "heartbeat"})
+_HEARTBEAT_BODY = b'{"op":"heartbeat"}'
+_HEARTBEAT_FRAME = ofwire.frame(_HEARTBEAT_BODY)
 
 
-def _encode_json(msg: dict) -> bytes:
-    """Coordination messages travel as length-prefixed JSON; the log bodies
-    of an ``entries`` push or an ``append`` request become their JSON form."""
+def _encode_coord(msg: dict) -> bytes:
+    """A coordination message is framed JSON; the log bodies of an
+    ``entries`` push or an ``append`` request become their JSON form."""
     if msg["op"] == "heartbeat":
         return _HEARTBEAT_FRAME
     if "bodies" in msg:
         msg = {**msg, "bodies": [body_to_json(b) for b in msg["bodies"]]}
-    return _json_frame(msg)
+    return ofwire.frame(json.dumps(msg, separators=(",", ":")).encode("utf-8"))
 
 
-class _JsonBuffer:
-    """Incremental splitter for the coordination link: each message is a
-    4-byte length, at most ``ofwire.MAX_FRAME_BODY``, then that many bytes of
-    JSON. A read that is exactly one heartbeat, with nothing buffered before
-    it, skips the JSON decoder."""
-
-    def __init__(self) -> None:
-        self._buf = b""
-
-    def feed(self, data: bytes) -> list[dict]:
-        if data == _HEARTBEAT_FRAME and not self._buf:
-            return [{"op": "heartbeat"}]
-        buf = self._buf + data
-        msgs = []
-        off = 0
-        while len(buf) - off >= 4:
-            (length,) = struct.unpack_from(">I", buf, off)
-            if length > ofwire.MAX_FRAME_BODY:
-                raise ofwire.ProtocolError(f"declared message of {length} bytes exceeds limit")
-            end = off + 4 + length
-            if len(buf) < end:
-                break
-            msg = json.loads(buf[off + 4 : end])
-            if "bodies" in msg:
-                msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
-            msgs.append(msg)
-            off = end
-        self._buf = buf[off:]
-        return msgs
+def _decode_coord(body: bytes) -> dict:
+    """The message ``_encode_coord`` framed; a heartbeat skips the JSON decoder."""
+    if body == _HEARTBEAT_BODY:
+        return {"op": "heartbeat"}
+    msg = json.loads(body)
+    if "bodies" in msg:
+        msg["bodies"] = [body_from_json(b) for b in msg["bodies"]]
+    return msg
 
 
 class CoordServer(CoordHost):
+    wire = (_encode_coord, _decode_coord)  # what its links carry
+
     def __init__(self, trace: TraceLog) -> None:
         super().__init__(SocketExecutor("coord", trace), trace)
-        self._listener = self.exec.serve(self._link)
-        self.port = self._listener.getsockname()[1]
-
-    def _link(self) -> _Link:
-        """A controller's connection: its ``hello`` opens the session, whose
-        handler takes every later request. The session outlives the
-        connection and dies by timeout, not by EOF."""
-        link = _Link(self.exec, _JsonBuffer(), _encode_json)
-
-        def hello(msg: dict) -> None:
-            if msg["op"] != "hello":
-                link.close()
-                return
-            self.bind_controller(msg["controller_id"], msg["timeout_ms"], link)
-
-        link.on_message = hello
-        return link
+        self._listener = self.exec.listen()
 
 
 class SwitchServer:
+    wire = (_encode_frame, ofwire.decode_body)
+
     def __init__(self, switch_id: str, trace: TraceLog) -> None:
         self.exec = SocketExecutor(switch_id, trace)
         self.switch = Switch(switch_id, trace=trace.emitter(switch_id))
-        self._listener = self.exec.serve(self._link)
-        self.port = self._listener.getsockname()[1]
-
-    def _link(self) -> _Link:
-        link = _Link(self.exec, ofwire.FrameBuffer(), _encode_frame)
-
-        def identify(msg: ofwire.OfMessage) -> None:
-            # the first frame is the peer announcing its identity
-            if not isinstance(msg, ofwire.RoleAnnounce):
-                link.close()
-                return
-            bind_controller(self.switch, msg.controller_id, link)
-
-        link.on_message = identify
-        return link
+        self._listener = self.exec.listen()
 
     def inject(self, payload: bytes, in_port: int) -> None:
         self.exec.post(lambda: self.switch.inject_packet(payload, in_port))
@@ -314,36 +257,26 @@ class SocketWorld(World):
         self.switches: dict[str, SwitchServer] = {
             f"s{i}": SwitchServer(f"s{i}", self.trace) for i in range(cfg.n_switches)
         }
-        self.ctrls: dict[str, Controller] = {}
-        for i in range(cfg.n_controllers):
-            cid = f"c{i}"
-            ctrl = Controller(cid, SocketExecutor(cid, self.trace), cfg, self.trace, self.fault_hook(cid))
-            self.ctrls[cid] = ctrl
+        cids = [f"c{i}" for i in range(cfg.n_controllers)]
+        self.ctrls: dict[str, Controller] = {
+            cid: Controller(cid, SocketExecutor(cid, self.trace), cfg, self.trace, self.fault_hook(cid))
+            for cid in cids
+        }
+        # each _connect returns with the controller's session open, so c0's is the first and c0 leads
+        for ctrl in self.ctrls.values():
             self._connect(ctrl)
-            if i == 0:
-                self._await_master(cid)
+        self._await_master("c0")
         self._arm_timed_faults()
 
-    def _connect(self, ctrl: Controller) -> None:
-        """Join a controller to every switch and the coordination server over
-        TCP, then start its heartbeat."""
-        socks = {sid: socket.create_connection(("127.0.0.1", node.port)) for sid, node in self.switches.items()}
-        for sock in socks.values():
-            sock.sendall(_encode_frame(ofwire.RoleAnnounce(ctrl.cid, 0)))
-        coord = socket.create_connection(("127.0.0.1", self.coord.port))
-        hello = {"op": "hello", "controller_id": ctrl.cid, "timeout_ms": self.cfg.session_timeout_ms}
-        coord.sendall(_encode_json(hello))
-        # every later send runs on the loop, once it owns the sockets
-        asyncio.run_coroutine_threadsafe(self._adopt(ctrl, socks, coord), ctrl.exec.loop).result()
-        ctrl.exec.post(ctrl.start_heartbeat)
-
-    @staticmethod
-    async def _adopt(ctrl: Controller, socks: dict[str, socket.socket], coord: socket.socket) -> None:
-        # adopt() returns before the loop first reads the socket, so each link is bound in time
-        ex = ctrl.exec
-        for sid, sock in socks.items():
-            ctrl.bind_switch(sid, await ex.adopt(sock, _Link(ex, ofwire.FrameBuffer(), _encode_frame)))
-        ctrl.bind_coord(await ex.adopt(coord, _Link(ex, _JsonBuffer(), _encode_json)))
+    def _link(self, a, b, bind_a, bind_b) -> None:
+        """Dial ``b``'s listener and accept the connection on this thread,
+        then hand each end to its node's loop and wait until both are bound.
+        The link speaks what ``b``'s links carry."""
+        near = socket.create_connection(b._listener.getsockname())
+        far, _ = b._listener.accept()
+        bound = [a.exec.adopt(near, b.wire, bind_a), b.exec.adopt(far, b.wire, bind_b)]
+        for future in bound:
+            future.result()
 
     def _await_master(self, cid: str, timeout_s: float = 5.0) -> None:
         deadline = time.monotonic() + timeout_s

@@ -1,5 +1,6 @@
 """Deterministic topology: coordination service, replicas, and switches as
-actors on one scheduler, joined by seeded-latency FIFO channels."""
+actors on one scheduler, joined by seeded-latency FIFO channels. A link is
+one channel, and both its ends are bound as soon as it is made."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Callable
 from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
-from .core import Controller, CoordHost, World, bind_controller
+from .core import Controller, CoordHost, World
 from .runtime_det import Channel, Executor, Scheduler, default_latency, fixed_latency
 
 
@@ -44,20 +45,12 @@ class DetWorld(World):
             return fixed_latency(float(override))
         return default_latency(self.sched.rng)
 
-    def _connect(self, ctrl: Controller) -> None:
-        """Join a controller to the coordination service and every switch,
-        then open its session."""
-        cid = ctrl.cid
-        chan = Channel(self.sched, ctrl.exec, self.coord.exec, self._latency_fn(cid, "coord"))
-        ctrl_end, coord_end = chan.ends
-        ctrl.bind_coord(ctrl_end)
-        for sid, snode in self.switches.items():
-            chan = Channel(self.sched, ctrl.exec, snode.exec, self._latency_fn(cid, sid))
-            ctrl_end, sw_end = chan.ends
-            bind_controller(snode.switch, cid, sw_end)
-            ctrl.bind_switch(sid, ctrl_end)
-        self.coord.bind_controller(cid, self.cfg.session_timeout_ms, coord_end)
-        ctrl.start_heartbeat()
+    def _link(self, a, b, bind_a: Callable, bind_b: Callable) -> None:
+        """One channel between ``a`` and ``b``; its ends are bound at once."""
+        ex_a, ex_b = a.exec, b.exec
+        end_a, end_b = Channel(self.sched, ex_a, ex_b, self._latency_fn(ex_a.node_id, ex_b.node_id)).ends
+        bind_a(end_a)
+        bind_b(end_b)
 
     # -- what the shared driver and fault injector need ------------------------
 

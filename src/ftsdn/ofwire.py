@@ -11,7 +11,8 @@ layout is normative for socket mode:
 Integers are unsigned LEB128 varints, byte/character strings are
 varint-length prefixed, optional fields carry a one-byte presence flag, and
 lists a varint element count. The JSON rendering produced by ``to_json`` is
-normative for trace files.
+normative for trace files. The socket transport's coordination link uses the
+same framing, with a JSON message as the body.
 
 Each message's payload is its dataclass fields in declaration order, and its
 JSON object is ``type`` followed by the same fields in the same order. Each
@@ -466,16 +467,20 @@ def decode_body(body: bytes) -> OfMessage:
     return msg
 
 
-def encode(msg: OfMessage) -> bytes:
-    """Encode one message as a self-delimiting frame. Deterministic."""
-    body = encode_body(msg)
+def frame(body: bytes) -> bytes:
+    """A self-delimiting frame: the body's length, then the body."""
     if len(body) > MAX_FRAME_BODY:
         raise EncodeError(f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BODY}")
     return struct.pack(">I", len(body)) + body
 
 
-def decode(data: bytes, offset: int = 0) -> tuple[OfMessage, int] | None:
-    """Decode one frame starting at ``offset``.
+def encode(msg: OfMessage) -> bytes:
+    """Encode one message as a self-delimiting frame. Deterministic."""
+    return frame(encode_body(msg))
+
+
+def decode(data: bytes, offset: int = 0, decode_body: Callable[[bytes], Any] = decode_body) -> tuple[Any, int] | None:
+    """Decode one frame starting at ``offset``, its body by ``decode_body``.
 
     Returns ``(message, next_offset)``, leaving trailing bytes untouched, or
     ``None`` when the buffer does not yet hold a complete frame.
@@ -492,21 +497,21 @@ def decode(data: bytes, offset: int = 0) -> tuple[OfMessage, int] | None:
 
 
 class FrameBuffer:
-    """Incremental frame reassembly for stream transports."""
+    """Incremental frame reassembly for stream transports; ``decode_body``
+    turns each frame's body into a message."""
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
+    def __init__(self, decode_body: Callable[[bytes], Any] = decode_body) -> None:
+        self._buf = b""  # the start of a frame that has not fully arrived
+        self._decode_body = decode_body
 
-    def feed(self, data: bytes) -> list[OfMessage]:
-        self._buf.extend(data)
-        buf = bytes(self._buf)
-        msgs: list[OfMessage] = []
+    def feed(self, data: bytes) -> list:
+        buf = self._buf + data if self._buf else data  # most reads end on a frame boundary: no copy
+        msgs = []
         off = 0
-        while (got := decode(buf, off)) is not None:
+        while (got := decode(buf, off, self._decode_body)) is not None:
             msg, off = got
             msgs.append(msg)
-        if off:
-            del self._buf[:off]
+        self._buf = buf[off:]
         return msgs
 
 

@@ -131,6 +131,10 @@ def test_json_takes_an_int_for_a_float_and_none_where_allowed():
         {"hosts_per_switch": 1},
         {"hosts_per_switch": 256},
         {"n_switches": 257},
+        {"heartbeat_interval_ms": 0.0, "n_switches": 1, "packets_per_switch": 5},
+        {"heartbeat_interval_ms": -1.0, "n_switches": 1, "packets_per_switch": 5},
+        {"fault_plan": [{"point": "zombie", "at_time_ms": 50, "pause_ms": 0.0}]},
+        {"fault_plan": [{"point": "zombie", "at_time_ms": 50, "pause_ms": -5.0}]},
         "{not json",
         None,
     ],

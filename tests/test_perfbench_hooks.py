@@ -1,0 +1,50 @@
+"""The benchmark in ``perfbench/`` reaches into the program: it wraps named
+functions with probes and tears socket worlds down through their listeners.
+These tests fail when a rename breaks one of those hooks, before a benchmark
+run would."""
+
+import sys
+import threading
+from pathlib import Path
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
+from probes import SPANNED, Probes  # noqa: E402
+
+from ftsdn import ofwire  # noqa: E402
+from ftsdn.harness.config import ScenarioConfig  # noqa: E402
+from ftsdn.harness.runtime_socket import SocketWorld  # noqa: E402
+
+
+def test_every_probed_name_resolves_and_is_put_back():
+    originals = [owner.__dict__[attr] for owner, attr, _ in SPANNED]
+    probes = Probes()
+    try:
+        probes.install()  # a probed name that is gone raises here
+        assert all(owner.__dict__[attr] is not fn for (owner, attr, _), fn in zip(SPANNED, originals))
+    finally:
+        probes.uninstall()
+    assert [owner.__dict__[attr] for owner, attr, _ in SPANNED] == originals
+
+
+def test_a_probed_socket_world_is_seen_and_torn_down():
+    threads_before = threading.active_count()
+    probes = Probes()
+    try:
+        probes.install()
+        world = SocketWorld(ScenarioConfig(transport="sockets", n_switches=1, n_controllers=2))
+        try:
+            world.inject("s0", ofwire.ether_payload("02:00:00:00:00:02", "02:00:00:00:00:01", b"x"), 1)
+            assert world.wait_quiescent(5.0)
+        finally:
+            workloads._teardown(world, threads_before)
+    finally:
+        probes.uninstall()
+    calls = {name: agg["calls"] for name, agg in probes.totals().items()}
+    # each feed decodes its frames through the probe, then finds no whole frame left
+    assert probes.frames_fed > 0
+    assert calls["ofwire.decode"] == probes.frames_fed + calls["ofwire.feed"]
+    assert threading.active_count() == threads_before

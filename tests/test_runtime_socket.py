@@ -2,20 +2,14 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 
 from ftsdn import ofwire
 from ftsdn.coord import ProcessedBody
 from ftsdn.events import KIND_PACKET_IN, SwitchEvent
 from ftsdn.harness.config import ScenarioConfig
-from ftsdn.harness.core import Crashed
-from ftsdn.harness.runtime_socket import (
-    CoordServer,
-    SocketExecutor,
-    SocketWorld,
-    SwitchServer,
-    _encode_json,
-    _JsonBuffer,
-)
+from ftsdn.harness.core import Crashed, bind_controller
+from ftsdn.harness.runtime_socket import CoordServer, SocketExecutor, SocketWorld, SwitchServer
 from ftsdn.trace import TraceLog
 
 
@@ -49,14 +43,22 @@ def _wait_for(cond, timeout_s: float = 1.0) -> None:
         time.sleep(0.01)
 
 
+def _dial(server, bind) -> socket.socket:
+    """Connect to ``server``, whose end is a link adopted on its executor
+    and bound by ``bind``; returns this end."""
+    sock = socket.create_connection(server._listener.getsockname())
+    far, _ = server._listener.accept()
+    server.exec.adopt(far, server.wire, bind).result(1.0)
+    sock.settimeout(1.0)
+    return sock
+
+
 def test_a_malformed_frame_is_recorded_and_closes_its_connection():
     trace = TraceLog(clock=time.time_ns)
     server = SwitchServer("s0", trace)
-    sock = socket.create_connection(("127.0.0.1", server.port))
-    sock.settimeout(1.0)
+    sock = _dial(server, partial(bind_controller, server.switch, "c0"))
     try:
-        sock.sendall(ofwire.encode(ofwire.RoleAnnounce("c0", 0)))
-        _wait_for(lambda: server.switch.conns)
+        assert server.switch.conns
         sock.sendall(struct.pack(">I", 1) + b"\xff")  # a frame with an unknown message tag
         assert sock.recv(1) == b""  # end of stream, not a timeout
         _wait_for(lambda: not server.switch.conns)
@@ -71,8 +73,9 @@ def test_a_malformed_frame_is_recorded_and_closes_its_connection():
 def test_an_entries_message_survives_the_json_link_byte_by_byte():
     packet_in = ofwire.PacketIn("s1", 4, 0, 2, ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03"))
     bodies = [SwitchEvent("s1", 4, KIND_PACKET_IN, packet_in, event_id=3), ProcessedBody(2), ProcessedBody(3)]
-    frame = _encode_json({"op": "entries", "first": 7, "bodies": bodies})
-    buf = _JsonBuffer()
+    encode, decode_body = CoordServer.wire
+    frame = encode({"op": "entries", "first": 7, "bodies": bodies})
+    buf = ofwire.FrameBuffer(decode_body)
     msgs = []
     for i in range(len(frame)):
         msgs.extend(buf.feed(frame[i : i + 1]))
@@ -80,9 +83,10 @@ def test_an_entries_message_survives_the_json_link_byte_by_byte():
 
 
 def test_heartbeats_come_back_whole_however_the_reads_split_them():
-    frame = _encode_json({"op": "heartbeat"})
+    encode, decode_body = CoordServer.wire
+    frame = encode({"op": "heartbeat"})
     heartbeat = {"op": "heartbeat"}
-    buf = _JsonBuffer()
+    buf = ofwire.FrameBuffer(decode_body)
     assert buf.feed(frame) == [heartbeat]
     assert buf.feed(frame[:3]) == []
     assert buf.feed(frame[3:]) == [heartbeat]
@@ -98,8 +102,7 @@ def test_a_coordination_message_that_does_not_parse_closes_its_connection():
     ]
     try:
         for data in bad:
-            sock = socket.create_connection(("127.0.0.1", server.port))
-            sock.settimeout(1.0)
+            sock = _dial(server, lambda link: None)  # no session: the first message already fails
             try:
                 sock.sendall(data)
                 assert sock.recv(1) == b""

@@ -455,6 +455,30 @@ def test_socket_world_fires_no_fault_without_run():
 
 
 @pytest.mark.parametrize("transport", ["deterministic", "sockets"])
+def test_the_first_master_fences_every_switch(transport):
+    # a controller is linked to its switches before its session opens; elected
+    # any earlier, it would announce its role to no switch
+    cfg = ScenarioConfig(transport=transport, n_switches=3, n_controllers=2)
+    world = SocketWorld(cfg) if transport == "sockets" else DetWorld(cfg)
+    fenced = [("c0", 1)] * 3
+
+    def roles():
+        return [(node.switch.master_id, node.switch.master_epoch) for node in world.switches.values()]
+
+    try:
+        if transport == "sockets":  # built once c0 is master; its announcements are on their way
+            deadline = time.monotonic() + 2.0
+            while roles() != fenced and time.monotonic() < deadline:
+                time.sleep(0.01)
+        else:
+            world.sched.run(cfg.workload_start_ms)
+        assert world.ctrls["c0"].replica.role == "master"
+        assert roles() == fenced
+    finally:
+        world.stop()
+
+
+@pytest.mark.parametrize("transport", ["deterministic", "sockets"])
 def test_a_protocol_error_crashes_the_replica(transport):
     cfg = ScenarioConfig(transport=transport, n_switches=1, n_controllers=2, session_timeout_ms=200.0)
     world = SocketWorld(cfg) if transport == "sockets" else DetWorld(cfg)
@@ -544,7 +568,7 @@ def test_each_replica_gets_one_entries_message_per_accepted_append():
 
         service.append = counted_append
         for cid, cnode in world.ctrls.items():
-            coord_end = cnode.exec.links[0]  # a controller's first link is to the coordination service
+            coord_end = cnode.exec.links[-1]  # a controller's last link is to the coordination service
             handler = coord_end.on_message
 
             def on_message(msg, cid=cid, handler=handler):
