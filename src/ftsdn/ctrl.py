@@ -167,10 +167,9 @@ class Replica:
         # unfinished event -> switches it waits on: for a bundle reply, or,
         # during a promotion, for that switch's barrier probe
         self.pending_replies: dict[int, set[str]] = {}
-        self._processed_sent: set[int] = set()
 
-        # learned from commit markers: (event_id, switch_id) -> highest marker epoch
-        self.processed_at_switch: dict[tuple[int, str], int] = {}
+        # learned from commit markers: the (event_id, switch_id) pairs a switch has committed
+        self.processed_at_switch: set[tuple[int, str]] = set()
 
         self._ps_counts: dict[str, int] = {}
         self._promo: _Promotion | None = None
@@ -224,9 +223,7 @@ class Replica:
             marker = parse_commit_marker(msg)
             if marker is not None:
                 for eid in marker.event_ids:
-                    key = (eid, switch_id)
-                    prev = self.processed_at_switch.get(key, -1)
-                    self.processed_at_switch[key] = max(prev, marker.master_epoch)
+                    self.processed_at_switch.add((eid, switch_id))
                     self._trace(
                         "marker-received",
                         event_id=eid,
@@ -456,9 +453,6 @@ class Replica:
             self._drain_and_resume()
 
     def _enqueue_processed(self, eid: int) -> None:
-        if eid in self._processed_sent:
-            return
-        self._processed_sent.add(eid)
         self.pending_batch.append(ProcessedBody(eid))
         self._arm_or_flush()
 

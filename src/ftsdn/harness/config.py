@@ -58,8 +58,6 @@ class ScenarioConfig:
     hosts_per_switch: int = 4
     workload_start_ms: float = 20.0
     fault_plan: list[FaultInjection] = field(default_factory=list)
-    # test-only knob: pin latency of specific channels, keyed "src->dst"
-    latency_overrides: dict = field(default_factory=dict)
 
     @property
     def f(self) -> int:

@@ -58,8 +58,8 @@ def _stream_gap(stream_ms: float, plan: list[FaultInjection], **cfg_fields) -> f
     return largest_gap(data_packet_out_times(result.records, "s0", scale))
 
 
-def failover_gap_deterministic(session_timeout_ms: float = 500.0, seed: int = 0, inject_fault: bool = True) -> float:
-    plan = [FaultInjection(target="master", point="at-time", at_time_ms=DET_KILL_AT_MS)] if inject_fault else []
+def failover_gap_deterministic(session_timeout_ms: float = 500.0, seed: int = 0) -> float:
+    plan = [FaultInjection(target="master", point="at-time", at_time_ms=DET_KILL_AT_MS)]
     return _stream_gap(
         DET_KILL_AT_MS + session_timeout_ms + 600.0, plan,
         session_timeout_ms=session_timeout_ms, heartbeat_interval_ms=1.0, seed=seed,

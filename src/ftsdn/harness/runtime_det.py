@@ -15,6 +15,10 @@ of its own. Crashing a node delivers its held and in-flight messages before
 the peers observe the disconnect, matching TCP semantics for an abruptly
 killed process.
 
+The scheduler draws every latency, and its seeded RNG is read nowhere else:
+``Scheduler.latency(src, dst, n)`` is the one place where the world's
+nondeterminism enters. A test that pins a link replaces that method.
+
 Each channel end can charge its actor a service cost per message it sends
 and per message it receives, so that a throughput experiment has a real
 bottleneck resource. The model bench (``bench.py``) sets these costs;
@@ -39,6 +43,10 @@ from .core import Crashed
 Event = list  # [time, seq, fn, maintenance, cancelled]
 _MAINTENANCE, _CANCELLED = 3, 4
 
+# a lone message's latency is uniform on [LATENCY_LO_MS, LATENCY_LO_MS + LATENCY_SPAN_MS)
+LATENCY_LO_MS = 0.2
+LATENCY_SPAN_MS = 1.3
+
 
 class Scheduler:
     def __init__(self, seed: int) -> None:
@@ -47,6 +55,13 @@ class Scheduler:
         self._heap: list[Event] = []
         self._seq = 0
         self._live_work = 0  # scheduled non-maintenance events
+
+    def latency(self, src: str, dst: str, n: int) -> float:
+        """The latency of one delivery of ``n`` messages from ``src`` to ``dst``:
+        the latest of ``n`` uniform latencies. The largest of ``n`` uniforms on
+        ``[0, 1)`` is distributed as ``U ** (1 / n)``, so one draw gives it; a
+        lone message draws exactly what ``rng.uniform(0.2, 1.5)`` would."""
+        return LATENCY_LO_MS + LATENCY_SPAN_MS * self.rng.random() ** (1 / n)
 
     def schedule_at(self, when: float, fn: Callable[[], None], maintenance: bool = False) -> Event:
         self._seq += 1
@@ -179,16 +194,9 @@ class Endpoint:
 
 
 class Channel:
-    def __init__(
-        self,
-        sched: Scheduler,
-        exec_a: Executor,
-        exec_b: Executor,
-        latency: Callable[[int], float],  # latency of a delivery of n messages
-    ) -> None:
+    def __init__(self, sched: Scheduler, exec_a: Executor, exec_b: Executor) -> None:
         self.sched = sched
         self.execs = (exec_a, exec_b)
-        self.latency = latency
         self.ends = (Endpoint(self, 0), Endpoint(self, 1))
         exec_a.links.append(self.ends[0])
         exec_b.links.append(self.ends[1])
@@ -227,12 +235,14 @@ class Channel:
         """Schedule ``msgs`` as one delivery: one latency draw, behind every
         earlier delivery in this direction, costing the receiver the sum of
         their receive costs."""
-        arrival = max(depart + self.latency(len(msgs)), self._last_arrival[to_side] + 1e-9)
+        sender, receiver = self.execs[1 - to_side], self.execs[to_side]
+        latency = self.sched.latency(sender.node_id, receiver.node_id, len(msgs))
+        arrival = max(depart + latency, self._last_arrival[to_side] + 1e-9)
         self._last_arrival[to_side] = arrival
         dst = self.ends[to_side]
         recv_cost = dst.recv_cost
         cost = 0.0 if recv_cost is None else sum([recv_cost(msg) for msg in msgs])
-        self.sched.schedule_at(arrival, partial(self.execs[to_side]._run, dst.deliver, cost, msgs))
+        self.sched.schedule_at(arrival, partial(receiver._run, dst.deliver, cost, msgs))
 
     def close(self, from_side: int) -> None:
         """Close after in-flight messages are delivered, like a flushed TCP FIN.
@@ -251,19 +261,3 @@ class Channel:
                 dst.on_close()
 
         self.execs[to_side].post(notify, arrive=when)
-
-
-def default_latency(rng: random.Random, lo: float = 0.2, hi: float = 1.5) -> Callable[[int], float]:
-    """A delivery of ``n`` messages takes the latest of ``n`` uniform latencies
-    on ``[lo, hi)``. The largest of ``n`` uniforms on ``[0, 1)`` is distributed
-    as ``U ** (1 / n)``, so one draw gives it; a lone message draws exactly
-    what ``rng.uniform(lo, hi)`` would."""
-
-    def sample(n: int) -> float:
-        return lo + (hi - lo) * rng.random() ** (1.0 / n)
-
-    return sample
-
-
-def fixed_latency(value: float) -> Callable[[int], float]:
-    return lambda n: value

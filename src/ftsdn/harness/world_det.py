@@ -1,6 +1,7 @@
 """Deterministic topology: coordination service, replicas, and switches as
-actors on one scheduler, joined by seeded-latency FIFO channels. A link is
-one channel, and both its ends are bound as soon as it is made."""
+actors on one scheduler, joined by FIFO channels whose latencies the
+scheduler draws. A link is one channel, and both its ends are bound as soon
+as it is made."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from ..switchsim import Switch
 from ..trace import TraceLog
 from .config import ScenarioConfig
 from .core import Controller, CoordHost, World
-from .runtime_det import Channel, Executor, Scheduler, default_latency, fixed_latency
+from .runtime_det import Channel, Executor, Scheduler
 
 
 class SwitchNode:
@@ -37,18 +38,9 @@ class DetWorld(World):
 
     # -- construction -------------------------------------------------------
 
-    def _latency_fn(self, src: str, dst: str):
-        override = self.cfg.latency_overrides.get(f"{src}->{dst}")
-        if override is None:
-            override = self.cfg.latency_overrides.get(f"{dst}->{src}")
-        if override is not None:
-            return fixed_latency(float(override))
-        return default_latency(self.sched.rng)
-
     def _link(self, a, b, bind_a: Callable, bind_b: Callable) -> None:
         """One channel between ``a`` and ``b``; its ends are bound at once."""
-        ex_a, ex_b = a.exec, b.exec
-        end_a, end_b = Channel(self.sched, ex_a, ex_b, self._latency_fn(ex_a.node_id, ex_b.node_id)).ends
+        end_a, end_b = Channel(self.sched, a.exec, b.exec).ends
         bind_a(end_a)
         bind_b(end_b)
 

@@ -17,6 +17,8 @@ from ftsdn.harness.failover import failover_gap_deterministic, failover_gap_sock
 from ftsdn.harness.mutations import catalog
 from ftsdn.harness.scenario import run_scenario
 
+from latency_pins import pin_latencies
+
 SEEDS = range(20)
 APPS = ("forwarding", "learning")
 POINTS = ("F1", "F2", "F3")
@@ -173,9 +175,9 @@ def test_criterion_4_total_order(fault_matrix):
         n_controllers=2,
         packets_per_switch=2,
         seed=21,
-        latency_overrides={"s0->c0": 1.0, "s1->c0": 2.0, "s0->c1": 6.0, "s1->c1": 1.0},
     )
-    adv = run_scenario(cfg)
+    pins = {("s0", "c0"): 1.0, ("s1", "c0"): 2.0, ("s0", "c1"): 6.0, ("s1", "c1"): 1.0}
+    adv = run_scenario(cfg, mutate=pin_latencies(pins))
     arrivals = {"c0": [], "c1": []}
     for rec in adv.records:
         if rec["kind"] == "event-collected" and rec["detail"]["kind"] == "packet-in":
@@ -341,10 +343,12 @@ def test_criterion_10_determinism():
 # instead of 72.76 ms, after s1's packet-in 27 reaches it, so the trace has
 # one event-collected and one id-assigned record more, for an event that got
 # an id in a batch that was never appended.
+# All three changed when the config lost its latency_overrides field: only the
+# run-meta record changed, and every other record is byte-identical.
 GOLDEN_TRACE_SHA256 = [
-    "bc376930ff27fd03ec14faf3b3066a9223afa52d022a21363bc199becd108db9",
-    "8af4832cd16c90e0eb8ee43118fc8d9c866a7cefbc673ff5c59139b4c630fe51",
-    "93082b7207d3a1b27c5bf64958835e48f7e187040ac1d26cd7efa0d69a107d5a",
+    "9f480ba7ed983fe81bfb124d07716ff100c85ad53b7930d4c740012bdad7fc28",
+    "5ea89c8a2fd51ef9c81d31ebcc913d9e577c2d147337a569502fb4dce176274a",
+    "e53b4ba3350a27f7f9b752a4b7208287caa830476ae9b32c30d9383d95f4a364",
 ]
 
 

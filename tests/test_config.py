@@ -31,7 +31,6 @@ def every_field_cfg() -> ScenarioConfig:
             FaultInjection(target="master", point="F2", trigger_event=4),
             FaultInjection(target="master", point="zombie", at_time_ms=60.0, pause_ms=150.0),
         ],
-        latency_overrides={"s0->c0": 1.0, "s1->c1": 6.0},
     )
 
 
@@ -42,15 +41,16 @@ def test_to_json_round_trips_every_field():
     assert cfg.to_json()["f"] == 2
 
 
-def test_run_meta_config_replays_the_latency_override_race(tmp_path):
+def test_run_meta_config_replays_a_fault_run(tmp_path):
     cfg = ScenarioConfig(
         n_switches=2,
         n_controllers=2,
-        packets_per_switch=2,
+        packets_per_switch=10,
         seed=21,
-        latency_overrides={"s0->c0": 1.0, "s1->c0": 2.0, "s0->c1": 6.0, "s1->c1": 1.0},
+        fault_plan=[FaultInjection(target="master", point="F2", trigger_event=5)],
     )
     first = run_scenario(cfg)
+    assert first.passed and any(r["kind"] == "controller-crashed" for r in first.records)
     meta = next(r for r in first.records if r["kind"] == "run-meta")
     path = tmp_path / "replay.json"
     path.write_text(json.dumps(meta["detail"]["config"]))
@@ -68,7 +68,7 @@ def test_key_value_lines_parse_by_field_type(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["no_such_key=1\n", "app_params={}\n", "fault_plan=[]\n", "latency_overrides={}\n"],
+    ["no_such_key=1\n", "app_params={}\n", "fault_plan=[]\n"],
 )
 def test_key_value_rejects_unknown_and_non_scalar_fields(tmp_path, text):
     path = tmp_path / "scenario.cfg"

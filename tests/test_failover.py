@@ -1,8 +1,11 @@
-from ftsdn.harness.failover import failover_gap_deterministic
+from ftsdn.harness.failover import DET_KILL_AT_MS, _stream_gap, failover_gap_deterministic
 
 
 def test_no_fault_stream_has_no_interruption_beyond_jitter():
-    gap = failover_gap_deterministic(session_timeout_ms=100.0, seed=1, inject_fault=False)
+    # the stream of failover_gap_deterministic(session_timeout_ms=100.0, seed=1), with no fault
+    gap = _stream_gap(
+        DET_KILL_AT_MS + 100.0 + 600.0, [], session_timeout_ms=100.0, heartbeat_interval_ms=1.0, seed=1,
+    )
     assert gap < 40.0  # batching cadence plus channel jitter, nowhere near a timeout
 
 

@@ -1,8 +1,11 @@
 """Direct tests of the deterministic transport: scheduler, executor, channel."""
 
 import random
+from types import SimpleNamespace
 
-from ftsdn.harness.runtime_det import Channel, Crashed, Executor, Scheduler, default_latency, fixed_latency
+from ftsdn.harness.runtime_det import Channel, Crashed, Executor, Scheduler
+
+from latency_pins import pin_latencies
 
 
 def test_events_at_equal_times_run_in_schedule_order():
@@ -66,7 +69,8 @@ def test_channel_directions_are_fifo_with_minimal_spacing():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
     latencies = iter([5.0, 1.0, 1.0, 2.0, 0.5])
-    chan = Channel(sched, a, b, lambda n: next(latencies))
+    sched.latency = lambda src, dst, n: next(latencies)
+    chan = Channel(sched, a, b)
     got = {0: [], 1: []}
     chan.ends[0].on_message = lambda msg: got[0].append((msg, sched.now))
     chan.ends[1].on_message = lambda msg: got[1].append((msg, sched.now))
@@ -91,7 +95,8 @@ def test_channel_directions_are_fifo_with_minimal_spacing():
 def test_channel_close_reaches_the_peer_after_in_flight_messages():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
-    chan = Channel(sched, a, b, fixed_latency(3.0))
+    sched.latency = lambda src, dst, n: 3.0
+    chan = Channel(sched, a, b)
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append(("msg", msg, sched.now))
     chan.ends[1].on_close = lambda: seen.append(("close", sched.now))
@@ -109,7 +114,8 @@ def test_channel_close_reaches_the_peer_after_in_flight_messages():
 def test_busy_until_follows_the_cost_model():
     sched = Scheduler(seed=1)
     a, ex = Executor(sched, "a"), Executor(sched, "x")
-    chan = Channel(sched, a, ex, fixed_latency(1.0))
+    sched.latency = lambda src, dst, n: 1.0
+    chan = Channel(sched, a, ex)
     starts = []
 
     def handler(msg: tuple[float, float]) -> None:
@@ -134,7 +140,8 @@ def test_busy_until_follows_the_cost_model():
 def test_send_cost_delays_departure_and_dead_executors_run_nothing():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
-    chan = Channel(sched, a, b, fixed_latency(1.0))
+    sched.latency = lambda src, dst, n: 1.0
+    chan = Channel(sched, a, b)
     chan.ends[0].send_cost = lambda msg: 4.0
     chan.ends[1].recv_cost = lambda msg: 0.25
     seen = []
@@ -157,11 +164,12 @@ def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
     a, b = Executor(sched, "a"), Executor(sched, "b")
     draws = []
 
-    def latency(n: int) -> float:
-        draws.append(n)
+    def latency(src: str, dst: str, n: int) -> float:
+        draws.append((src, dst, n))
         return 2.0
 
-    chan = Channel(sched, a, b, latency)
+    sched.latency = latency
+    chan = Channel(sched, a, b)
     chan.ends[1].recv_cost = {"m1": 0.5, "m2": 0.25, "m3": 1.0}.__getitem__
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
@@ -173,7 +181,7 @@ def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
     a.post(sends, arrive=0.0)
     sched.run(until=100.0)
     # one arrival time, and one handler on b charged the summed receive cost
-    assert draws == [3]  # one latency draw for the three
+    assert draws == [("a", "b", 3)]  # one latency draw for the three
     assert seen == [("m1", 2.0, 3.75), ("m2", 2.0, 3.75), ("m3", 2.0, 3.75)]
     assert b.busy_until == 3.75
 
@@ -181,8 +189,8 @@ def test_a_handlers_sends_to_one_peer_arrive_as_one_delivery():
 def test_sends_to_two_peers_make_two_deliveries():
     sched = Scheduler(seed=1)
     a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
-    to_b = Channel(sched, a, b, fixed_latency(1.0))
-    to_c = Channel(sched, a, c, fixed_latency(3.0))
+    sched.latency = lambda src, dst, n: {"b": 1.0, "c": 3.0}[dst]
+    to_b, to_c = Channel(sched, a, b), Channel(sched, a, c)
     got = []
     to_b.ends[1].on_message = lambda msg: got.append((msg, sched.now))
     to_c.ends[1].on_message = lambda msg: got.append((msg, sched.now))
@@ -209,7 +217,8 @@ def test_sends_to_two_peers_make_two_deliveries():
 def test_a_node_killed_in_a_handler_delivers_its_sends_before_the_close():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
-    chan = Channel(sched, a, b, fixed_latency(3.0))
+    sched.latency = lambda src, dst, n: 3.0
+    chan = Channel(sched, a, b)
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append(("msg", msg, sched.now))
     chan.ends[1].on_close = lambda: seen.append(("close", sched.now))
@@ -231,7 +240,8 @@ def test_a_send_outside_any_handler_is_delivered_alone():
     sched = Scheduler(seed=1)
     a, b = Executor(sched, "a"), Executor(sched, "b")
     latencies = iter([2.0, 1.0])
-    chan = Channel(sched, a, b, lambda n: next(latencies))
+    sched.latency = lambda src, dst, n: next(latencies)
+    chan = Channel(sched, a, b)
     chan.ends[1].recv_cost = lambda msg: 0.5
     seen = []
     chan.ends[1].on_message = lambda msg: seen.append((msg, sched.now, b.now()))
@@ -248,19 +258,54 @@ def test_a_send_outside_any_handler_is_delivered_alone():
 
 def test_a_delivery_of_n_messages_takes_the_latest_of_n_latencies():
     # a lone message draws what a per-message uniform latency would
-    assert default_latency(random.Random(5))(1) == random.Random(5).uniform(0.2, 1.5)
-    sample = default_latency(random.Random(5))
-    draws = [sample(50) for _ in range(1000)]
+    assert Scheduler(seed=5).latency("a", "b", 1) == random.Random(5).uniform(0.2, 1.5)
+    sched = Scheduler(seed=5)
+    draws = [sched.latency("a", "b", 50) for _ in range(1000)]
     assert all(0.2 <= d < 1.5 for d in draws)
     # the largest of n uniforms on [lo, hi) has mean lo + (hi - lo) * n / (n + 1)
     assert abs(sum(draws) / len(draws) - (0.2 + 1.3 * 50 / 51)) < 0.01
 
 
+def test_each_delivery_asks_for_the_latency_of_its_direction():
+    sched = Scheduler(seed=1)
+    a, b = Executor(sched, "a"), Executor(sched, "b")
+    draws = []
+    draw = sched.latency
+
+    def latency(src: str, dst: str, n: int) -> float:
+        draws.append((src, dst, n))
+        return draw(src, dst, n)
+
+    sched.latency = latency
+    chan = Channel(sched, a, b)
+    chan.ends[1].on_message = lambda msg: chan.ends[1].send("re-" + msg)
+    got = []
+    chan.ends[0].on_message = got.append
+
+    def sends() -> None:
+        chan.ends[0].send("m1")
+        chan.ends[0].send("m2")
+
+    a.post(sends, arrive=0.0)
+    sched.run(until=100.0)
+    # the two replies leave b's one handler as one delivery back to a
+    assert got == ["re-m1", "re-m2"]
+    assert draws == [("a", "b", 2), ("b", "a", 2)]
+
+
+def test_a_pinned_pair_takes_its_value_both_ways_without_drawing():
+    world = SimpleNamespace(sched=Scheduler(seed=5))
+    pin_latencies({("a", "b"): 4.0})(world)
+    assert world.sched.latency("a", "b", 1) == world.sched.latency("b", "a", 3) == 4.0
+    # the pins drew nothing, so the first unpinned draw is the seed's first
+    assert world.sched.latency("a", "c", 1) == random.Random(5).uniform(0.2, 1.5)
+
+
 def test_a_delivery_leaves_with_its_last_send():
     sched = Scheduler(seed=1)
     a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
-    to_b = Channel(sched, a, b, fixed_latency(1.0))
-    to_c = Channel(sched, a, c, fixed_latency(1.0))
+    sched.latency = lambda src, dst, n: 1.0
+    to_b, to_c = Channel(sched, a, b), Channel(sched, a, c)
     to_b.ends[0].send_cost = lambda msg: 2.0
     to_c.ends[0].send_cost = lambda msg: 5.0
     got = []
@@ -281,8 +326,8 @@ def test_a_delivery_leaves_with_its_last_send():
 def test_stop_closes_each_link_after_what_was_sent_and_twice_is_once():
     sched = Scheduler(seed=1)
     a, b, c = Executor(sched, "a"), Executor(sched, "b"), Executor(sched, "c")
-    to_b = Channel(sched, a, b, fixed_latency(3.0))
-    to_c = Channel(sched, a, c, fixed_latency(1.0))
+    sched.latency = lambda src, dst, n: {"b": 3.0, "c": 1.0}[dst]
+    to_b, to_c = Channel(sched, a, b), Channel(sched, a, c)
     assert a.links == [to_b.ends[0], to_c.ends[0]]
     seen = []
     for name, chan in (("b", to_b), ("c", to_c)):

@@ -18,6 +18,8 @@ from ftsdn.harness.scenario import build_workload, run_scenario
 from ftsdn.harness.world_det import DetWorld
 from ftsdn.switchsim import Switch
 
+from latency_pins import pin_latencies
+
 
 def base_cfg(**kw):
     defaults = dict(
@@ -140,17 +142,9 @@ def test_f3_marker_prevents_resend():
 def test_adversarial_interleaving_keeps_total_order():
     # two switches race; the channel latencies are pinned so the two
     # controllers see opposite arrival orders
-    cfg = base_cfg(
-        packets_per_switch=2,
-        latency_overrides={
-            "s0->c0": 1.0,
-            "s1->c0": 2.0,
-            "s0->c1": 6.0,
-            "s1->c1": 1.0,
-            "s0->s1": 1.0,
-        },
-    )
-    result = run_scenario(cfg)
+    cfg = base_cfg(packets_per_switch=2)
+    pins = {("s0", "c0"): 1.0, ("s1", "c0"): 2.0, ("s0", "c1"): 6.0, ("s1", "c1"): 1.0}
+    result = run_scenario(cfg, mutate=pin_latencies(pins))
     assert result.quiescent and result.report.all_pass
 
     def arrival_order(actor):
