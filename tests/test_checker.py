@@ -1,15 +1,46 @@
 import copy
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from ftsdn import ofwire
 from ftsdn.harness.checker import CheckError, check_records, check_trace
 from ftsdn.harness.cli import main
-from ftsdn.harness.config import ScenarioConfig
-from ftsdn.harness.mutations import by_name
+from ftsdn.harness.config import F2, F3, FaultInjection, ScenarioConfig
+from ftsdn.harness.mutations import by_name, catalog
 from ftsdn.harness.scenario import run_scenario
 from ftsdn.trace import TraceParseError, dump_jsonl
+
+
+# sha256 of each pinned trace's check outcome, by the test node that checks it
+_REPORT_SHA256 = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+def _report_digest(records) -> str:
+    """sha256 of a canonical JSON of the check's whole outcome: each
+    property's name, verdict and counterexamples, and the summary; or the
+    message of the CheckError the check raised."""
+    try:
+        report = check_records(records)
+    except CheckError as exc:
+        outcome = {"error": str(exc)}
+    else:
+        outcome = {
+            "properties": [
+                {"name": p.name, "passed": p.passed,
+                 "counterexamples": [{"message": c.message, "records": c.records} for c in p.counterexamples]}
+                for p in report.properties
+            ],
+            "summary": report.summary,
+        }
+    return hashlib.sha256(json.dumps(outcome, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _assert_pinned(request, records) -> None:
+    got = _report_digest(records)
+    assert got == _REPORT_SHA256.get(request.node.name), f"report digest {got}"
 
 
 def _meta(n_controllers=2, app="forwarding"):
@@ -179,7 +210,7 @@ def _executed_packet_out(rec):
     ids=["payload-not-hex", "in-port-missing", "unknown-type", "actions-not-list", "payload-none",
          "event-switch-id-missing", "command-not-object"],
 )
-def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt):
+def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt, request):
     records = copy.deepcopy(clean_records)
     idx = next(i for i, rec in enumerate(records) if find(rec) is not None)
     corrupt(find(records[idx]))
@@ -187,6 +218,7 @@ def test_malformed_message_is_reported_not_raised(clean_records, find, corrupt):
     assert not report.all_pass
     cited = {i for p in report.properties for c in p.counterexamples for i in c.records}
     assert idx in cited
+    _assert_pinned(request, records)
 
 
 def _is_event_append(rec):
@@ -245,7 +277,7 @@ _READ_FIELDS = [
 
 @pytest.mark.parametrize("value", [None, "x", -1, [], {}], ids=["null", "str", "neg", "list", "dict"])
 @pytest.mark.parametrize("select,path", _READ_FIELDS, ids=[f"{i}-{p}" for i, (_, p) in enumerate(_READ_FIELDS)])
-def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, path, value):
+def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, path, value, request):
     records = copy.deepcopy(clean_records) + [
         {"kind": "controller-crashed", "actor": "c1", "timestamp": 90.0},
         {"kind": "switch-crashed", "actor": "s0", "timestamp": 91.0},
@@ -264,6 +296,8 @@ def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, 
         assert f"record {idx}" in str(exc)
     else:
         assert report.properties
+    if path != "kind" or isinstance(value, str):  # a kind that is no string is malformed: see below
+        _assert_pinned(request, records)
 
 
 @pytest.mark.parametrize("kind,name", [("delivered", "event_id"), ("event-emitted", "switch_seq")])
@@ -315,3 +349,29 @@ def test_a_switch_crash_after_the_event_finished_excuses_no_command():
     t3 = report.result("T3")
     assert not t3.passed
     assert any("never executed on s1" in c.message for c in t3.counterexamples)
+
+
+# perfbench's det-forward and det-learn-failover workloads at seed 1
+_FULL_SIZE = {
+    "det-forward": ScenarioConfig(
+        n_switches=8, n_controllers=3, packets_per_switch=1000, hosts_per_switch=4,
+        inter_arrival_ms=2.0, app="forwarding", seed=1,
+    ),
+    "det-learn-failover": ScenarioConfig(
+        n_switches=8, n_controllers=3, packets_per_switch=2000, hosts_per_switch=4,
+        inter_arrival_ms=2.0, app="learning", seed=1,
+        fault_plan=[FaultInjection(target="master", point=F2, trigger_event=20),
+                    FaultInjection(target="master", point=F3, trigger_event=400)],
+    ),
+}
+_PINNED_SCENARIOS = {
+    **{f"{m.name}-seed{cfg.seed}-{side}": (cfg, m.apply if side == "mutated" else None)
+       for m in catalog() for cfg in m.configs() for side in ("clean", "mutated")},
+    **{name: (cfg, None) for name, cfg in _FULL_SIZE.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SCENARIOS))
+def test_the_report_of_a_scenario_is_pinned(name, request):
+    cfg, mutate = _PINNED_SCENARIOS[name]
+    _assert_pinned(request, run_scenario(cfg, mutate=mutate).records)
