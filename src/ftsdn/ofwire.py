@@ -479,19 +479,26 @@ def encode(msg: OfMessage) -> bytes:
     return frame(encode_body(msg))
 
 
-def decode(data: bytes, offset: int = 0, decode_body: Callable[[bytes], Any] = decode_body) -> tuple[Any, int] | None:
-    """Decode one frame starting at ``offset``, its body by ``decode_body``.
-
-    Returns ``(message, next_offset)``, leaving trailing bytes untouched, or
-    ``None`` when the buffer does not yet hold a complete frame.
-    """
+def _frame_end(data: bytes, offset: int) -> int | None:
+    """The offset just past the frame that starts at ``offset``, or ``None``
+    when the buffer does not yet hold all of it."""
     if len(data) - offset < 4:
         return None
     (length,) = struct.unpack_from(">I", data, offset)
     if length > MAX_FRAME_BODY:
         raise ProtocolError(f"declared frame body of {length} bytes exceeds limit")
     end = offset + 4 + length
-    if len(data) < end:
+    return end if len(data) >= end else None
+
+
+def decode(data: bytes, offset: int = 0, decode_body: Callable[[bytes], Any] = decode_body) -> tuple[Any, int] | None:
+    """Decode one frame starting at ``offset``, its body by ``decode_body``.
+
+    Returns ``(message, next_offset)``, leaving trailing bytes untouched, or
+    ``None`` when the buffer does not yet hold a complete frame.
+    """
+    end = _frame_end(data, offset)
+    if end is None:
         return None
     return decode_body(data[offset + 4 : end]), end
 
@@ -508,8 +515,8 @@ class FrameBuffer:
         buf = self._buf + data if self._buf else data  # most reads end on a frame boundary: no copy
         msgs = []
         off = 0
-        while (got := decode(buf, off, self._decode_body)) is not None:
-            msg, off = got
+        while _frame_end(buf, off) is not None:  # decode only a frame that has fully arrived
+            msg, off = decode(buf, off, self._decode_body)
             msgs.append(msg)
         self._buf = buf[off:]
         return msgs

@@ -37,7 +37,7 @@ import json
 import threading
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import ofwire
 from .coord import ProcessedBody, body_to_json
@@ -192,24 +192,23 @@ class TraceLog:
 
 
 def dump_jsonl(records: list[dict], path: str) -> None:
-    """Write one compact, key-sorted JSON object per line; ``load_jsonl`` reads it back."""
+    """Write one compact, key-sorted JSON object per line; ``parse_jsonl`` reads it back."""
     lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(i, f"invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict) or "kind" not in rec or "actor" not in rec:
-                raise TraceParseError(i, "record must be an object with kind and actor")
-            records.append(rec)
-    return records
+def parse_jsonl(lines: Iterable[str]) -> Iterator[dict]:
+    """Yield the record of each non-blank line as it is read; a line that is
+    not a JSON object with kind and actor raises TraceParseError naming it."""
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(i, f"invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict) or "kind" not in rec or "actor" not in rec:
+            raise TraceParseError(i, "record must be an object with kind and actor")
+        yield rec

@@ -19,7 +19,7 @@ from ftsdn.harness.scenario import _inject, build_workload, run_scenario
 from ftsdn.harness.world_det import DetWorld
 from ftsdn.ofwire import Action, BundleAdd, BundleCommit, BundleOpen, FlowMod, MatchKey, PacketIn, PacketOut, PortStatus
 from ftsdn.switchsim import Switch
-from ftsdn.trace import TraceLog, TraceRecord, dump_jsonl, load_jsonl
+from ftsdn.trace import TraceLog, TraceRecord, dump_jsonl, parse_jsonl
 
 THREADS = 8
 PER_THREAD = 5000
@@ -94,7 +94,8 @@ def test_dumped_scenario_trace_loads_back_and_checks(tmp_path):
     records = run_scenario(cfg).records
     path = str(tmp_path / "trace.jsonl")
     dump_jsonl(records, path)
-    assert load_jsonl(path) == records
+    with open(path, encoding="utf-8") as fh:
+        assert list(parse_jsonl(fh)) == records
     report = check_trace(path)
     assert report.all_pass and report.summary["events"] > 0
 
