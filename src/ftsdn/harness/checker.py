@@ -148,6 +148,7 @@ class Checker:
         self._bundles: dict[str, _Bundles] = {}
 
     def feed(self, rec: dict) -> None:
+        """Take the next record; a malformed one raises CheckError."""
         idx = self._n
         self._n += 1
         if not isinstance(rec, dict):
@@ -322,9 +323,7 @@ class Checker:
                         f"({outcome[0]} executed vs {outcome[1]} expected)",
                         bundles.indices_of(first),
                     )
-        for (eid, switch_id), wanted in unbundled.items():
-            if not wanted:
-                continue
+        for eid, switch_id in unbundled:
             # the master logs processed only once the switch replied, showed its
             # marker or was lost, so only a switch lost before that is excused
             if self._crashed_switches.get(switch_id, self._n) < processed.get(eid, -1):
@@ -359,14 +358,13 @@ class Checker:
         }
         return CheckReport([t1, t2, t3, t4], summary)
 
-    def _replay(self, t3: PropertyResult) -> dict[tuple[int, str], bool]:
+    def _replay(self, t3: PropertyResult) -> dict[tuple[int, str], None]:
         """Replay the deterministic app pipeline over the logged events in id
         order. Each (event, switch)'s commands are compared with the first
         bundle that names the event on that switch as soon as they are made,
         and only the outcome is kept. Returns the (event, switch) keys the
-        apps wrote to that no bundle names, each with whether its last
-        replay wrote anything."""
-        unbundled: dict[tuple[int, str], bool] = {}
+        apps wrote to that no bundle names, in the order first written."""
+        unbundled: dict[tuple[int, str], None] = {}
         logged = self._logged
         for pos in sorted(range(len(logged)), key=lambda p: logged[p]["event_id"]):
             eid = logged[pos]["event_id"]
@@ -384,7 +382,7 @@ class Checker:
                 bundles = self._bundles.get(switch_id)
                 first = bundles.first.get(eid) if bundles is not None else None
                 if first is None:
-                    unbundled[(eid, switch_id)] = bool(want)
+                    unbundled[(eid, switch_id)] = None
                     continue
                 got = bundles.commands_of(first)
                 bundles.outcomes[eid] = None if got == want else (len(got), len(want))

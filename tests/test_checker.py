@@ -337,7 +337,8 @@ def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, 
         assert f"record {idx}" in str(exc)
     else:
         assert report.properties
-    if path != "kind" or isinstance(value, str):  # a kind that is no string is malformed: see below
+    # a kind that is no string is a CheckError of its own test, not a pinned case
+    if path != "kind" or isinstance(value, str):
         _assert_pinned(request, records)
 
 
@@ -418,8 +419,9 @@ def test_the_report_of_a_scenario_is_pinned(name, request):
     _assert_pinned(request, run_scenario(cfg, mutate=mutate).records)
 
 
-# The check's traced peak per record of the trace, set from the fold's 31
-# B/record plus half: the batch checker it replaced peaked at 125 B/record.
+# The check's traced peak per record of the trace: the fold's 31 B/record
+# plus half. A checker that keeps a tuple or an int object per record, as
+# the batch checker before the fold did (127 B/record), fails it.
 CHECK_PEAK_BYTES_PER_RECORD = 46
 
 
