@@ -76,10 +76,15 @@ class LearningSwitchApp:
         ctx.write(event.switch_id, PacketOut((Action.output(out_port),), msg.payload))
 
 
+_APPS = {app.name: app for app in (ForwardingApp, LearningSwitchApp)}
+
+
 def make_app(name: str, params: dict | None = None) -> App:
-    params = params or {}
-    if name == "forwarding":
-        return ForwardingApp(port_map=params.get("port_map"), default_port=params.get("default_port", 2))
-    if name == "learning":
-        return LearningSwitchApp(flow_priority=params.get("flow_priority", 10))
-    raise ValueError(f"unknown app {name!r}")
+    """The app ``name``, built with ``params`` as its keyword arguments; an
+    unknown app, or a parameter it does not take or cannot use, raises ValueError."""
+    if name not in _APPS:
+        raise ValueError(f"unknown app {name!r}")
+    try:
+        return _APPS[name](**(params or {}))
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc

@@ -16,10 +16,12 @@ so the harness clock can drive expiry deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import ofwire
-from .events import KIND_SWITCH_FAILURE, SwitchEvent
+from .events import KIND_SWITCH_FAILURE, NULL_TRACE, SwitchEvent
+
+if TYPE_CHECKING:
+    from .trace import TraceLog
 
 
 class CoordError(Exception):
@@ -84,9 +86,9 @@ LeaderCallback = Callable[[str, int, int], None]
 
 
 class CoordService:
-    def __init__(self, trace: Callable[..., None] | None = None) -> None:
+    def __init__(self, trace: TraceLog | None = None) -> None:
         self.log: list[LogBody] = []
-        self._trace = trace or (lambda kind, **kw: None)
+        self._log = trace if trace is not None else NULL_TRACE
         self._sessions: dict[int, Session] = {}
         self._next_session_id = 1
         self._candidates: list[tuple[str, int]] = []  # arrival-ordered (owner, session_id)
@@ -138,7 +140,7 @@ class CoordService:
 
     def _expire(self, sess: Session) -> None:
         sess.expired = True
-        self._trace("session-expired", detail={"controller": sess.owner})
+        self._log.emit("session-expired", "coord", detail={"controller": sess.owner})
         self.resign(sess.session_id)
 
     # -- election ----------------------------------------------------------
@@ -170,7 +172,7 @@ class CoordService:
         if head != self.leader or self.epoch == 0:
             self.leader = head
             self.epoch += 1
-            self._trace("leader-elected", epoch=self.epoch, detail={"controller": head})
+            self._log.emit("leader-elected", "coord", epoch=self.epoch, detail={"controller": head})
             for cb in list(self._leader_subs):
                 cb(head, self.epoch, len(self.log))
 
@@ -197,27 +199,14 @@ class CoordService:
                 self.n_events += 1
                 if body.kind != KIND_SWITCH_FAILURE:
                     self.n_switch_events += 1
-                # flat fields and the encoded message; TraceLog.as_dicts renders the body's JSON
-                self._trace(
-                    "log-append",
-                    epoch=self.epoch,
-                    event_id=body.event_id,
-                    switch_id=body.switch_id,
-                    switch_seq=body.switch_seq,
-                    detail={
-                        "seq": seq, "body": "event", "event_id": body.event_id, "switch_id": body.switch_id,
-                        "switch_seq": body.switch_seq, "kind": body.kind,
-                        "message": None if body.message is None else ofwire.encode_body(body.message),
-                    },
-                )
+                switch_id, switch_seq = body.switch_id, body.switch_seq
             else:
                 self.n_processed += 1
-                self._trace(
-                    "log-append",
-                    epoch=self.epoch,
-                    event_id=body.event_id,
-                    detail={"seq": seq, "body": "processed", "event_id": body.event_id},
-                )
+                switch_id = switch_seq = None
+            self._log.emit(
+                "log-append", "coord", epoch=self.epoch, event_id=body.event_id, switch_id=switch_id,
+                switch_seq=switch_seq, detail={"seq": seq, "body": body},
+            )
         for watch in self._watches:
             self._pump(watch)
         return first, len(self.log)

@@ -36,6 +36,7 @@ from .events import (
     KIND_PACKET_IN,
     KIND_PORT_STATUS,
     KIND_SWITCH_FAILURE,
+    NULL_TRACE,
     SWITCH_FAILURE_SEQ,
     SwitchEvent,
     port_status_seq,
@@ -55,6 +56,7 @@ from .ofwire import (
     make_commit_marker,
     parse_commit_marker,
 )
+from .trace import TraceLog
 
 ROLE_SLAVE = "slave"
 ROLE_ELECT = "master-elect"
@@ -122,7 +124,7 @@ class Replica:
         controller_id: str,
         app: App,
         env: ReplicaEnv,
-        trace: Callable[..., None] | None = None,
+        trace: TraceLog | None = None,
         fault_hook: Callable[..., None] | None = None,
         batch_size: int = 1000,
         batch_time_ms: float = 50.0,
@@ -132,7 +134,7 @@ class Replica:
         self.batch_time_ms = batch_time_ms
         self.app = app
         self.env = env
-        self._trace_fn = trace or (lambda kind, **kw: None)
+        self._log = trace if trace is not None else NULL_TRACE
         self._fault_hook = fault_hook or _noop_hook
 
         self.role = ROLE_SLAVE
@@ -191,8 +193,8 @@ class Replica:
         bundle_id: int | None = None,
         detail: dict | None = None,
     ) -> None:
-        self._trace_fn(
-            kind, epoch=self.epoch, event_id=event_id, switch_id=switch_id,
+        self._log.emit(
+            kind, self.controller_id, epoch=self.epoch, event_id=event_id, switch_id=switch_id,
             switch_seq=switch_seq, bundle_id=bundle_id, detail=detail,
         )
 

@@ -11,6 +11,7 @@ switch fans every event out over FIFO connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import ofwire
 
@@ -58,3 +59,8 @@ class SwitchEvent:
             raise ofwire.ProtocolError(f"switch event lacks {sorted(missing)}")
         msg = ofwire.from_json(d["message"]) if d.get("message") is not None else None
         return SwitchEvent(d["switch_id"], d["switch_seq"], d["kind"], msg, d.get("event_id"))
+
+
+# What a node built without a trace writes to: it keeps nothing. It sits here,
+# below the nodes and below ``trace``, which imports ``coord``.
+NULL_TRACE = SimpleNamespace(emit=lambda kind, actor, **fields: None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ctrl import Replica
-from ..events import SwitchEvent
+from ..events import NULL_TRACE, SwitchEvent
 from ..ofwire import BundleCommit, FlowMod, PacketOut, ether_payload
 from .config import ScenarioConfig
 from .world_det import DetWorld
@@ -51,14 +51,6 @@ CTRL_SEND_MS = 0.001  # a controller, per message to a switch
 CTRL_RECV_MS = 0.00005  # a controller, per message from a switch
 SWITCH_SEND_MS = 0.001
 SWITCH_RECV_MS = 0.002
-
-
-class _NullTrace:
-    def emit(self, kind: str, actor: str, **kw) -> None:
-        return None
-
-    def emitter(self, actor: str):
-        return lambda kind, **kw: None
 
 
 def _ctrl_send_cost(msg) -> float:
@@ -131,9 +123,23 @@ class BenchConfig:
     batch_time_ms: float = 50.0
     seed: int = 0
 
+    def scenario(self) -> ScenarioConfig:
+        """The deterministic world the benchmark runs."""
+        return ScenarioConfig(
+            n_switches=self.n_switches,
+            n_controllers=N_CONTROLLERS,
+            batch_size=self.batch_size,
+            batch_time_ms=self.batch_time_ms,
+            seed=self.seed,
+            app="forwarding",
+            session_timeout_ms=10_000.0,  # no failure detection on the hot path
+            heartbeat_interval_ms=1_000.0,
+        )
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        self.scenario().validate()
 
 
 @dataclass
@@ -149,17 +155,7 @@ class BenchResult:
 
 def bench(cfg: BenchConfig) -> BenchResult:
     cfg.validate()
-    scenario = ScenarioConfig(
-        n_switches=cfg.n_switches,
-        n_controllers=N_CONTROLLERS,
-        batch_size=cfg.batch_size,
-        batch_time_ms=cfg.batch_time_ms,
-        seed=cfg.seed,
-        app="forwarding",
-        session_timeout_ms=10_000.0,  # no failure detection on the hot path
-        heartbeat_interval_ms=1_000.0,
-    )
-    world = DetWorld(scenario, trace=_NullTrace())
+    world = DetWorld(cfg.scenario(), trace=NULL_TRACE)
     _charge_costs(world)
     for ctrl in world.ctrls.values():
         _VARIANTS[cfg.mode](ctrl.replica)

@@ -170,7 +170,7 @@ class Checker:
         app_params = _field(meta, "detail.config.app_params", idx, (dict, _NONE), None)
         try:
             self._app = apps_mod.make_app(app_name, app_params)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CheckError(f"record {idx}: the configured app cannot be built: {exc}") from exc
         self._meta_idx = idx
         self._delivered = {f"c{i}": ([], array("q")) for i in range(n_controllers)}

@@ -17,7 +17,7 @@ import sys
 from ..trace import TraceParseError, dump_jsonl
 from .bench import MODES, BenchConfig, bench
 from .checker import CheckError, check_trace
-from .config import load_config
+from .config import ScenarioConfig, load_config
 from .failover import failover_gap_deterministic, failover_gap_socket
 from .scenario import run_scenario
 
@@ -50,6 +50,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         batch_time_ms=args.batch_time,
         seed=args.seed,
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     result = bench(cfg)
     print(
         f"mode={result.mode} switches={result.n_switches} batch={result.batch_size} "
@@ -60,6 +65,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_failover(args: argparse.Namespace) -> int:
+    try:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        # the config fields the flags set, checked before the first trial runs
+        ScenarioConfig(transport=args.transport, session_timeout_ms=args.session_timeout).validate()
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     gap = failover_gap_socket if args.transport == "sockets" else failover_gap_deterministic
     gaps = [gap(args.session_timeout, seed=args.seed + i) for i in range(args.trials)]
     print(f"gaps (ms): {', '.join(f'{g:.1f}' for g in gaps)}")

@@ -74,6 +74,9 @@ class ScenarioConfig:
         if self.heartbeat_interval_ms <= 0:
             # a heartbeat due at once re-arms at the same instant, so simulated time never moves
             raise ValueError(f"heartbeat_interval_ms must be positive, got {self.heartbeat_interval_ms}")
+        if self.session_timeout_ms <= 0:
+            # every session would expire at once, and the leader with it
+            raise ValueError(f"session_timeout_ms must be positive, got {self.session_timeout_ms}")
         if self.transport not in ("deterministic", "sockets"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "deterministic" and self.seed is None:
@@ -82,7 +85,7 @@ class ScenarioConfig:
             fault.validate(self.n_switches)
         try:
             make_app(self.app, self.app_params)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"app {self.app!r} with app_params {self.app_params!r}: {exc}") from exc
 
     def to_json(self) -> dict:

@@ -45,7 +45,7 @@ class CoordHost:
 
     def __init__(self, executor, trace) -> None:
         self.exec = executor
-        self.service = CoordService(trace=trace.emitter("coord"))
+        self.service = CoordService(trace=trace)
         self._expiry_timer = None
 
     def bind_controller(self, controller_id: str, timeout_ms: float, link) -> None:
@@ -124,7 +124,7 @@ class Controller:
             cid,
             apps_mod.make_app(cfg.app, cfg.app_params),
             env=self,
-            trace=trace.emitter(cid),
+            trace=trace,
             fault_hook=fault_hook,
             batch_size=cfg.batch_size,
             batch_time_ms=cfg.batch_time_ms,

@@ -230,7 +230,7 @@ class SwitchServer:
 
     def __init__(self, switch_id: str, trace: TraceLog) -> None:
         self.exec = SocketExecutor(switch_id, trace)
-        self.switch = Switch(switch_id, trace=trace.emitter(switch_id))
+        self.switch = Switch(switch_id, trace=trace)
         self._listener = self.exec.listen()
 
     def inject(self, payload: bytes, in_port: int) -> None:

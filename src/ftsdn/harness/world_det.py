@@ -17,7 +17,7 @@ from .runtime_det import Channel, Executor, Scheduler
 class SwitchNode:
     def __init__(self, sched: Scheduler, sid: str, trace: TraceLog) -> None:
         self.exec = Executor(sched, sid)
-        self.switch = Switch(sid, trace=trace.emitter(sid))
+        self.switch = Switch(sid, trace=trace)
 
 
 class DetWorld(World):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Protocol
+from typing import Protocol
 
 from . import ofwire
+from .events import NULL_TRACE
 from .ofwire import (
     Action,
     BarrierReply,
@@ -30,6 +31,7 @@ from .ofwire import (
     PortStatus,
     RoleAnnounce,
 )
+from .trace import TraceLog
 
 # what only the master may send: it changes the switch's state
 _MASTER_ONLY = (BundleOpen, BundleAdd, BundleCommit, PacketOut, FlowMod)
@@ -88,9 +90,9 @@ class StagedBundle:
 
 
 class Switch:
-    def __init__(self, switch_id: str, trace: Callable[..., None] | None = None) -> None:
+    def __init__(self, switch_id: str, trace: TraceLog | None = None) -> None:
         self.switch_id = switch_id
-        self._trace = trace or (lambda kind, **kw: None)
+        self._log = trace if trace is not None else NULL_TRACE
         self.flow_table = FlowTable()
         self.conns: dict[int, ControllerConn] = {}
         self._conns_changed()  # sets the event-emitted records' ``_conn_ids`` and ``_emitted_detail``
@@ -116,12 +118,13 @@ class Switch:
         for key, bundle in list(self.bundles.items()):
             if bundle.conn_uid == conn_uid:
                 del self.bundles[key]
-                self._trace("bundle-discarded", bundle_id=bundle.bundle_id, detail={"owner": bundle.owner})
-        self._trace("conn-closed", detail={"controller": conn.controller_id})
+                detail = {"owner": bundle.owner}
+                self._log.emit("bundle-discarded", self.switch_id, bundle_id=bundle.bundle_id, detail=detail)
+        self._log.emit("conn-closed", self.switch_id, detail={"controller": conn.controller_id})
 
     def crash(self) -> None:
         self.dead = True
-        self._trace("switch-crashed")
+        self._log.emit("switch-crashed", self.switch_id)
 
     # -- dataplane -------------------------------------------------------------
 
@@ -145,8 +148,9 @@ class Switch:
         self._port_status_count += 1
         self.events_emitted += 1
         msg = PortStatus(self.switch_id, port, up)
-        self._trace(
+        self._log.emit(
             "event-emitted",
+            self.switch_id,
             detail={"origin": "port-status", "index": self._port_status_count, "conns": self._conn_ids},
         )
         for conn in list(self.conns.values()):
@@ -157,7 +161,7 @@ class Switch:
         self.next_switch_seq += 1
         if origin == "dataplane":
             self.events_emitted += 1
-        self._trace("event-emitted", switch_seq=seq, detail=self._emitted_detail(origin, in_port))
+        self._log.emit("event-emitted", self.switch_id, switch_seq=seq, detail=self._emitted_detail(origin, in_port))
         msg = PacketIn(self.switch_id, seq, ofwire.NO_BUFFER, in_port, payload)
         for conn in list(self.conns.values()):
             conn.send(msg)
@@ -177,7 +181,8 @@ class Switch:
             return
         if conn.controller_id != self.master_id and self.master_id is not None and isinstance(msg, _MASTER_ONLY):
             # a slave may not change the switch (OpenFlow 1.3 section 6.3.7)
-            self._trace("refused-not-master", detail={"controller": conn.controller_id, "type": type(msg).__name__})
+            detail = {"controller": conn.controller_id, "type": type(msg).__name__}
+            self._log.emit("refused-not-master", self.switch_id, detail=detail)
             if not isinstance(msg, (PacketOut, FlowMod)):
                 conn.send(BundleReply(msg.bundle_id, False))
             return
@@ -208,11 +213,12 @@ class Switch:
             self._apply(msg, origin="direct", bundle_id=None, controller_id=conn.controller_id)
         elif isinstance(msg, RoleAnnounce):
             if msg.epoch < self.master_epoch:
-                self._trace("stale-role-announce", epoch=msg.epoch, detail={"controller": msg.controller_id})
+                detail = {"controller": msg.controller_id}
+                self._log.emit("stale-role-announce", self.switch_id, epoch=msg.epoch, detail=detail)
                 return
             self.master_id = msg.controller_id
             self.master_epoch = msg.epoch
-            self._trace("role-announce", epoch=msg.epoch, detail={"controller": msg.controller_id})
+            self._log.emit("role-announce", self.switch_id, epoch=msg.epoch, detail={"controller": msg.controller_id})
         else:
             raise ofwire.ProtocolError(f"switch received unexpected message {msg!r}")
 
@@ -233,10 +239,6 @@ class Switch:
 
     def _record_exec(self, cmd: ofwire.OfMessage, origin: str, bundle_id: int | None, controller_id: str | None) -> None:
         """Trace one applied command; origin is "bundle", "direct" or "table".
-        These records are the checker's ground truth. The command is stored
-        as its encoded body, which ``TraceLog.as_dicts`` renders as JSON."""
-        self._trace(
-            "switch-exec",
-            bundle_id=bundle_id,
-            detail={"command": ofwire.encode_body(cmd), "origin": origin, "controller": controller_id},
-        )
+        These records are the checker's ground truth."""
+        detail = {"command": cmd, "origin": origin, "controller": controller_id}
+        self._log.emit("switch-exec", self.switch_id, bundle_id=bundle_id, detail=detail)

@@ -3,10 +3,11 @@
 One JSON object per line; field names are the schema. Timestamps are logical
 milliseconds in deterministic mode and wall-clock nanoseconds in socket mode.
 
-``TraceLog`` holds no object per record: ``emit`` extends one flat list with
-the nine fields of a ``TraceRecord``, in field order. The fields are strings,
-numbers, ``None`` and ``detail`` dicts. CPython's collector does not track a
-dict whose values are all atomic (strings, numbers, ``None``, bytes, tuples of
+``TraceLog.emit`` is the one way a record enters the trace, and this module
+the one that knows how a record is stored: ``emit`` extends one flat list
+with its nine fields, kind to detail. The fields are strings, numbers,
+``None`` and ``detail`` dicts. CPython's collector does not track a dict
+whose values are all atomic (strings, numbers, ``None``, bytes, tuples of
 strings, once the first collection has untracked the tuple), so a long run
 adds one tracked list, not 10^5 tracked objects that every full collection
 must walk and that push it to collect more often.
@@ -18,24 +19,23 @@ it is given, and a detail that takes few values (``event-collected``,
 record that carries it.
 
 The three kinds emitted per packet keep their details atomic by storing a
-compact form: ``switch-exec`` holds its command as the encoded OpenFlow body
-(``ofwire.encode_body``), ``event-emitted`` its connections as a tuple, and
-``log-append`` its body as flat fields with the event message's encoded body
-(``None`` for a switch failure). ``as_dicts`` renders each compact detail to
-its JSON form through ``_RENDER`` once, in place: the rendered dict replaces
-the compact one in the list, and a detail shared by several records stays
-shared. The trace then holds one form of every detail, and each record
-``as_dicts`` returns shares its detail with the trace; every reader of
-records sees only JSON. One ``list.extend`` with a tuple runs no Python
-code, so under the interpreter lock it lands all nine fields at once and
-socket threads emit without a lock.
+compact form. ``emit`` compacts two through ``_COMPACT``: ``switch-exec`` is
+given its command and stores the encoded OpenFlow body, ``log-append`` its
+seq and log body and stores the body's flat fields and the event message's
+encoded body (``None`` for a switch failure). The switch gives
+``event-emitted`` its connections as a tuple. ``as_dicts`` renders the
+three through ``_RENDER`` once, in place: the rendered dict replaces the
+compact one in the list, and a detail shared by several records stays
+shared. Every reader of records thus sees only JSON, sharing each detail
+with the trace. One ``list.extend`` with a tuple runs no Python code, so
+under the interpreter lock it lands all nine fields at once and socket
+threads emit without a lock.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -50,24 +50,12 @@ class TraceParseError(Exception):
         self.line_no = line_no
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    kind: str
-    actor: str
-    timestamp: float
-    epoch: int | None = None
-    event_id: int | None = None
-    switch_id: str | None = None
-    switch_seq: int | None = None
-    bundle_id: int | None = None
-    detail: dict | None = None
-
-    def to_dict(self) -> dict:
-        return _record_dict(self.kind, self.actor, self.timestamp, self.epoch, self.event_id,
-                            self.switch_id, self.switch_seq, self.bundle_id, self.detail)
+_WIDTH = 9  # fields per record
 
 
-_WIDTH = len(TraceRecord.__slots__)
+def _switch_exec_compact(detail: dict) -> dict:
+    return {"command": ofwire.encode_body(detail["command"]), "origin": detail["origin"],
+            "controller": detail["controller"]}
 
 
 def _switch_exec_json(detail: dict) -> dict:
@@ -76,6 +64,18 @@ def _switch_exec_json(detail: dict) -> dict:
 
 def _event_emitted_json(detail: dict) -> dict:
     return {**detail, "conns": list(detail["conns"])}
+
+
+def _log_append_compact(detail: dict) -> dict:
+    body = detail["body"]
+    if isinstance(body, ProcessedBody):
+        return {"seq": detail["seq"], "body": "processed", "event_id": body.event_id}
+    msg = body.message
+    return {
+        "seq": detail["seq"], "body": "event", "event_id": body.event_id, "switch_id": body.switch_id,
+        "switch_seq": body.switch_seq, "kind": body.kind,
+        "message": None if msg is None else ofwire.encode_body(msg),
+    }
 
 
 def _log_append_json(detail: dict) -> dict:
@@ -90,6 +90,14 @@ def _log_append_json(detail: dict) -> dict:
     return {"seq": detail["seq"], "body": body_to_json(body)}
 
 
+# The kinds ``emit`` stores compact, each with the function that builds the compact
+# detail from its caller's. Each builds a new dict of atomic values and never copies
+# the caller's: a copy made while it held an object stays tracked until a full collection.
+_COMPACT: dict[str, Callable[[dict], dict]] = {
+    "switch-exec": _switch_exec_compact,
+    "log-append": _log_append_compact,
+}
+
 # the kinds whose detail is stored compact, each with the function that renders it as JSON
 _RENDER: dict[str, Callable[[dict], dict]] = {
     "switch-exec": _switch_exec_json,
@@ -99,7 +107,7 @@ _RENDER: dict[str, Callable[[dict], dict]] = {
 
 
 def _record_dict(kind, actor, timestamp, epoch, event_id, switch_id, switch_seq, bundle_id, detail) -> dict:
-    """The JSON form of one record whose detail is JSON, in ``TraceRecord`` field order;
+    """The JSON form of one record whose detail is JSON, in stored field order;
     unset fields are left out."""
     d: dict = {"kind": kind, "actor": actor, "timestamp": timestamp}
     if epoch is not None:
@@ -122,7 +130,7 @@ class TraceLog:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._fields: list = []  # _WIDTH fields per record, in TraceRecord order
+        self._fields: list = []  # _WIDTH fields per record, in the order emit stores them
         self._rendered = 0  # the fields below this index hold no compact detail
         self._render_lock = threading.Lock()
 
@@ -138,31 +146,15 @@ class TraceLog:
         bundle_id: int | None = None,
         detail: dict | None = None,
     ) -> None:
+        """Append one record. A kind in ``_COMPACT`` is given its detail in its
+        natural form, and the compact form is stored instead. Nodes look ``emit``
+        up on every call, so a wrapper put on it after they are built sees every record."""
+        compact = _COMPACT.get(kind)
+        if compact is not None:
+            detail = compact(detail)
         self._fields.extend(
             (kind, actor, self._clock(), epoch, event_id, switch_id, switch_seq, bundle_id, detail)
         )
-
-    def emitter(self, actor: str) -> Callable[..., None]:
-        """Emit function for one actor. It names each field rather than
-        repacking ``**kw``, and looks ``emit`` up on every call, so a wrapper
-        put on ``TraceLog.emit`` later still sees every record."""
-
-        def emit(
-            kind: str,
-            *,
-            epoch: int | None = None,
-            event_id: int | None = None,
-            switch_id: str | None = None,
-            switch_seq: int | None = None,
-            bundle_id: int | None = None,
-            detail: dict | None = None,
-        ) -> None:
-            self.emit(
-                kind, actor, epoch=epoch, event_id=event_id, switch_id=switch_id,
-                switch_seq=switch_seq, bundle_id=bundle_id, detail=detail,
-            )
-
-        return emit
 
     def as_dicts(self) -> list[dict]:
         # Records emitted by other threads after this line are left out, and

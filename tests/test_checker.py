@@ -107,6 +107,13 @@ def test_missing_meta_is_check_error():
                        _delivered("c0", 1, 0.0), _meta()])
 
 
+def test_an_app_parameter_the_app_does_not_take_is_a_check_error():
+    meta = _meta(app="learning")
+    meta["detail"]["config"]["app_params"] = {"flow_prio": 5}
+    with pytest.raises(CheckError, match="record 0: the configured app cannot be built: .*'flow_prio'"):
+        check_records([meta, _delivered("c0", 1, 1.0)])
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [([1, 2], "record 1: a list, not an object"),

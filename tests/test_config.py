@@ -22,7 +22,7 @@ def every_field_cfg() -> ScenarioConfig:
         seed=11,
         transport="sockets",
         app="learning",
-        app_params={"idle": 1},
+        app_params={"flow_priority": 7},
         packets_per_switch=9,
         inter_arrival_ms=2.5,
         hosts_per_switch=2,
@@ -125,6 +125,9 @@ def test_json_takes_an_int_for_a_float_and_none_where_allowed():
         {"fault_plan": [{"point": "F9", "trigger_event": 3}]},
         {"app": "nope"},
         {"app_params": {"port_map": [1, 2]}},
+        {"app": "learning", "app_params": {"flow_prio": 5}},
+        {"session_timeout_ms": 0.0, "n_switches": 1, "packets_per_switch": 5},
+        {"session_timeout_ms": -1.0, "n_switches": 1, "packets_per_switch": 5},
         {"fault_plan": [{"target": "switch:s9", "point": "at-time", "at_time_ms": 50}]},
         {"fault_plan": [{"target": "mastr", "point": "at-time", "at_time_ms": 50}]},
         {"fault_plan": [{"target": "switch:s0", "point": "F2", "trigger_event": 3}]},
@@ -146,6 +149,28 @@ def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, config):
     assert main(["run", "--config", str(path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--switches", "0"],
+        ["failover", "--trials", "0"],
+        ["failover", "--transport", "deterministic", "--session-timeout", "0"],
+    ],
+    ids=["bench-no-switch", "failover-no-trial", "failover-zero-timeout"],
+)
+def test_bench_and_failover_report_bad_input_as_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("app, params", [("learning", {"flow_prio": 5}), ("forwarding", {"flow_priority": 5})])
+def test_validate_names_an_app_parameter_the_app_does_not_take(app, params):
+    (key,) = params
+    with pytest.raises(ValueError, match=f"unexpected keyword argument {key!r}"):
+        ScenarioConfig(app=app, app_params=params).validate()
 
 
 def test_check_reports_a_missing_trace_as_one_error_line(tmp_path, capsys):

@@ -10,6 +10,7 @@ from ftsdn.coord import (
     body_to_json,
 )
 from ftsdn.events import SwitchEvent
+from ftsdn.trace import TraceLog
 
 
 def ev(i, sw="s0", seq=None):
@@ -165,16 +166,17 @@ def test_watch_from_mid_sequence():
 
 
 def test_expiry_fires_once_and_is_irrevocable():
-    svc = CoordService()
-    expirations = []
-    svc._trace = lambda kind, **kw: expirations.append(kw) if kind == "session-expired" else None
+    log = TraceLog(clock=lambda: 0.0)
+    svc = CoordService(trace=log)
     sid = svc.open_session("c0", 100.0, now=0.0)
     assert svc.check_expiry(50.0) == []
     assert svc.check_expiry(101.0) == ["c0"]
     assert svc.check_expiry(102.0) == []
     with pytest.raises(SessionExpired):
         svc.heartbeat(sid, 103.0)
-    assert len(expirations) == 1
+    assert [r for r in log.as_dicts() if r["kind"] == "session-expired"] == [
+        {"kind": "session-expired", "actor": "coord", "timestamp": 0.0, "detail": {"controller": "c0"}}
+    ]
 
 
 def test_regular_heartbeats_never_expire():

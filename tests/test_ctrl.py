@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from ftsdn import ofwire
@@ -84,8 +86,10 @@ def packet_in(sw="s0", seq=1):
 
 
 def make_replica(app=None, trace=None, **batching):
+    """A slave attached to s0 and s1; ``trace(kind, **fields)`` sees each record it writes."""
     env = FakeEnv()
-    replica = Replica("c0", app or RecordingApp(), env, trace=trace, **batching)
+    log = None if trace is None else SimpleNamespace(emit=lambda kind, actor, **fields: trace(kind, **fields))
+    replica = Replica("c0", app or RecordingApp(), env, trace=log, **batching)
     replica.attach_switch("s0")
     replica.attach_switch("s1")
     return replica, env

@@ -5,6 +5,7 @@ run would."""
 
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -17,6 +18,8 @@ from probes import SPANNED, Probes  # noqa: E402
 from ftsdn import ofwire  # noqa: E402
 from ftsdn.harness.config import ScenarioConfig  # noqa: E402
 from ftsdn.harness.runtime_socket import SocketWorld  # noqa: E402
+from ftsdn.harness.scenario import _inject, build_workload  # noqa: E402
+from ftsdn.harness.world_det import DetWorld  # noqa: E402
 
 
 def test_every_probed_name_resolves_and_is_put_back():
@@ -48,3 +51,24 @@ def test_a_probed_socket_world_is_seen_and_torn_down():
     assert probes.frames_fed > 0
     assert calls["ofwire.decode"] == probes.frames_fed
     assert threading.active_count() == threads_before
+
+
+def test_the_emit_probe_sees_every_record_of_a_world_built_before_it():
+    # perfbench installs its probes after set-up, so a node that kept a bound
+    # ``emit`` would write past the probe
+    cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=10, seed=1)
+    world = DetWorld(cfg)
+    for inj in build_workload(cfg):
+        world.at(inj.time_ms, partial(_inject, world, inj))
+    before = len(world.trace.as_dicts())
+    probes = Probes()
+    try:
+        probes.install()
+        assert world.run(2_000.0)
+    finally:
+        probes.uninstall()
+    world.stop()
+    written = len(world.trace.as_dicts()) - before
+    kinds = {r["kind"] for r in world.trace.as_dicts()[before:]}
+    assert {"switch-exec", "log-append", "delivered"} <= kinds
+    assert probes.totals()["trace.emit"]["calls"] == written

@@ -42,7 +42,7 @@ def log():
 
 def make_switch(n_conns=2, log=None):
     """A switch with ``n_conns`` connections, tracing into ``log`` if one is given."""
-    sw = Switch("s0", trace=None if log is None else log.emitter("s0"))
+    sw = Switch("s0", trace=log)
     conns = [FakeConn(f"c{i}") for i in range(n_conns)]
     for c in conns:
         sw.attach(c)
