@@ -155,6 +155,9 @@ class Replica:
         self._pending_keys: set[tuple[str, int]] = set()
         self._inflight: list[list[LogBody]] = []
         self._batch_timer: object | None = None
+        # events whose processed entry this replica enqueued and has not seen
+        # logged; one a deposition dropped is enqueued again at its next promotion
+        self._processed_unlogged: set[int] = set()
 
         # slave-side buffer: occurrences not yet logged, in arrival order
         self.slave_buffer: dict[tuple[str, int], SwitchEvent] = {}
@@ -333,6 +336,7 @@ class Replica:
                 raise FatalProtocolError(f"processed entry for unknown event {body.event_id}")
             if body.event_id > self.delivered_upto:
                 self.processed_logged.add(body.event_id)
+            self._processed_unlogged.discard(body.event_id)
             if self.role == ROLE_MASTER:
                 self._trace("processed-logged", event_id=body.event_id)
         self._advance()
@@ -455,6 +459,7 @@ class Replica:
             self._drain_and_resume()
 
     def _enqueue_processed(self, eid: int) -> None:
+        self._processed_unlogged.add(eid)
         self.pending_batch.append(ProcessedBody(eid))
         self._arm_or_flush()
 
@@ -508,7 +513,11 @@ class Replica:
             promo.barrier_waits[switch_id] = xid
             self.env.send_switch(switch_id, BarrierRequest(xid))
             self._trace("barrier-sent", switch_id=switch_id, detail={"xid": xid})
-        # 3. what needs no probe is finished now
+        # 3. what needs no probe is finished now. The log up to the watermark
+        #    is in, so a processed entry this replica enqueued as an earlier
+        #    master and still has not seen logged was dropped when it was deposed
+        for eid in sorted(self._processed_unlogged):
+            self._enqueue_processed(eid)
         for eid in sorted(promo.held):
             if eid not in self.pending_replies:
                 self._enqueue_processed(eid)

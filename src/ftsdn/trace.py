@@ -23,13 +23,23 @@ compact form. ``emit`` compacts two through ``_COMPACT``: ``switch-exec`` is
 given its command and stores the encoded OpenFlow body, ``log-append`` its
 seq and log body and stores the body's flat fields and the event message's
 encoded body (``None`` for a switch failure). The switch gives
-``event-emitted`` its connections as a tuple. ``as_dicts`` renders the
-three through ``_RENDER`` once, in place: the rendered dict replaces the
-compact one in the list, and a detail shared by several records stays
-shared. Every reader of records thus sees only JSON, sharing each detail
-with the trace. One ``list.extend`` with a tuple runs no Python code, so
-under the interpreter lock it lands all nine fields at once and socket
-threads emit without a lock.
+``event-emitted`` its connections as a tuple. One ``list.extend`` with a
+tuple runs no Python code, so under the interpreter lock it lands all nine
+fields at once and socket threads emit without a lock.
+
+A record is held in one place: compact in the flat list until ``as_dicts``
+renders it, then as its JSON dict in ``_records``. ``as_dicts`` works from
+the front of the flat list one block of ``_BLOCK`` records at a time: it
+renders the block's compact details through ``_RENDER``, appends the
+block's dicts to ``_records`` and deletes the block from the flat list, so
+the two forms of the whole trace are never alive at once. A detail shared
+by several records is rendered once and stays shared. Every reader of
+records thus sees only JSON, and the records themselves are shared: each
+call returns the records of the calls before it, the same dicts, so a
+reader must change neither a record nor its detail. On det-forward (seed 1,
+216,012 records, one process) this took the RSS after ``as_dicts`` from
+about 140 to 127 MB, and perfbench's det-forward ``peak_rss_mb`` from
+158.3 to 139.2 MB.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ class TraceParseError(Exception):
 
 
 _WIDTH = 9  # fields per record
+_BLOCK = 16_384  # records as_dicts renders and drops from the flat list at a time
 
 
 def _switch_exec_compact(detail: dict) -> dict:
@@ -130,8 +141,8 @@ class TraceLog:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._fields: list = []  # _WIDTH fields per record, in the order emit stores them
-        self._rendered = 0  # the fields below this index hold no compact detail
+        self._fields: list = []  # _WIDTH fields per record not yet rendered, in the order emit stores them
+        self._records: list[dict] = []  # the JSON form of every record rendered, in emission order
         self._render_lock = threading.Lock()
 
     def emit(
@@ -157,37 +168,45 @@ class TraceLog:
         )
 
     def as_dicts(self) -> list[dict]:
-        # Records emitted by other threads after this line are left out, and
-        # rendered by the next call. One iterator zipped with itself walks the
-        # list in place, a record at a time.
-        end = len(self._fields)
-        self._render(end)
-        fields = islice(self._fields, end)
-        return [_record_dict(*rec) for rec in zip(*[fields] * _WIDTH)]
+        """Every record emitted before the call, as JSON dicts in emission
+        order; each call returns the dicts of the calls before it again.
 
-    def _render(self, end: int) -> None:
-        """Write the JSON form of each compact detail below field ``end`` over it.
-        Every detail there was alive at once when ``end`` was taken, so no two
-        share an id, and a detail held by several records is rendered once."""
+        The compact records are rendered and moved to ``_records`` front
+        first, a block at a time. Records emitted by other threads while it
+        runs are left for the next call: ``emit`` only appends, and ``del``
+        of a slice, like ``extend``, is one C call under the interpreter lock."""
         with self._render_lock:
             fields = self._fields
+            left = len(fields)
+            # Every detail in the first ``left`` fields was alive when ``left``
+            # was read, so no two share an id, and a detail held by several
+            # records is rendered once, however many blocks lie between them.
             rendered: dict[int, dict] = {}  # id of a compact detail -> its JSON form
-            for i in range(self._rendered, end, _WIDTH):
-                render = _RENDER.get(fields[i])
-                detail = fields[i + _WIDTH - 1]
-                if render is not None and detail is not None:
-                    json_form = rendered.get(id(detail))
-                    if json_form is None:
-                        json_form = rendered[id(detail)] = render(detail)
-                    fields[i + _WIDTH - 1] = json_form
-            self._rendered = max(self._rendered, end)
+            while left:
+                n = min(left, _BLOCK * _WIDTH)
+                for i in range(0, n, _WIDTH):
+                    render = _RENDER.get(fields[i])
+                    detail = fields[i + _WIDTH - 1]
+                    if render is not None and detail is not None:
+                        json_form = rendered.get(id(detail))
+                        if json_form is None:
+                            json_form = rendered[id(detail)] = render(detail)
+                        fields[i + _WIDTH - 1] = json_form
+                # one iterator zipped with itself walks the block a record at a time
+                block = islice(fields, n)
+                self._records.extend(_record_dict(*rec) for rec in zip(*[block] * _WIDTH))
+                del fields[:n]
+                left -= n
+            return list(self._records)
 
 
 def dump_jsonl(records: list[dict], path: str) -> None:
-    """Write one compact, key-sorted JSON object per line; ``parse_jsonl`` reads it back."""
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    """Write one compact, key-sorted JSON object per line, a line at a time;
+    ``parse_jsonl`` reads it back. No records write one blank line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+        if not records:
+            fh.write("\n")
 
 
 def parse_jsonl(lines: Iterable[str]) -> Iterator[dict]:

@@ -508,12 +508,9 @@ def test_switch_lost_mid_probe_may_finish_the_promotion_ahead_of_later_events():
     assert sorted(processed(replica, env)) == [1, 2] and replica.role == ROLE_MASTER
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a deposed master drops its unlogged processed entry, and its re-election "
-    "never enqueues it again, since catch-up starts after the events it already delivered",
-)
-def test_reelected_master_logs_the_processed_entry_dropped_at_deposition():
+def master_with_processed_in_flight():
+    """A master (epoch 1) that finished event 1 and has sent ``ProcessedBody(1)``;
+    returns it with its env and that append's callback."""
     replica, env = make_master(batch_size=1)
     replica.on_switch_message("s0", packet_in(seq=1))
     _, bodies, cb = env.appends.pop(0)
@@ -522,10 +519,37 @@ def test_reelected_master_logs_the_processed_entry_dropped_at_deposition():
     replica.on_switch_message("s0", BundleReply(bundle_ids(env)["s0"], True))
     marker(replica, "s0", 1)
     assert processed(replica, env) == [1]  # in flight, not yet logged
+    _, _, pending = env.appends.pop(0)
+    return replica, env, pending
+
+
+def test_reelected_master_logs_the_processed_entry_dropped_at_deposition():
+    replica, env, pending = master_with_processed_in_flight()
     replica.on_leadership("c1", 2, replica.log_len)
     assert replica.role == ROLE_SLAVE
-    _, _, stale = env.appends.pop(0)
-    stale("not-leader")
+    pending("not-leader")
     replica.on_leadership("c0", 3, replica.log_len)
     assert replica.role == ROLE_MASTER
     assert processed(replica, env) == [1]
+
+
+def test_reelected_master_does_not_log_a_processed_entry_another_master_logged():
+    replica, env, pending = master_with_processed_in_flight()
+    replica.on_leadership("c1", 2, replica.log_len)
+    pending("not-leader")
+    replica.on_log_entry(2, ProcessedBody(1))  # c1 finished event 1 at epoch 2
+    replica.on_leadership("c0", 3, replica.log_len)
+    assert replica.role == ROLE_MASTER
+    assert processed(replica, env) == []
+
+
+def test_reelected_master_does_not_log_again_an_append_logged_before_its_reply():
+    # the service sends an append's entries before its reply, so the
+    # deposition finds the logged entry still in flight
+    replica, env, pending = master_with_processed_in_flight()
+    replica.on_log_entry(2, ProcessedBody(1))
+    replica.on_leadership("c1", 2, replica.log_len)
+    pending(None)
+    replica.on_leadership("c0", 3, replica.log_len)
+    assert replica.role == ROLE_MASTER
+    assert processed(replica, env) == []

@@ -1,6 +1,8 @@
 import gc
+import json
 import sys
 import threading
+import tracemalloc
 from functools import partial
 
 from ftsdn import ofwire, trace
@@ -51,7 +53,11 @@ def test_emit_stores_the_compact_form_of_a_natural_detail():
     ]
 
 
-def test_concurrent_emits_keep_every_record_whole():
+def emit_concurrently(while_emitting=lambda log: None) -> TraceLog:
+    """``THREADS`` threads each emit ``PER_THREAD`` records into a new trace,
+    with a switch interval short enough to interleave them record by record;
+    ``while_emitting(log)`` runs on this thread over and over until they are
+    done. Returns the trace."""
     stamps = threading.local()
     log = TraceLog(clock=lambda: stamps.value)
     start = threading.Barrier(THREADS)
@@ -69,13 +75,17 @@ def test_concurrent_emits_keep_every_record_whole():
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(THREADS)]
         for th in threads:
             th.start()
+        while any(th.is_alive() for th in threads):
+            while_emitting(log)
         for th in threads:
             th.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
+    return log
 
-    records = log.as_dicts()
+
+def assert_every_record_once_whole_in_order(records: list[dict]) -> None:
     assert len(records) == THREADS * PER_THREAD
     next_i = [0] * THREADS
     for rec in records:
@@ -91,6 +101,47 @@ def test_concurrent_emits_keep_every_record_whole():
     assert next_i == [PER_THREAD] * THREADS
 
 
+def test_concurrent_emits_keep_every_record_whole():
+    assert_every_record_once_whole_in_order(emit_concurrently().as_dicts())
+
+
+def test_as_dicts_during_concurrent_emits_returns_growing_prefixes(monkeypatch):
+    monkeypatch.setattr(trace, "_BLOCK", 100)  # so that each call drains many blocks
+    last = [[]]  # the latest read
+
+    def read(log: TraceLog) -> None:
+        cur = log.as_dicts()
+        # the records of the previous read come first, the same dicts, then new ones
+        assert len(cur) >= len(last[0]) and all(a is b for a, b in zip(last[0], cur))
+        last[0] = cur
+
+    log = emit_concurrently(while_emitting=read)
+    read(log)
+    assert log._fields == []
+    assert_every_record_once_whole_in_order(last[0])
+
+
+def test_records_emitted_while_as_dicts_drains_are_left_for_the_next_call(monkeypatch):
+    monkeypatch.setattr(trace, "_BLOCK", 100)
+    log = TraceLog(clock=lambda: 0.0)
+    for i in range(250):
+        log.emit("early", "a0", event_id=i)
+    record_dict = trace._record_dict
+
+    def emit_midway(*fields):  # in the first block, as a socket thread could
+        if fields[4] == 50:
+            for i in range(30):
+                log.emit("late", "a1", event_id=i)
+        return record_dict(*fields)
+
+    monkeypatch.setattr(trace, "_record_dict", emit_midway)
+    first = log.as_dicts()
+    assert [r["event_id"] for r in first] == list(range(250)) and len(log._fields) == 30 * 9
+    second = log.as_dicts()
+    assert second[:250] == first and all(a is b for a, b in zip(first, second))
+    assert [(r["kind"], r["event_id"]) for r in second[250:]] == [("late", i) for i in range(30)]
+
+
 def test_dumped_scenario_trace_loads_back_and_checks(tmp_path):
     cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=20, session_timeout_ms=100.0,
                          seed=3, fault_plan=[FaultInjection(point="F2", trigger_event=10)])
@@ -101,6 +152,16 @@ def test_dumped_scenario_trace_loads_back_and_checks(tmp_path):
         assert list(parse_jsonl(fh)) == records
     report = check_trace(path)
     assert report.all_pass and report.summary["events"] > 0
+
+
+def test_dumped_trace_has_the_bytes_of_the_joined_lines(tmp_path):
+    records = _small_run().records
+    path = tmp_path / "trace.jsonl"
+    dump_jsonl(records, str(path))
+    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    dump_jsonl([], str(path))
+    assert path.read_bytes() == b"\n"
 
 
 # -- compact details: the three kinds emitted per packet ------------------------
@@ -226,7 +287,8 @@ def _stored(log: TraceLog) -> list[tuple[str, dict]]:
 
 def test_as_dicts_leaves_no_compact_detail_stored():
     log = _small_run().world.trace
-    stored = _stored(log)
+    assert log._fields == []  # every record is held once, rendered
+    stored = [(r["kind"], r["detail"]) for r in log._records if r["kind"] in COMPACT_KINDS]
     assert {kind for kind, _ in stored} == set(COMPACT_KINDS)
     assert [kind for kind, detail in stored if _holds_bytes_or_tuple(detail)] == []
 
@@ -239,7 +301,7 @@ def test_as_dicts_twice_gives_equal_lists(monkeypatch):
         monkeypatch.setitem(trace._RENDER, kind, lambda detail, render=render: renders.append(detail) or render(detail))
     second = log.as_dicts()
     assert second == first and renders == []  # the second call renders nothing again
-    assert all(a.get("detail") is b.get("detail") for a, b in zip(first, second))
+    assert second is not first and all(a is b for a, b in zip(first, second))
     assert set(COMPACT_KINDS) <= {r["kind"] for r in first}
 
 
@@ -287,3 +349,31 @@ def test_stored_details_of_the_per_packet_kinds_are_not_tracked_by_the_collector
     # tracked, and the dict holding it with it, until a collection untracks both.
     gc.collect()
     assert [kind for kind, detail in stored if gc.is_tracked(detail)] == []
+
+
+# The traced peak of a run and its rendering, per record of the trace. A
+# trace that kept each record's nine compact fields beside its JSON dict
+# after ``as_dicts`` peaked at 557 B/record; one that holds each record in
+# one place peaks at 514: each record once, plus one block held in both
+# forms, the render memo and the returned list. The bound lies half-way.
+RUN_AND_RENDER_PEAK_BYTES_PER_RECORD = 535
+
+
+def test_a_run_and_its_rendering_hold_each_record_once():
+    cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=2000, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        world = DetWorld(cfg)
+        plan = build_workload(cfg)
+        for inj in plan:
+            world.at(inj.time_ms, partial(_inject, world, inj))
+        assert world.run(max(inj.time_ms for inj in plan) + 2_000.0)
+        world.stop()
+        records = world.trace.as_dicts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 84_005
+    assert peak / len(records) < RUN_AND_RENDER_PEAK_BYTES_PER_RECORD
+    assert world.trace._fields == []
