@@ -39,7 +39,6 @@ from .events import (
     NULL_TRACE,
     SWITCH_FAILURE_SEQ,
     SwitchEvent,
-    port_status_seq,
 )
 from .ofwire import (
     BarrierReply,
@@ -176,7 +175,8 @@ class Replica:
         # learned from commit markers: the (event_id, switch_id) pairs a switch has committed
         self.processed_at_switch: set[tuple[int, str]] = set()
 
-        self._ps_counts: dict[str, int] = {}
+        # per switch, the packet-ins (markers too) and port-status messages it sent here
+        self._arrivals: dict[str, int] = {}
         self._promo: _Promotion | None = None
 
         # one read-only detail per value for the kinds traced per event, shared
@@ -206,6 +206,7 @@ class Replica:
 
     def attach_switch(self, switch_id: str) -> None:
         self.live_switches.add(switch_id)
+        self._arrivals[switch_id] = 0
 
     def on_switch_disconnect(self, switch_id: str) -> None:
         if switch_id not in self.live_switches:
@@ -225,6 +226,7 @@ class Replica:
 
     def on_switch_message(self, switch_id: str, msg: ofwire.OfMessage) -> None:
         if isinstance(msg, PacketIn):
+            seq = self._arrivals[switch_id] = self._arrivals[switch_id] + 1
             marker = parse_commit_marker(msg)
             if marker is not None:
                 for eid in marker.event_ids:
@@ -236,11 +238,10 @@ class Replica:
                         detail=self._marker_detail(marker.master_epoch),
                     )
                 return
-            self._ingest(SwitchEvent(switch_id, msg.switch_seq, KIND_PACKET_IN, msg))
+            self._ingest(SwitchEvent(switch_id, seq, KIND_PACKET_IN, msg))
         elif isinstance(msg, PortStatus):
-            count = self._ps_counts.get(switch_id, 0) + 1
-            self._ps_counts[switch_id] = count
-            self._ingest(SwitchEvent(switch_id, port_status_seq(count), KIND_PORT_STATUS, msg))
+            seq = self._arrivals[switch_id] = self._arrivals[switch_id] + 1
+            self._ingest(SwitchEvent(switch_id, seq, KIND_PORT_STATUS, msg))
         elif isinstance(msg, BundleReply):
             self._on_bundle_reply(switch_id, msg)
         elif isinstance(msg, BarrierReply):
@@ -292,9 +293,8 @@ class Replica:
             self._batch_timer = None
         bodies = self.pending_batch
         self.pending_batch = []
-        size = max(1, self.batch_size)
-        for i in range(0, len(bodies), size):
-            chunk = bodies[i : i + size]
+        for i in range(0, len(bodies), self.batch_size):
+            chunk = bodies[i : i + self.batch_size]
             ids = [b.event_id for b in chunk if isinstance(b, SwitchEvent)]
             self._fault_hook("F1", event_ids=ids)
             self._inflight.append(chunk)
@@ -486,7 +486,7 @@ class Replica:
         #    controller, so a deposed master that has not noticed yet cannot
         #    commit behind the probe below (OpenFlow 1.3 master/slave roles)
         for switch_id in sorted(self.live_switches):
-            self.env.send_switch(switch_id, RoleAnnounce(self.controller_id, self.epoch))
+            self.env.send_switch(switch_id, RoleAnnounce(self.epoch))
         # 1. catch-up: replay everything the old master logged, discarding the
         #    writes of finished events and holding the writes of unfinished ones
         for eid in range(self.delivered_upto + 1, self.max_logged_id + 1):

@@ -2,10 +2,12 @@
 
 Every event carries an occurrence key ``(switch_id, switch_seq)`` that is
 identical at all replicas, so a buffered copy can be matched against the
-shared log. PacketIns carry their sequence number on the wire; port-status
-and switch-failure events get synthetic negative sequence numbers derived
-from per-switch arrival order, which is the same everywhere because the
-switch fans every event out over FIFO connections.
+shared log. One rule numbers them: ``switch_seq`` is the message's 1-based
+arrival count among the PacketIns (commit markers included) and PortStatus
+messages on the switch's connection since the replica bound it. Replicas
+bind every switch before its first message, and it sends each on every
+connection in one order, so the counts agree. A switch failure has
+``SWITCH_FAILURE_SEQ``.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ KIND_SWITCH_FAILURE = "switch-failure"
 SWITCH_FAILURE_SEQ = -1
 
 _REQUIRED_FIELDS = frozenset({"switch_id", "switch_seq", "kind"})
-
-
-def port_status_seq(arrival_index: int) -> int:
-    """Synthetic occurrence sequence for the nth port-status from a switch."""
-    return -(arrival_index + 2)
 
 
 @dataclass

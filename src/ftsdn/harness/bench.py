@@ -196,7 +196,7 @@ def bench(cfg: BenchConfig) -> BenchResult:
         pump()
 
     for i, sid in enumerate(world.switches):
-        start_emitter(sid, offset=1.0 + i * interval / max(1, cfg.n_switches))
+        start_emitter(sid, offset=1.0 + i * interval / cfg.n_switches)
 
     while len(response_times) < TARGET_RESPONSES and world.sched.now < DEADLINE_MS:
         world.sched.run(until=world.sched.now + 20.0, quiescent=None)

@@ -15,7 +15,7 @@ Properties:
   T3  exactly-once commands: the commands generated for (event, switch)
       appear exactly once in that switch's executed log, contiguous, in
       order, inside a marker-terminated bundle.
-  T4  per-switch FIFO: event ids respect each switch's packet sequence.
+  T4  per-switch FIFO: event ids respect each switch's event sequence.
 
 The check is a fold: ``Checker.feed`` takes the records in trace order, and
 ``Checker.report`` gives the verdicts once the last one is fed. The fold keeps
@@ -52,7 +52,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .. import apps as apps_mod, ofwire
-from ..events import KIND_PACKET_IN, SwitchEvent, port_status_seq
+from ..events import SwitchEvent
 from ..trace import parse_jsonl
 
 
@@ -209,13 +209,9 @@ class Checker:
 
     def _emitted(self, rec: dict, idx: int) -> None:
         detail = _field(rec, "detail", idx, dict, {})
-        origin = detail.get("origin")
-        if origin == "dataplane":
-            seq = _field(rec, "switch_seq", idx, int, None)
-        elif origin == "port-status":
-            seq = port_status_seq(_field(detail, "detail.index", idx, int, 0))
-        else:
+        if detail.get("origin") not in ("dataplane", "port-status"):
             return
+        seq = _field(rec, "switch_seq", idx, int, None)
         conns = _field(detail, "detail.conns", idx, list, [])
         switch_id = _field(rec, "actor", idx, str, None)
         if seq not in self._by_occurrence.get(switch_id, ()):
@@ -334,8 +330,7 @@ class Checker:
         t4 = PropertyResult("T4", "per-switch FIFO: event ids follow switch sequence order")
         per_switch: dict[str | None, list[int]] = {}
         for pos, ev in enumerate(logged):
-            seq = ev.get("switch_seq")
-            if ev.get("kind") == KIND_PACKET_IN and seq is not None and seq > 0:
+            if (ev.get("switch_seq") or 0) > 0:
                 per_switch.setdefault(ev.get("switch_id"), []).append(pos)
         for switch_id, positions in per_switch.items():
             positions.sort(key=lambda p: logged[p]["switch_seq"])

@@ -71,6 +71,8 @@ class ScenarioConfig:
             raise ValueError("need 1 to 256 switches")
         if not 2 <= self.hosts_per_switch <= 255:
             raise ValueError("need 2 to 255 hosts per switch: each packet goes from one host to another")
+        if self.batch_size < 1 or self.batch_time_ms < 0:
+            raise ValueError(f"need batch_size >= 1, batch_time_ms >= 0; got {self.batch_size}, {self.batch_time_ms}")
         if self.heartbeat_interval_ms <= 0:
             # a heartbeat due at once re-arms at the same instant, so simulated time never moves
             raise ValueError(f"heartbeat_interval_ms must be positive, got {self.heartbeat_interval_ms}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from ..ctrl import ROLE_MASTER
-from ..ofwire import RoleAnnounce
+from ..ofwire import MARKER_MAGIC, PacketIn, RoleAnnounce
 from .config import AT_TIME, FaultInjection, ScenarioConfig
 from .world_det import DetWorld
 
@@ -167,6 +167,19 @@ def _switch_ignores_role(world: DetWorld) -> None:
         switch.on_message = wrapped
 
 
+def _uncounted_markers(world: DetWorld) -> None:
+    # c1 leaves commit markers out of its arrival count: its buffered occurrences drift from the logged ones
+    replica = world.ctrls["c1"].replica
+    orig = replica.on_switch_message
+
+    def wrapped(switch_id, msg):
+        orig(switch_id, msg)
+        if isinstance(msg, PacketIn) and msg.payload.startswith(MARKER_MAGIC):
+            replica._arrivals[switch_id] -= 1
+
+    replica.on_switch_message = wrapped
+
+
 def catalog() -> list[Mutation]:
     return [
         Mutation(
@@ -247,6 +260,9 @@ def catalog() -> list[Mutation]:
             ("T3",),
             _skipped_bundle,
         ),
+        Mutation("uncounted-markers", "a slave leaves commit markers out of a switch's arrival count",
+                 _base_cfg(fault_plan=[FaultInjection(target="master", point=AT_TIME, at_time_ms=100.0)]),
+                 ("T2",), _uncounted_markers),
     ]
 
 

@@ -19,7 +19,8 @@ JSON object is ``type`` followed by the same fields in the same order. Each
 field's annotation picks one entry of ``_FIELD_CODECS``, which holds the
 binary and JSON forms of that type. To add a message, declare a frozen
 dataclass and give it a tag in ``_TAGS``; a field of a new type also needs a
-``_FIELD_CODECS`` entry.
+``_FIELD_CODECS`` entry. As in OpenFlow 1.3, the connection names the switch
+and the controller, so no message names either, and no PacketIn is numbered.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ class MatchKey:
 
 @dataclass(frozen=True)
 class PacketIn:
-    switch_id: str
-    switch_seq: int
     buffer_id: int
     in_port: int
     payload: bytes
@@ -155,13 +154,11 @@ class BarrierReply:
 
 @dataclass(frozen=True)
 class RoleAnnounce:
-    controller_id: str
     epoch: int
 
 
 @dataclass(frozen=True)
 class PortStatus:
-    switch_id: str
     port: int
     up: bool
 
@@ -434,6 +431,7 @@ _ACTION_JSON = _record(Action)  # actions keep their own tagged wire form
 _FIELD_CODECS["tuple[Action, ...]"] = _tuple_of(
     _Codec(_put_action, _get_action, _ACTION_JSON.to_json, _ACTION_JSON.from_json)
 )
+_FIELD_CODECS["tuple[int, ...]"] = _tuple_of(_FIELD_CODECS["int"])
 _FIELD_CODECS["MatchKey"] = _record(MatchKey)
 _BODIES: dict[type, _Codec] = {cls: _record(cls) for cls in _TAGS}
 _BY_NAME: dict[str, type] = {cls.__name__: cls for cls in _TAGS}
@@ -532,21 +530,22 @@ class CommitMarker:
 
     The switch echoes it back to all connected controllers as a PacketIn, so
     even replicas that did not issue the commit learn which event's commands
-    the switch executed, and under which master epoch.
+    the switch executed, and under which master epoch. The payload is
+    ``MARKER_MAGIC``, then this dataclass in the message codec's binary form.
     """
 
     master_epoch: int
     event_ids: tuple[int, ...]
 
 
+_MARKER = _record(CommitMarker)
+
+
 def make_commit_marker(epoch: int, event_ids: list[int] | tuple[int, ...]) -> PacketOut:
     if not event_ids:
         raise EncodeError("commit marker must cover at least one event")
     out = bytearray(MARKER_MAGIC)
-    _put_uvarint(out, epoch)
-    _put_uvarint(out, len(event_ids))
-    for eid in event_ids:
-        _put_uvarint(out, eid)
+    _MARKER.put(out, CommitMarker(epoch, tuple(event_ids)))
     return PacketOut(actions=(Action.to_controller(),), payload=bytes(out))
 
 
@@ -561,20 +560,14 @@ def parse_commit_marker(msg: PacketIn | PacketOut) -> CommitMarker | None:
     if not payload.startswith(MARKER_MAGIC):
         return None
     try:
-        off = len(MARKER_MAGIC)
-        epoch, off = _get_uvarint(payload, off)
-        count, off = _get_uvarint(payload, off)
-        if count == 0:
+        marker, off = _MARKER.get(payload, len(MARKER_MAGIC))
+        if not marker.event_ids:
             raise ProtocolError("marker with zero events")
-        ids = []
-        for _ in range(count):
-            eid, off = _get_uvarint(payload, off)
-            ids.append(eid)
         if off != len(payload):
             raise ProtocolError("trailing bytes after marker")
     except ProtocolError as exc:
         raise MarkerParseError(str(exc)) from exc
-    return CommitMarker(epoch, tuple(ids))
+    return marker
 
 
 # ---------------------------------------------------------------------------

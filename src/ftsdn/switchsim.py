@@ -5,8 +5,11 @@ per-connection FIFO order (merged across connections in arrival order), so a
 BarrierReply naturally covers everything received earlier on that
 connection. Bundles stage commands until commit and are applied atomically
 and in order; open bundles owned by a connection are discarded when that
-connection drops. Once a master has announced its role, bundles and commands
-from any other controller are refused (OpenFlow 1.3 master/slave roles).
+connection drops. As OFPT_ROLE_REQUEST does (OpenFlow 1.3 section 6.3.7), a
+RoleAnnounce makes the connection it arrives on the master, and bundles and
+commands from any other connection are refused. The wire is stock: replicas
+number packet-ins and port-status messages by arrival, and the switch's own
+count goes only to its event-emitted records, the checker's ground truth.
 """
 
 from __future__ import annotations
@@ -97,11 +100,10 @@ class Switch:
         self.conns: dict[int, ControllerConn] = {}
         self._conns_changed()  # sets the event-emitted records' ``_conn_ids`` and ``_emitted_detail``
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
-        self.next_switch_seq = 1
-        self.master_id: str | None = None  # the last announced master; None: any controller may command
+        self.next_switch_seq = 1  # the number of the next packet-in or port-status sent
+        self.master: ControllerConn | None = None  # the master's connection, kept when it closes; None: any may command
         self.master_epoch = 0
         self.dead = False
-        self._port_status_count = 0
         self.events_emitted = 0  # dataplane packet-ins and port-status fan-outs
 
     # -- connection lifecycle ------------------------------------------------
@@ -145,24 +147,19 @@ class Switch:
     def set_port(self, port: int, up: bool) -> None:
         if self.dead:
             return
-        self._port_status_count += 1
         self.events_emitted += 1
-        msg = PortStatus(self.switch_id, port, up)
-        self._log.emit(
-            "event-emitted",
-            self.switch_id,
-            detail={"origin": "port-status", "index": self._port_status_count, "conns": self._conn_ids},
-        )
-        for conn in list(self.conns.values()):
-            conn.send(msg)
+        self._send_async(PortStatus(port, up), {"origin": "port-status", "conns": self._conn_ids})
 
     def _emit_packet_in(self, payload: bytes, in_port: int, origin: str) -> None:
-        seq = self.next_switch_seq
-        self.next_switch_seq += 1
         if origin == "dataplane":
             self.events_emitted += 1
-        self._log.emit("event-emitted", self.switch_id, switch_seq=seq, detail=self._emitted_detail(origin, in_port))
-        msg = PacketIn(self.switch_id, seq, ofwire.NO_BUFFER, in_port, payload)
+        self._send_async(PacketIn(ofwire.NO_BUFFER, in_port, payload), self._emitted_detail(origin, in_port))
+
+    def _send_async(self, msg: PacketIn | PortStatus, detail: dict) -> None:
+        """Number ``msg``, trace it and send it on every connection."""
+        seq = self.next_switch_seq
+        self.next_switch_seq += 1
+        self._log.emit("event-emitted", self.switch_id, switch_seq=seq, detail=detail)
         for conn in list(self.conns.values()):
             conn.send(msg)
 
@@ -179,7 +176,7 @@ class Switch:
     def on_message(self, conn: ControllerConn, msg: ofwire.OfMessage) -> None:
         if self.dead:
             return
-        if conn.controller_id != self.master_id and self.master_id is not None and isinstance(msg, _MASTER_ONLY):
+        if conn is not self.master and self.master is not None and isinstance(msg, _MASTER_ONLY):
             # a slave may not change the switch (OpenFlow 1.3 section 6.3.7)
             detail = {"controller": conn.controller_id, "type": type(msg).__name__}
             self._log.emit("refused-not-master", self.switch_id, detail=detail)
@@ -212,13 +209,11 @@ class Switch:
         elif isinstance(msg, (PacketOut, FlowMod)):
             self._apply(msg, origin="direct", bundle_id=None, controller_id=conn.controller_id)
         elif isinstance(msg, RoleAnnounce):
-            if msg.epoch < self.master_epoch:
-                detail = {"controller": msg.controller_id}
-                self._log.emit("stale-role-announce", self.switch_id, epoch=msg.epoch, detail=detail)
-                return
-            self.master_id = msg.controller_id
-            self.master_epoch = msg.epoch
-            self._log.emit("role-announce", self.switch_id, epoch=msg.epoch, detail={"controller": msg.controller_id})
+            stale = msg.epoch < self.master_epoch
+            if not stale:
+                self.master, self.master_epoch = conn, msg.epoch
+            kind = "stale-role-announce" if stale else "role-announce"
+            self._log.emit(kind, self.switch_id, epoch=msg.epoch, detail={"controller": conn.controller_id})
         else:
             raise ofwire.ProtocolError(f"switch received unexpected message {msg!r}")
 

@@ -283,7 +283,7 @@ def test_criterion_9_checker_soundness():
             problems.append(f"{m.name}: checker missed the defect")
     verdict(
         9,
-        len(mutations) >= 9 and not problems,
+        len(mutations) >= 10 and not problems,
         f"checker soundness: {len(mutations)} seeded defects each caught with a counterexample, "
         f"clean twins all pass ({problems or 'no problems'})",
     )
@@ -345,10 +345,14 @@ def test_criterion_10_determinism():
 # an id in a batch that was never appended.
 # All three changed when the config lost its latency_overrides field: only the
 # run-meta record changed, and every other record is byte-identical.
+# All three changed when the PacketIn lost its switch_id and switch_seq fields,
+# which OpenFlow does not have: replicas now number a switch's events by
+# arrival. With those two fields deleted from each PacketIn message inside the
+# old traces' log-append records, the old traces equal the new byte for byte.
 GOLDEN_TRACE_SHA256 = [
-    "9f480ba7ed983fe81bfb124d07716ff100c85ad53b7930d4c740012bdad7fc28",
-    "5ea89c8a2fd51ef9c81d31ebcc913d9e577c2d147337a569502fb4dce176274a",
-    "e53b4ba3350a27f7f9b752a4b7208287caa830476ae9b32c30d9383d95f4a364",
+    "3cf61b9cc60dcbfc4eea1096952bc13f7071591186f721de2488f025165ecb86",
+    "dc8f7c1479c92ebac0b665aec47bcd8ccf8aa42ff7692e1bd173e5349bd7f738",
+    "9429fcbd87e1544299556e1aa6b4844295779dbae0941baec4a89732c3b3ff98",
 ]
 
 

@@ -14,7 +14,7 @@ class Ctx:
 
 def packet_event(sw="s0", seq=1, dst="02:00:00:00:00:01", src="02:00:00:00:00:02", in_port=2, eid=None):
     payload = ofwire.ether_payload(dst, src, b"body")
-    return SwitchEvent(sw, seq, KIND_PACKET_IN, PacketIn(sw, seq, 0, in_port, payload), event_id=eid)
+    return SwitchEvent(sw, seq, KIND_PACKET_IN, PacketIn(0, in_port, payload), event_id=eid)
 
 
 def test_forwarding_single_packet_out():
@@ -28,7 +28,7 @@ def test_forwarding_single_packet_out():
 def test_forwarding_ignores_port_status():
     app = ForwardingApp()
     ctx = Ctx()
-    app.on_event(SwitchEvent("s0", -3, KIND_PORT_STATUS, PortStatus("s0", 1, False)), ctx)
+    app.on_event(SwitchEvent("s0", 1, KIND_PORT_STATUS, PortStatus(1, False)), ctx)
     assert ctx.writes == []
 
 
@@ -67,7 +67,7 @@ def test_learning_installs_flow_after_learning():
 def test_learning_unparseable_payload_floods():
     app = LearningSwitchApp()
     ctx = Ctx()
-    ev = SwitchEvent("s0", 1, KIND_PACKET_IN, PacketIn("s0", 1, 0, 1, b"short"), event_id=1)
+    ev = SwitchEvent("s0", 1, KIND_PACKET_IN, PacketIn(0, 1, b"short"), event_id=1)
     app.on_event(ev, ctx)
     assert len(ctx.writes) == 1
     assert ctx.writes[0][1].actions == (Action.output(ofwire.FLOOD_PORT),)

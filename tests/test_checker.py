@@ -312,7 +312,7 @@ _READ_FIELDS = [
     (_kind_is("event-emitted"), "detail"),
     (_kind_is("event-emitted"), "detail.origin"),
     (_kind_is("event-emitted"), "detail.conns"),
-    (_is_port_status, "detail.index"),
+    (_is_port_status, "switch_seq"),
     (_is_port_status, "detail.conns"),
     (_kind_is("switch-exec"), "actor"),
     (_kind_is("switch-exec"), "bundle_id"),
@@ -329,8 +329,8 @@ def test_bad_field_value_gives_a_report_or_a_check_error(clean_records, select, 
     records = copy.deepcopy(clean_records) + [
         {"kind": "controller-crashed", "actor": "c1", "timestamp": 90.0},
         {"kind": "switch-crashed", "actor": "s0", "timestamp": 91.0},
-        {"kind": "event-emitted", "actor": "s0", "timestamp": 92.0,
-         "detail": {"origin": "port-status", "index": 0, "conns": ["c0"]}},
+        {"kind": "event-emitted", "actor": "s0", "timestamp": 92.0, "switch_seq": -2,
+         "detail": {"origin": "port-status", "conns": ["c0"]}},
     ]
     idx = next(i for i, rec in enumerate(records) if select(rec))
     *parents, name = path.split(".")

@@ -140,6 +140,9 @@ def test_json_takes_an_int_for_a_float_and_none_where_allowed():
         {"fault_plan": [{"point": "zombie", "at_time_ms": 50, "pause_ms": -5.0}]},
         "{not json",
         None,
+        {"batch_size": 0, "n_switches": 1, "packets_per_switch": 5},
+        {"batch_size": -3, "n_switches": 1, "packets_per_switch": 5},
+        {"batch_time_ms": -5.0, "n_switches": 1, "packets_per_switch": 5},
     ],
 )
 def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, config):
@@ -157,8 +160,9 @@ def test_run_reports_a_bad_config_as_one_error_line(tmp_path, capsys, config):
         ["bench", "--switches", "0"],
         ["failover", "--trials", "0"],
         ["failover", "--transport", "deterministic", "--session-timeout", "0"],
+        ["bench", "--batch-size", "0"],
     ],
-    ids=["bench-no-switch", "failover-no-trial", "failover-zero-timeout"],
+    ids=["bench-no-switch", "failover-no-trial", "failover-zero-timeout", "bench-empty-batch"],
 )
 def test_bench_and_failover_report_bad_input_as_one_error_line(capsys, argv):
     assert main(argv) == 2

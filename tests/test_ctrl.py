@@ -81,8 +81,8 @@ class TwoSwitchApp:
         ctx.write("s1", PacketOut((Action.output(2),), b"b"))
 
 
-def packet_in(sw="s0", seq=1):
-    return PacketIn(sw, seq, ofwire.NO_BUFFER, 1, b"payload-%d" % seq)
+def packet_in(seq=1):
+    return PacketIn(ofwire.NO_BUFFER, 1, b"payload-%d" % seq)
 
 
 def make_replica(app=None, trace=None, **batching):
@@ -159,7 +159,7 @@ def test_slave_buffers_without_ids():
 def test_marker_records_processed_at_switch_both_roles():
     replica, env = make_replica()
     marker = ofwire.make_commit_marker(1, [7])
-    replica.on_switch_message("s0", PacketIn("s0", 9, 0, ofwire.CONTROLLER_PORT, marker.payload))
+    replica.on_switch_message("s0", PacketIn(0, ofwire.CONTROLLER_PORT, marker.payload))
     assert replica.processed_at_switch == {(7, "s0")}
     assert replica.slave_buffer == {}  # markers never become events
 
@@ -170,8 +170,9 @@ def test_slave_filters_buffer_on_log_entry():
     ev = SwitchEvent("s0", 1, KIND_PACKET_IN, packet_in(seq=1), event_id=1)
     replica.on_log_entry(1, ev)
     assert not replica.slave_buffer
-    # arriving after the log entry is a duplicate, not a fresh buffering
-    replica.on_switch_message("s0", packet_in(seq=1))
+    # arriving after its log entry is a duplicate, not a fresh buffering
+    replica.on_log_entry(2, SwitchEvent("s0", 2, KIND_PACKET_IN, packet_in(seq=2), event_id=2))
+    replica.on_switch_message("s0", packet_in(seq=2))
     assert not replica.slave_buffer
 
 
@@ -256,7 +257,7 @@ def test_no_bundles_variant_sends_plain_commands_then_logs_processed():
 def test_zero_command_event_processed_immediately():
     traced = []
     replica, env = make_master(trace=lambda kind, **kw: traced.append((kind, kw.get("event_id"))), batch_size=1)
-    replica.on_switch_message("s0", PortStatus("s0", 4, False))
+    replica.on_switch_message("s0", PortStatus(4, False))
     feed_log(replica, env)
     assert env.sent == []  # recording app only writes for packet-ins
     assert ("processed-logged", 1) in traced
@@ -326,11 +327,22 @@ def test_app_context_rejects_late_and_invalid_writes():
 
 def test_port_status_occurrences_are_distinct_and_shared():
     replica, env = make_replica()
-    replica.on_switch_message("s0", PortStatus("s0", 1, False))
-    replica.on_switch_message("s0", PortStatus("s0", 1, True))
+    replica.on_switch_message("s0", PortStatus(1, False))
+    replica.on_switch_message("s0", PortStatus(1, True))
     keys = [ev.occurrence for ev in replica.slave_buffer.values()]
-    assert len(set(keys)) == 2
-    assert all(seq < 0 for _, seq in keys)
+    assert keys == [("s0", 1), ("s0", 2)]
+
+
+def test_a_switch_numbers_its_events_by_arrival_markers_included():
+    replica, env = make_replica()
+    replica.on_switch_message("s0", packet_in(seq=1))
+    replica.on_switch_message("s0", PacketIn(0, ofwire.CONTROLLER_PORT, ofwire.make_commit_marker(1, [7]).payload))
+    replica.on_switch_message("s0", PortStatus(1, False))
+    replica.on_switch_message("s0", packet_in(seq=2))
+    replica.on_switch_message("s1", packet_in(seq=3))  # each switch has its own count
+    keys = [ev.occurrence for ev in replica.slave_buffer.values()]
+    assert keys == [("s0", 1), ("s0", 3), ("s0", 4), ("s1", 1)]
+    assert replica.processed_at_switch == {(7, "s0")}
 
 
 def test_deposed_master_rebuffers_unacked_events():
@@ -376,14 +388,14 @@ def test_refused_bundle_deposes_master_without_a_fatal_error():
 def log_events(replica, *occurrences):
     """Append one logged event per (switch, seq) behind the replica's log."""
     for sw, seq in occurrences:
-        ev = SwitchEvent(sw, seq, KIND_PACKET_IN, packet_in(sw, seq), event_id=replica.max_logged_id + 1)
+        ev = SwitchEvent(sw, seq, KIND_PACKET_IN, packet_in(seq), event_id=replica.max_logged_id + 1)
         replica.on_log_entry(replica.log_len + 1, ev)
 
 
 def marker(replica, sw, eid):
     """``sw`` shows the replica the old master's (epoch 1) commit marker for ``eid``."""
     msg = ofwire.make_commit_marker(1, [eid])
-    replica.on_switch_message(sw, PacketIn(sw, 1000 + eid, 0, ofwire.CONTROLLER_PORT, msg.payload))
+    replica.on_switch_message(sw, PacketIn(0, ofwire.CONTROLLER_PORT, msg.payload))
 
 
 def promote(app=None, occurrences=(("s0", 1),), markers=()):

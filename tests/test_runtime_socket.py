@@ -71,7 +71,7 @@ def test_a_malformed_frame_is_recorded_and_closes_its_connection():
 
 
 def test_an_entries_message_survives_the_json_link_byte_by_byte():
-    packet_in = ofwire.PacketIn("s1", 4, 0, 2, ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03"))
+    packet_in = ofwire.PacketIn(0, 2, ofwire.ether_payload("02:00:00:01:00:02", "02:00:00:01:00:03"))
     bodies = [SwitchEvent("s1", 4, KIND_PACKET_IN, packet_in, event_id=3), ProcessedBody(2), ProcessedBody(3)]
     encode, decode_body = CoordServer.wire
     frame = encode({"op": "entries", "first": 7, "bodies": bodies})
@@ -124,7 +124,7 @@ def test_what_a_switch_sent_before_it_crashed_reaches_a_controller_that_writes_t
 
     def write_to_the_switch() -> None:
         for _ in range(3):
-            c0.send_switch("s0", ofwire.RoleAnnounce("c0", 1))
+            c0.send_switch("s0", ofwire.RoleAnnounce(1))
             time.sleep(0.01)
 
     try:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -253,6 +254,35 @@ def test_port_status_takes_the_transactional_path():
     assert len(records_of(result, "delivered", actor="c1", event_id=eid)) == 1
 
 
+@pytest.mark.parametrize("kill", [False, True], ids=["no-fault", "master-kill"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("app", ["forwarding", "learning"])
+def test_port_flaps_are_numbered_with_the_packet_ins(app, seed, kill):
+    def flap_ports(world):
+        for node in world.switches.values():
+            for i in range(8):
+                world.at(25.0 + 7.0 * i, partial(node.switch.set_port, 3, i % 2 == 1))
+
+    faults = [FaultInjection(target="master", point="at-time", at_time_ms=61.0)] if kill else []
+    cfg = base_cfg(n_controllers=3, packets_per_switch=40, inter_arrival_ms=3.0, batch_time_ms=5.0,
+                   app=app, seed=seed, fault_plan=faults)
+    result = run_scenario(cfg, mutate=flap_ports)
+    assert result.passed, result.report.format()
+    logged, emitted = {}, {}
+    for rec in result.records:
+        if rec["kind"] == "log-append" and rec["detail"]["body"].get("kind") == "event":
+            ev = rec["detail"]["body"]["event"]
+            if ev["kind"] != "switch-failure":
+                logged.setdefault(ev["switch_id"], []).append((ev["switch_seq"], ev["kind"]))
+        elif rec["kind"] == "event-emitted" and rec["detail"]["origin"] in ("dataplane", "port-status"):
+            kind = "packet-in" if rec["detail"]["origin"] == "dataplane" else "port-status"
+            emitted.setdefault(rec["actor"], []).append((rec["switch_seq"], kind))
+    assert set(logged) == {"s0", "s1"}
+    for switch_id, occurrences in logged.items():
+        assert sorted(occurrences) == emitted[switch_id]
+        assert [kind for _, kind in occurrences].count("port-status") == 8
+
+
 def test_unrecoverable_loss_times_out_with_partial_trace():
     # a single controller tolerates no faults; killing it strands the run
     cfg = base_cfg(n_controllers=1, packets_per_switch=30,
@@ -457,7 +487,8 @@ def test_the_first_master_fences_every_switch(transport):
     fenced = [("c0", 1)] * 3
 
     def roles():
-        return [(node.switch.master_id, node.switch.master_epoch) for node in world.switches.values()]
+        switches = [node.switch for node in world.switches.values()]
+        return [(getattr(sw.master, "controller_id", None), sw.master_epoch) for sw in switches]
 
     try:
         if transport == "sockets":  # built once c0 is master; its announcements are on their way

@@ -54,21 +54,23 @@ def exec_details(log):
     return [r["detail"] for r in log.as_dicts() if r["kind"] == "switch-exec"]
 
 
-def test_unmatched_packet_fans_out_to_all_controllers():
-    sw, (c0, c1) = make_switch()
+def test_unmatched_packet_fans_out_to_all_controllers(log):
+    sw, (c0, c1) = make_switch(log=log)
     sw.inject_packet(payload(), in_port=1)
     assert len(c0.inbox) == 1 and len(c1.inbox) == 1
     a, b = c0.inbox[0], c1.inbox[0]
     assert isinstance(a, PacketIn) and a == b
-    assert a.switch_seq == 1
+    assert [r["switch_seq"] for r in log.as_dicts() if r["kind"] == "event-emitted"] == [1]
 
 
-def test_switch_seq_strictly_increases():
-    sw, (c0, _) = make_switch()
+def test_switch_seq_strictly_increases(log):
+    sw, (c0, _) = make_switch(log=log)
     for i in range(5):
         sw.inject_packet(payload(body=b"%d" % i), in_port=1)
-    seqs = [m.switch_seq for m in c0.inbox]
-    assert seqs == [1, 2, 3, 4, 5]
+    sw.set_port(2, False)
+    assert len(c0.inbox) == 6
+    seqs = [r["switch_seq"] for r in log.as_dicts() if r["kind"] == "event-emitted"]
+    assert seqs == [1, 2, 3, 4, 5, 6]
 
 
 def test_matched_packet_executes_locally_without_packetin(log):
@@ -161,7 +163,7 @@ def test_duplicate_open_is_error_reply():
 
 def test_switch_refuses_changes_from_a_controller_that_is_not_master(log):
     sw, (c0, c1) = make_switch(log=log)
-    sw.on_message(c1, RoleAnnounce("c1", 2))
+    sw.on_message(c1, RoleAnnounce(2))
     sw.on_message(c0, BundleOpen(1))
     sw.on_message(c0, BundleAdd(1, ofwire.make_commit_marker(1, [1])))
     sw.on_message(c0, BundleCommit(1))
@@ -171,11 +173,27 @@ def test_switch_refuses_changes_from_a_controller_that_is_not_master(log):
     assert c0.inbox == [BundleReply(1, False), BundleReply(1, False), BundleReply(1, False), BarrierReply(7)]
     assert exec_details(log) == [] and sw.bundles == {}
     # a stale announcement does not move the role back
-    sw.on_message(c0, RoleAnnounce("c0", 1))
+    sw.on_message(c0, RoleAnnounce(1))
     sw.on_message(c0, PacketOut((Action.output(2),), payload()))
-    assert sw.master_id == "c1" and exec_details(log) == []
+    assert sw.master is c1 and exec_details(log) == []
     sw.on_message(c1, PacketOut((Action.output(2),), payload()))
     assert len(exec_details(log)) == 1
+
+
+def test_the_role_belongs_to_the_connection_it_arrived_on(log):
+    sw, (c0, _) = make_switch(log=log)
+    sw.on_message(c0, RoleAnnounce(1))
+    sw.on_conn_closed(c0.uid)
+    assert sw.master is c0  # kept after its connection closes
+    c0b = FakeConn("c0")
+    sw.attach(c0b)
+    sw.on_message(c0b, PacketOut((Action.output(2),), payload()))
+    assert exec_details(log) == []  # the same controller on a new connection is not master
+    sw.on_message(c0b, RoleAnnounce(2))
+    sw.on_message(c0b, PacketOut((Action.output(2),), payload()))
+    assert sw.master is c0b and len(exec_details(log)) == 1
+    roles = [(r["kind"], r["epoch"], r["detail"]) for r in log.as_dicts() if r["kind"] == "role-announce"]
+    assert roles == [("role-announce", 1, {"controller": "c0"}), ("role-announce", 2, {"controller": "c0"})]
 
 
 def test_barrier_covers_processed_not_pending_bundles():

@@ -13,7 +13,6 @@ from ftsdn.events import (
     KIND_SWITCH_FAILURE,
     SWITCH_FAILURE_SEQ,
     SwitchEvent,
-    port_status_seq,
 )
 from ftsdn.harness.checker import check_trace
 from ftsdn.harness.config import AT_TIME, F2, FaultInjection, ScenarioConfig
@@ -211,8 +210,8 @@ def test_log_append_renders_each_body_as_its_json():
     coord.enroll(sid, "c0", 0.0)
     pkt = ofwire.ether_payload(DST, SRC, b"q")
     bodies = [
-        SwitchEvent("s0", 3, KIND_PACKET_IN, PacketIn("s0", 3, ofwire.NO_BUFFER, 2, pkt), event_id=1),
-        SwitchEvent("s1", port_status_seq(0), KIND_PORT_STATUS, PortStatus("s1", 5, False), event_id=2),
+        SwitchEvent("s0", 3, KIND_PACKET_IN, PacketIn(ofwire.NO_BUFFER, 2, pkt), event_id=1),
+        SwitchEvent("s1", 1, KIND_PORT_STATUS, PortStatus(5, False), event_id=2),
         SwitchEvent("s1", SWITCH_FAILURE_SEQ, KIND_SWITCH_FAILURE, None, event_id=3),
         ProcessedBody(1),
     ]
@@ -237,10 +236,11 @@ def test_event_emitted_renders_the_connections_as_a_list():
     sw.set_port(2, True)
     assert details(log, "event-emitted") == [
         {"origin": "dataplane", "in_port": 3, "conns": ["c0", "c1"]},
-        {"origin": "port-status", "index": 1, "conns": ["c0", "c1"]},
+        {"origin": "port-status", "conns": ["c0", "c1"]},
         {"origin": "dataplane", "in_port": 1, "conns": ["c1"]},
-        {"origin": "port-status", "index": 2, "conns": ["c1", "c0"]},
+        {"origin": "port-status", "conns": ["c1", "c0"]},
     ]
+    assert [r["switch_seq"] for r in log.as_dicts() if r["kind"] == "event-emitted"] == [1, 2, 3, 4]
 
 
 def test_records_emitted_after_a_read_are_rendered_by_the_next():
