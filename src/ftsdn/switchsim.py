@@ -98,7 +98,7 @@ class Switch:
         self._log = trace if trace is not None else NULL_TRACE
         self.flow_table = FlowTable()
         self.conns: dict[int, ControllerConn] = {}
-        self._conns_changed()  # sets the event-emitted records' ``_conn_ids`` and ``_emitted_detail``
+        self._conns_changed()  # sets the event-emitted details ``_port_status_detail`` and ``_emitted_detail``
         self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
         self.next_switch_seq = 1  # the number of the next packet-in or port-status sent
         self.master: ControllerConn | None = None  # the master's connection, kept when it closes; None: any may command
@@ -148,7 +148,7 @@ class Switch:
         if self.dead:
             return
         self.events_emitted += 1
-        self._send_async(PortStatus(port, up), {"origin": "port-status", "conns": self._conn_ids})
+        self._send_async(PortStatus(port, up), self._port_status_detail)
 
     def _emit_packet_in(self, payload: bytes, in_port: int, origin: str) -> None:
         if origin == "dataplane":
@@ -164,11 +164,11 @@ class Switch:
             conn.send(msg)
 
     def _conns_changed(self) -> None:
-        # The controllers of ``conns``, in order: one tuple of strings shared by
-        # every record until the next change, so a detail holding it stays out of
-        # the garbage collector (see trace.py). A packet-in's detail is shared
-        # too: one read-only dict per (origin, in_port) until the next change.
-        conns = self._conn_ids = tuple(c.controller_id for c in self.conns.values())
+        # One read-only detail for port-status and one per (origin, in_port) for
+        # a packet-in, shared until the next change; their tuple of controllers,
+        # strings only, keeps them out of the garbage collector (see trace.py).
+        conns = tuple(c.controller_id for c in self.conns.values())
+        self._port_status_detail = {"origin": "port-status", "conns": conns}
         self._emitted_detail = cache(lambda origin, in_port: {"origin": origin, "in_port": in_port, "conns": conns})
 
     # -- controller-to-switch path ---------------------------------------------

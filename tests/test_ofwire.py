@@ -338,6 +338,7 @@ _BAD_JSON = [
     {"type": "BarrierRequest", "xid": "7"},
     {"type": "BundleReply", "bundle_id": 1, "success": 1},
     {"type": "RoleAnnounce", "epoch": "1"},
+    {"type": "FlowMod", "match_key": {"in_port": None, "eth_src": 3, "eth_dst": None}, "actions": [], "priority": 1},
     {"type": "PacketOut", "actions": [], "payload": "zz"},
     {"type": "PacketOut", "actions": [], "payload": None},
     {"type": "PacketOut", "actions": 7, "payload": ""},
