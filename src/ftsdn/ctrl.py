@@ -8,6 +8,12 @@ every affected switch has acknowledged its bundle, shown its marker or
 died, the master logs an event-processed entry. ``pending_replies`` is the
 one record of what each unfinished event still waits on, per switch.
 
+Each replica numbers a switch's packet-ins (commit markers too) and
+port-status messages by their arrival on that switch's connection
+(``live_switches``). The connection is FIFO and loses nothing until it
+closes, so each occurrence reaches each replica exactly once; the one copy
+a replica drops is a slave's that arrives after the log entry for it.
+
 Slaves buffer raw events (a logged copy takes its event out of the buffer),
 track commit markers, and deliver an event to their own application only
 after its processed entry is logged, with all resulting writes discarded.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from typing import Callable, Protocol
 
 from . import ofwire
@@ -138,7 +145,7 @@ class Replica:
 
         self.role = ROLE_SLAVE
         self.epoch = 0
-        self.live_switches: set[str] = set()
+        self.live_switches: dict[str, int] = {}  # connected switch -> its events that arrived here
 
         # shared-log position; events_by_id and processed_logged hold only
         # logged events not yet delivered (ids above delivered_upto)
@@ -151,7 +158,6 @@ class Replica:
         # master-side replication state
         self.next_event_id = 1
         self.pending_batch: list[LogBody] = []
-        self._pending_keys: set[tuple[str, int]] = set()
         self._inflight: list[list[LogBody]] = []
         self._batch_timer: object | None = None
         # events whose processed entry this replica enqueued and has not seen
@@ -175,8 +181,6 @@ class Replica:
         # learned from commit markers: the (event_id, switch_id) pairs a switch has committed
         self.processed_at_switch: set[tuple[int, str]] = set()
 
-        # per switch, the packet-ins (markers too) and port-status messages it sent here
-        self._arrivals: dict[str, int] = {}
         self._promo: _Promotion | None = None
 
         # one read-only detail per value for the kinds traced per event, shared
@@ -205,13 +209,11 @@ class Replica:
     # switch-facing input
 
     def attach_switch(self, switch_id: str) -> None:
-        self.live_switches.add(switch_id)
-        self._arrivals[switch_id] = 0
+        self.live_switches[switch_id] = 0
 
     def on_switch_disconnect(self, switch_id: str) -> None:
-        if switch_id not in self.live_switches:
+        if self.live_switches.pop(switch_id, None) is None:
             return
-        self.live_switches.discard(switch_id)
         self._trace("conn-lost", switch_id=switch_id)
         # the failed switch satisfies anything still waiting on it; while its
         # barrier is outstanding, what waits on it is the probe
@@ -226,7 +228,7 @@ class Replica:
 
     def on_switch_message(self, switch_id: str, msg: ofwire.OfMessage) -> None:
         if isinstance(msg, PacketIn):
-            seq = self._arrivals[switch_id] = self._arrivals[switch_id] + 1
+            seq = self.live_switches[switch_id] = self.live_switches[switch_id] + 1
             marker = parse_commit_marker(msg)
             if marker is not None:
                 for eid in marker.event_ids:
@@ -240,7 +242,7 @@ class Replica:
                 return
             self._ingest(SwitchEvent(switch_id, seq, KIND_PACKET_IN, msg))
         elif isinstance(msg, PortStatus):
-            seq = self._arrivals[switch_id] = self._arrivals[switch_id] + 1
+            seq = self.live_switches[switch_id] = self.live_switches[switch_id] + 1
             self._ingest(SwitchEvent(switch_id, seq, KIND_PORT_STATUS, msg))
         elif isinstance(msg, BundleReply):
             self._on_bundle_reply(switch_id, msg)
@@ -257,19 +259,22 @@ class Replica:
         self._trace(
             "event-collected", switch_id=ev.switch_id, switch_seq=ev.switch_seq, detail=self._collected_detail(ev.kind)
         )
-        if key in self._logged_keys or key in self._pending_keys or key in self.slave_buffer:
+        if key in self._logged_keys:  # the log entry overtook this copy
             self._trace("duplicate-dropped", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             return
         if self.role == ROLE_MASTER:
-            ev.event_id = self.next_event_id
-            self.next_event_id += 1
-            self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-            self._pending_keys.add(key)
-            self.pending_batch.append(ev)
+            self._assign(ev)
             self._arm_or_flush()
         else:
             self.slave_buffer[key] = ev
             self._trace("buffered", switch_id=ev.switch_id, switch_seq=ev.switch_seq)
+
+    def _assign(self, ev: SwitchEvent) -> None:
+        """Give ``ev`` the next event id and queue it for the log."""
+        ev.event_id = self.next_event_id
+        self.next_event_id += 1
+        self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
+        self.pending_batch.append(ev)
 
     # ------------------------------------------------------------------
     # replication batching
@@ -327,7 +332,6 @@ class Replica:
             self.events_by_id[ev.event_id] = ev
             key = ev.occurrence
             self._logged_keys.add(key)
-            self._pending_keys.discard(key)
             if self.slave_buffer.pop(key, None) is not None:
                 self._trace("buffer-filtered", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
             self._trace("logged", event_id=ev.event_id, switch_id=ev.switch_id, detail={"seq": seq})
@@ -494,8 +498,7 @@ class Replica:
             if eid in self.processed_logged:
                 self._deliver(ev, discard=True)
             else:
-                staged = self._deliver(ev, discard=False)
-                promo.held[eid] = {s: list(cmds) for s, cmds in staged.items()}
+                promo.held[eid] = self._deliver(ev, discard=False)
         # 2. probe: one barrier per affected switch settles whether a marker
         #    from the old master can still be in flight on this connection;
         #    until it replies, the held event waits on that switch
@@ -548,16 +551,11 @@ class Replica:
         assert promo is not None
         self._promo = None
         self.next_event_id = self.max_logged_id + 1
-        buffered = self.slave_buffer
-        self.slave_buffer = {}
         self.role = ROLE_MASTER
         # a logged copy has already taken its event out of the buffer
-        for key, ev in buffered.items():
-            ev.event_id = self.next_event_id
-            self.next_event_id += 1
-            self._pending_keys.add(key)
-            self._trace("id-assigned", event_id=ev.event_id, switch_id=ev.switch_id, switch_seq=ev.switch_seq)
-            self.pending_batch.append(ev)
+        for ev in self.slave_buffer.values():
+            self._assign(ev)
+        self.slave_buffer = {}
         if self.pending_batch:
             self._flush()
         self._trace("promotion-complete", detail={"held": len(promo.held)})
@@ -573,18 +571,12 @@ class Replica:
         if self._batch_timer is not None:
             self.env.cancel(self._batch_timer)
             self._batch_timer = None
-        moved: list[SwitchEvent] = []
-        for chunk in self._inflight:
-            moved.extend(b for b in chunk if isinstance(b, SwitchEvent))
-        moved.extend(b for b in self.pending_batch if isinstance(b, SwitchEvent))
+        # only a master queues events, and its buffer is empty: every unlogged one goes back
+        for ev in chain(*self._inflight, self.pending_batch):
+            if isinstance(ev, SwitchEvent) and ev.occurrence not in self._logged_keys:
+                self.slave_buffer[ev.occurrence] = SwitchEvent(ev.switch_id, ev.switch_seq, ev.kind, ev.message)
         self._inflight = []
         self.pending_batch = []
-        for ev in moved:
-            key = ev.occurrence
-            self._pending_keys.discard(key)
-            if key in self._logged_keys or key in self.slave_buffer:
-                continue
-            self.slave_buffer[key] = SwitchEvent(ev.switch_id, ev.switch_seq, ev.kind, ev.message)
         # in-flight bundles may still commit; their markers will be recorded
         self.pending_replies = {}
         self._bundle_owner = {}

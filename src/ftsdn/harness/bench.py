@@ -92,7 +92,6 @@ def no_log(replica: Replica) -> None:
         batch, replica.pending_batch = replica.pending_batch, []
         for body in batch:
             if isinstance(body, SwitchEvent):
-                replica._pending_keys.discard(body.occurrence)
                 replica._finalize(body, replica._deliver(body, discard=False))
 
     replica._arm_or_flush = deliver_now

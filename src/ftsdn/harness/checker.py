@@ -17,6 +17,18 @@ Properties:
       order, inside a marker-terminated bundle.
   T4  per-switch FIFO: event ids respect each switch's event sequence.
 
+Three exemptions have no seeded mutation; each is sound for the reason given:
+
+  - T2 excuses an emitted occurrence that never reached the log when no
+    survivor is on its ``conns``: no live replica ever received it, so no
+    protocol could log it.
+  - The oracle expects nothing of an event whose app raises (``except
+    Exception: continue``): the replica discards that event's writes, and a
+    bundle that names the event still fails T3 as one it should not send.
+  - The survivors are the replicas without a ``controller-crashed`` record:
+    only ``Controller.crash`` writes one, once it has stopped the node, and a
+    replica that stalls without crashing stays a survivor that T2 checks.
+
 The check is a fold: ``Checker.feed`` takes the records in trace order, and
 ``Checker.report`` gives the verdicts once the last one is fed. The fold keeps
 ints, and references to the records' own event and command dicts, never a

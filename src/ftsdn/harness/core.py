@@ -15,13 +15,16 @@ objects; a transport that needs bytes converts them at its edge. The
 service pushes the log to each controller one push per append: an
 ``entries`` message with the seq of the append's first entry (``first``)
 and all of its ``bodies``, in seq order, under the key an ``append``
-request uses.
+request uses. Every link is FIFO, so the service answers a controller's
+appends in the order it sent them, and an ``append-reply`` needs no request
+id. A switch keys each controller's state by that controller's link end
+(``SwitchConn``), so a new link starts afresh.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
+from collections import deque
 from functools import partial
 from typing import Callable
 
@@ -80,7 +83,7 @@ class CoordHost:
                 error = "not-leader"
             except EmptyAppend:
                 error = "rejected-empty"
-            push({"op": "append-reply", "req": msg["req"], "error": error})
+            push({"op": "append-reply", "error": error})
         # No re-arm: a request only moves a deadline later, so the armed
         # timer is early at worst, and _check_expiry re-arms it.
 
@@ -130,8 +133,8 @@ class Controller:
             batch_time_ms=cfg.batch_time_ms,
         )
         self.switch_links: dict[str, Callable] = {}
-        self._append_cbs: dict[int, Callable[[str | None], None]] = {}
-        self._next_req = itertools.count(1)
+        # the callbacks of sent appends, in send order: replies come in that order
+        self._append_cbs: deque[Callable[[str | None], None]] = deque()
         self.dead = False
 
     def bind_coord(self, link) -> None:
@@ -183,9 +186,8 @@ class Controller:
             send(msg)
 
     def coord_append(self, epoch: int, bodies: list, callback: Callable[[str | None], None]) -> None:
-        req = next(self._next_req)
-        self._append_cbs[req] = callback
-        self.send_coord({"op": "append", "req": req, "epoch": epoch, "bodies": bodies})
+        self._append_cbs.append(callback)
+        self.send_coord({"op": "append", "epoch": epoch, "bodies": bodies})
 
     # -- coordination link --------------------------------------------------
 
@@ -197,9 +199,7 @@ class Controller:
         elif op == "leader":
             self.replica.on_leadership(msg["leader"], msg["epoch"], msg["log_len"])
         elif op == "append-reply":
-            cb = self._append_cbs.pop(msg["req"], None)
-            if cb is not None:
-                cb(msg["error"])
+            self._append_cbs.popleft()(msg["error"])
 
     def start_heartbeat(self) -> None:
         self.exec.call_later(self.heartbeat_interval_ms, self._heartbeat, True)
@@ -336,13 +336,10 @@ class World:
 
 
 class SwitchConn:
-    """A controller's connection as a switch sees it."""
-
-    _uids = itertools.count(1)
+    """A controller's connection as a switch sees it, and the switch's key for it."""
 
     def __init__(self, controller_id: str, send: Callable) -> None:
         self.controller_id = controller_id
-        self.uid = next(SwitchConn._uids)
         self.send = send
 
 
@@ -351,5 +348,5 @@ def bind_controller(switch, controller_id: str, link) -> None:
     ``switch``, whose handlers are looked up per message."""
     conn = SwitchConn(controller_id, link.send)
     link.on_message = lambda msg: switch.on_message(conn, msg)
-    link.on_close = lambda: switch.on_conn_closed(conn.uid)
+    link.on_close = lambda: switch.on_conn_closed(conn)
     switch.attach(conn)

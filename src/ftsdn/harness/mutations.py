@@ -175,7 +175,7 @@ def _uncounted_markers(world: DetWorld) -> None:
     def wrapped(switch_id, msg):
         orig(switch_id, msg)
         if isinstance(msg, PacketIn) and msg.payload.startswith(MARKER_MAGIC):
-            replica._arrivals[switch_id] -= 1
+            replica.live_switches[switch_id] -= 1
 
     replica.on_switch_message = wrapped
 

@@ -3,18 +3,21 @@
 One logical executor per switch: the runtime feeds `on_message` strictly in
 per-connection FIFO order (merged across connections in arrival order), so a
 BarrierReply naturally covers everything received earlier on that
-connection. Bundles stage commands until commit and are applied atomically
-and in order; open bundles owned by a connection are discarded when that
-connection drops. As OFPT_ROLE_REQUEST does (OpenFlow 1.3 section 6.3.7), a
-RoleAnnounce makes the connection it arrives on the master, and bundles and
-commands from any other connection are refused. The wire is stock: replicas
-number packet-ins and port-status messages by arrival, and the switch's own
-count goes only to its event-emitted records, the checker's ground truth.
+connection. The connection object is the key of all per-connection state
+(open bundles, the master role): a new connection, even from the same
+controller, shares nothing with an old one. Bundles stage commands until
+commit and are applied atomically and in order; open bundles owned by a
+connection are discarded when that connection drops. As OFPT_ROLE_REQUEST
+does (OpenFlow 1.3 section 6.3.7), a RoleAnnounce makes the connection it
+arrives on the master, and bundles and commands from any other connection
+are refused. The wire is stock: replicas number packet-ins and port-status
+messages by arrival, and the switch's own count goes only to its
+event-emitted records, the checker's ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Protocol
 
@@ -44,7 +47,6 @@ class ControllerConn(Protocol):
     """What the switch needs from a controller connection."""
 
     controller_id: str
-    uid: int
 
     def send(self, msg: ofwire.OfMessage) -> None: ...
 
@@ -54,11 +56,11 @@ class FlowRule:
     match_key: ofwire.MatchKey
     actions: tuple[Action, ...]
     priority: int
-    order: int  # insertion index, ties go to the older rule
 
 
 class FlowTable:
     def __init__(self) -> None:
+        # in insertion order, which a replaced rule keeps
         self.rules: dict[tuple[ofwire.MatchKey, int], FlowRule] = {}
 
     def insert(self, fm: FlowMod) -> None:
@@ -67,16 +69,15 @@ class FlowTable:
         key = (fm.match_key, fm.priority)
         rule = self.rules.get(key)
         if rule is None:
-            self.rules[key] = FlowRule(fm.match_key, fm.actions, fm.priority, len(self.rules))
+            self.rules[key] = FlowRule(fm.match_key, fm.actions, fm.priority)
         else:
             rule.actions = fm.actions
 
     def lookup(self, in_port: int, eth_src: str | None, eth_dst: str | None) -> FlowRule | None:
+        """The matching rule of highest priority; of equals, the oldest."""
         best: FlowRule | None = None
         for rule in self.rules.values():
-            if not rule.match_key.matches(in_port, eth_src, eth_dst):
-                continue
-            if best is None or (rule.priority, -rule.order) > (best.priority, -best.order):
+            if rule.match_key.matches(in_port, eth_src, eth_dst) and (best is None or rule.priority > best.priority):
                 best = rule
         return best
 
@@ -84,22 +85,16 @@ class FlowTable:
         return len(self.rules)
 
 
-@dataclass
-class StagedBundle:
-    bundle_id: int
-    conn_uid: int
-    owner: str
-    messages: list[ofwire.OfMessage] = field(default_factory=list)
-
-
 class Switch:
     def __init__(self, switch_id: str, trace: TraceLog | None = None) -> None:
         self.switch_id = switch_id
         self._log = trace if trace is not None else NULL_TRACE
         self.flow_table = FlowTable()
-        self.conns: dict[int, ControllerConn] = {}
+        # replaced, not changed, so a fan-out keeps the connections it started with
+        self.conns: tuple[ControllerConn, ...] = ()
         self._conns_changed()  # sets the event-emitted details ``_port_status_detail`` and ``_emitted_detail``
-        self.bundles: dict[tuple[int, int], StagedBundle] = {}  # open bundles by (connection, bundle id)
+        # open bundles' staged commands by (connection, bundle id)
+        self.bundles: dict[tuple[ControllerConn, int], list[ofwire.OfMessage]] = {}
         self.next_switch_seq = 1  # the number of the next packet-in or port-status sent
         self.master: ControllerConn | None = None  # the master's connection, kept when it closes; None: any may command
         self.master_epoch = 0
@@ -109,19 +104,17 @@ class Switch:
     # -- connection lifecycle ------------------------------------------------
 
     def attach(self, conn: ControllerConn) -> None:
-        self.conns[conn.uid] = conn
+        self.conns += (conn,)
         self._conns_changed()
 
-    def on_conn_closed(self, conn_uid: int) -> None:
-        conn = self.conns.pop(conn_uid, None)
-        if conn is None:
+    def on_conn_closed(self, conn: ControllerConn) -> None:
+        if conn not in self.conns:
             return
+        self.conns = tuple(c for c in self.conns if c is not conn)
         self._conns_changed()
-        for key, bundle in list(self.bundles.items()):
-            if bundle.conn_uid == conn_uid:
-                del self.bundles[key]
-                detail = {"owner": bundle.owner}
-                self._log.emit("bundle-discarded", self.switch_id, bundle_id=bundle.bundle_id, detail=detail)
+        for key in [key for key in self.bundles if key[0] is conn]:
+            del self.bundles[key]
+            self._log.emit("bundle-discarded", self.switch_id, bundle_id=key[1], detail={"owner": conn.controller_id})
         self._log.emit("conn-closed", self.switch_id, detail={"controller": conn.controller_id})
 
     def crash(self) -> None:
@@ -160,14 +153,14 @@ class Switch:
         seq = self.next_switch_seq
         self.next_switch_seq += 1
         self._log.emit("event-emitted", self.switch_id, switch_seq=seq, detail=detail)
-        for conn in list(self.conns.values()):
+        for conn in self.conns:
             conn.send(msg)
 
     def _conns_changed(self) -> None:
         # One read-only detail for port-status and one per (origin, in_port) for
         # a packet-in, shared until the next change; their tuple of controllers,
         # strings only, keeps them out of the garbage collector (see trace.py).
-        conns = tuple(c.controller_id for c in self.conns.values())
+        conns = tuple(c.controller_id for c in self.conns)
         self._port_status_detail = {"origin": "port-status", "conns": conns}
         self._emitted_detail = cache(lambda origin, in_port: {"origin": origin, "in_port": in_port, "conns": conns})
 
@@ -184,25 +177,26 @@ class Switch:
                 conn.send(BundleReply(msg.bundle_id, False))
             return
         if isinstance(msg, BundleOpen):
-            key = (conn.uid, msg.bundle_id)
+            key = (conn, msg.bundle_id)
             if key in self.bundles:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
-            self.bundles[key] = StagedBundle(msg.bundle_id, conn.uid, conn.controller_id)
+            self.bundles[key] = []
         elif isinstance(msg, BundleAdd):
-            bundle = self.bundles.get((conn.uid, msg.bundle_id))
-            if bundle is None:
+            staged = self.bundles.get((conn, msg.bundle_id))
+            if staged is None:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
-            bundle.messages.append(msg.inner)
+            staged.append(msg.inner)
         elif isinstance(msg, BundleCommit):
-            bundle = self.bundles.get((conn.uid, msg.bundle_id))
-            if bundle is None:
+            key = (conn, msg.bundle_id)
+            staged = self.bundles.get(key)
+            if staged is None:
                 conn.send(BundleReply(msg.bundle_id, False))
                 return
-            for staged in bundle.messages:
-                self._apply(staged, origin="bundle", bundle_id=bundle.bundle_id, controller_id=bundle.owner)
-            del self.bundles[(conn.uid, msg.bundle_id)]
+            for cmd in staged:
+                self._apply(cmd, origin="bundle", bundle_id=msg.bundle_id, controller_id=conn.controller_id)
+            del self.bundles[key]
             conn.send(BundleReply(msg.bundle_id, True))
         elif isinstance(msg, BarrierRequest):
             conn.send(BarrierReply(msg.xid))

@@ -237,7 +237,7 @@ def test_no_log_variant_bundles_each_event_at_once_and_never_appends():
         replica.on_switch_message(sid, BundleReply(bid, True))
     assert not replica.pending_replies
     assert replica.pending_batch == []
-    assert replica._pending_keys == set()
+    assert not replica._logged_keys and not replica.slave_buffer
 
 
 def test_no_bundles_variant_sends_plain_commands_then_logs_processed():

@@ -72,3 +72,20 @@ def test_the_emit_probe_sees_every_record_of_a_world_built_before_it():
     kinds = {r["kind"] for r in world.trace.as_dicts()[before:]}
     assert {"switch-exec", "log-append", "delivered"} <= kinds
     assert probes.totals()["trace.emit"]["calls"] == written
+
+
+def test_the_lookup_probe_counts_flow_table_hits():
+    # perfbench's switchsim.table_hit_ratio counts the lookups that return a rule
+    cfg = ScenarioConfig(n_switches=2, n_controllers=2, packets_per_switch=40, seed=1, app="learning")
+    world = DetWorld(cfg)
+    for inj in build_workload(cfg):
+        world.at(inj.time_ms, partial(_inject, world, inj))
+    probes = Probes()
+    try:
+        probes.install()
+        assert world.run(2_000.0)
+    finally:
+        probes.uninstall()
+    world.stop()
+    lookups = probes.totals()["switchsim.lookup"]["calls"]
+    assert 0 < probes.lookup_hits < lookups

@@ -165,6 +165,47 @@ def test_adversarial_interleaving_keeps_total_order():
     assert d0 == d1 == [1, 2, 3, 4]
 
 
+class _NeverMatches(set):
+    """A key set that holds no key, whatever was added to it."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _late_slave_cfg(seed, kill):
+    # c1 hears s0 15 ms late, so c0's log entry for each s0 event reaches c1 first
+    plan = [FaultInjection(point="at-time", at_time_ms=120.0)] if kill else []
+    return base_cfg(packets_per_switch=60, inter_arrival_ms=3.0, batch_time_ms=1.0, seed=seed, fault_plan=plan)
+
+
+_LATE_SLAVE = pin_latencies({("s0", "c1"): 15.0})
+_DROPS_AFTER_KILL = {0: 34, 1: 33, 2: 33}  # the s0 events c0 logged before its kill
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kill", [False, True])
+def test_a_slave_drops_each_copy_its_log_entry_overtook(kill, seed):
+    result = run_scenario(_late_slave_cfg(seed, kill), mutate=_LATE_SLAVE)
+    assert result.passed
+    drops = records_of(result, "duplicate-dropped")
+    assert {r["actor"] for _, r in drops} == {"c1"}
+    assert len(drops) == (_DROPS_AFTER_KILL[seed] if kill else 60)
+    logged_at = {(r.get("switch_id"), r.get("switch_seq")): i for i, r in records_of(result, "log-append")}
+    for i, r in drops:
+        assert logged_at[(r["switch_id"], r["switch_seq"])] < i
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_slave_that_never_finds_its_logged_keys_delivers_twice_after_a_kill(seed):
+    def mutate(world):
+        _LATE_SLAVE(world)
+        world.ctrls["c1"].replica._logged_keys = _NeverMatches()
+
+    result = run_scenario(_late_slave_cfg(seed, kill=True), mutate=mutate)
+    assert not result.report.result("T2").passed
+    assert result.report.summary["duplicates"] == _DROPS_AFTER_KILL[seed]
+
+
 def test_switch_crash_marks_pending_events_processed():
     cfg = base_cfg(
         packets_per_switch=40,
@@ -338,6 +379,8 @@ def test_replicas_keep_no_delivered_events_at_quiescence():
     assert result.passed
     live = [c.replica for c in result.world.ctrls.values() if c.exec.alive]
     assert [r.controller_id for r in live] == ["c1", "c2"]
+    # each append got exactly one reply: one more would have found the queue empty
+    assert [list(c._append_cbs) for c in result.world.ctrls.values() if c.exec.alive] == [[], []]
     for replica in live:
         assert replica.delivered_upto == replica.max_logged_id > 0
         assert not replica.slave_buffer

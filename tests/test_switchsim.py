@@ -18,13 +18,10 @@ from ftsdn.ofwire import (
 from ftsdn.switchsim import Switch
 from ftsdn.trace import TraceLog
 
-_uid = iter(range(1, 10_000))
-
 
 class FakeConn:
     def __init__(self, controller_id):
         self.controller_id = controller_id
-        self.uid = next(_uid)
         self.inbox = []
 
     def send(self, msg):
@@ -88,7 +85,7 @@ def test_fan_out_counts_live_connections_only():
     sw, conns = (Switch("s0"), [FakeConn(f"c{i}") for i in range(3)])
     for c in conns:
         sw.attach(c)
-    sw.on_conn_closed(conns[1].uid)
+    sw.on_conn_closed(conns[1])
     sw.inject_packet(payload(), in_port=1)
     assert len(conns[0].inbox) == 1
     assert len(conns[1].inbox) == 0
@@ -183,7 +180,7 @@ def test_switch_refuses_changes_from_a_controller_that_is_not_master(log):
 def test_the_role_belongs_to_the_connection_it_arrived_on(log):
     sw, (c0, _) = make_switch(log=log)
     sw.on_message(c0, RoleAnnounce(1))
-    sw.on_conn_closed(c0.uid)
+    sw.on_conn_closed(c0)
     assert sw.master is c0  # kept after its connection closes
     c0b = FakeConn("c0")
     sw.attach(c0b)
@@ -213,7 +210,7 @@ def test_disconnect_discards_open_bundles():
     sw.on_message(c0, BundleOpen(5))
     for i in range(3):
         sw.on_message(c0, BundleAdd(5, FlowMod(MatchKey(in_port=i), (Action.output(1),), 1)))
-    sw.on_conn_closed(c0.uid)
+    sw.on_conn_closed(c0)
     assert len(sw.flow_table) == 0
     assert sw.bundles == {}
     sw.inject_packet(payload(), in_port=1)
@@ -222,19 +219,22 @@ def test_disconnect_discards_open_bundles():
 
 def test_disconnect_without_bundles_only_shrinks_fanout():
     sw, (c0, c1) = make_switch()
-    sw.on_conn_closed(c0.uid)
+    sw.on_conn_closed(c0)
     sw.inject_packet(payload(), in_port=1)
     assert c0.inbox == [] and len(c1.inbox) == 1
 
 
-def test_reconnect_gets_fresh_bundle_namespace():
-    sw, (c0, c1) = make_switch()
-    sw.on_message(c0, BundleOpen(5))
-    sw.on_conn_closed(c0.uid)
+def test_reconnect_gets_fresh_bundle_namespace(log):
+    sw, (c0, c1) = make_switch(log=log)
     c0b = FakeConn("c0")
     sw.attach(c0b)
+    sw.on_message(c0, BundleOpen(5))
     sw.on_message(c0b, BundleOpen(5))
-    assert not any(isinstance(m, BundleReply) for m in c0b.inbox)  # fresh open succeeded
+    assert not any(isinstance(m, BundleReply) for m in c0.inbox + c0b.inbox)  # both opens succeeded
+    sw.on_conn_closed(c0)
+    discarded = [(r["bundle_id"], r["detail"]) for r in log.as_dicts() if r["kind"] == "bundle-discarded"]
+    assert discarded == [(5, {"owner": "c0"})]
+    assert list(sw.bundles) == [(c0b, 5)]  # the second connection's bundle is kept
     sw.on_message(c0b, BundleAdd(5, ofwire.make_commit_marker(2, [1])))
     sw.on_message(c0b, BundleCommit(5))
     assert BundleReply(5, True) in c0b.inbox

@@ -170,9 +170,8 @@ DST, SRC = "02:00:00:00:00:01", "02:00:00:00:00:02"
 
 
 class Conn:
-    def __init__(self, controller_id: str, uid: int) -> None:
+    def __init__(self, controller_id: str) -> None:
         self.controller_id = controller_id
-        self.uid = uid
 
     def send(self, msg) -> None:
         pass
@@ -185,7 +184,7 @@ def details(log: TraceLog, kind: str) -> list:
 def test_switch_exec_renders_each_command_as_its_json():
     log = TraceLog(clock=lambda: 0.0)
     sw = Switch("s0", trace=log)
-    c0 = Conn("c0", 1)
+    c0 = Conn("c0")
     sw.attach(c0)
     pkt = ofwire.ether_payload(DST, SRC, b"p")
     bundled = PacketOut((Action.output(2), Action.drop()), pkt)
@@ -225,14 +224,14 @@ def test_log_append_renders_each_body_as_its_json():
 def test_event_emitted_renders_the_connections_as_a_list():
     log = TraceLog(clock=lambda: 0.0)
     sw = Switch("s0", trace=log)
-    c0, c1 = Conn("c0", 1), Conn("c1", 2)
+    c0, c1 = Conn("c0"), Conn("c1")
     sw.attach(c0)
     sw.attach(c1)
     sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)
     sw.set_port(2, False)
-    sw.on_conn_closed(c0.uid)
+    sw.on_conn_closed(c0)
     sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=1)
-    sw.attach(Conn("c0", 3))
+    sw.attach(Conn("c0"))
     sw.set_port(2, True)
     assert details(log, "event-emitted") == [
         {"origin": "dataplane", "in_port": 3, "conns": ["c0", "c1"]},
@@ -246,7 +245,7 @@ def test_event_emitted_renders_the_connections_as_a_list():
 def test_records_emitted_after_a_read_are_rendered_by_the_next():
     log = TraceLog(clock=lambda: 0.0)
     sw = Switch("s0", trace=log)
-    sw.attach(Conn("c0", 1))
+    sw.attach(Conn("c0"))
     sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)
     first = log.as_dicts()
     sw.inject_packet(ofwire.ether_payload(DST, SRC), in_port=3)  # the switch's shared compact detail again
